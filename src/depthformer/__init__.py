@@ -2,7 +2,7 @@
 
 from .corpus import Corpus, CorpusStats, TokenizerConfig, Vocab, collect_stats, load_tsv, tokenize
 from .encoder import AdaptiveEncoder, EncoderConfig, LayerCounts
-from .mi import MiTable, build_mi_table, log_scale, mi_score
+from .mi import MiTable, build_mi_table
 from .recon import select_depth, train_mlm
 
 __version__ = "0.1.0"
@@ -19,8 +19,6 @@ __all__ = [
     "build_mi_table",
     "collect_stats",
     "load_tsv",
-    "log_scale",
-    "mi_score",
     "select_depth",
     "tokenize",
     "train_mlm",

@@ -40,7 +40,6 @@ class ComputeReport:
     n_tokens: int = 0
     n_sentences: int = 0
     wall_clock_ns: list[int] = field(default_factory=list)
-    n_max_values: list[int] = field(default_factory=list)
 
     def add_batch(self, counts: LayerCounts, n_tokens: int, n_sentences: int, elapsed_ns: int) -> None:
         self.ffn_applications += counts.ffn_applications
@@ -48,7 +47,6 @@ class ComputeReport:
         self.n_tokens += n_tokens
         self.n_sentences += n_sentences
         self.wall_clock_ns.append(elapsed_ns)
-        self.n_max_values.append(counts.n_max)
 
     @property
     def fixed_ffn_applications(self) -> int:

@@ -4,20 +4,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bench, mi, recon, synth
-from .corpus import (
-    CorpusError,
-    TokenizerConfig,
-    Vocab,
-    _parse_bool,
-    collect_stats,
-    load_tsv,
-    read_kv_config,
-)
+from .corpus import CorpusError, TokenizerConfig, Vocab, collect_stats, load_tsv, read_kv_config
 from .encoder import AdaptiveEncoder, EncoderConfig
 from .recon import estimate_corpus_depths, train_mlm
 from .train import check_depth_alignment, train_classifier, write_train_log
@@ -41,13 +34,8 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
 
 def _tokenizer_config(args) -> TokenizerConfig:
     cfg = TokenizerConfig(max_len=args.max_len, lowercase=not args.no_lowercase, min_freq=args.min_freq)
-    if getattr(args, "corpus_config", None):
-        kv = read_kv_config(args.corpus_config)
-        cfg = TokenizerConfig(
-            max_len=int(kv.get("max_len", cfg.max_len)),
-            lowercase=_parse_bool(kv["lowercase"]) if "lowercase" in kv else cfg.lowercase,
-            min_freq=int(kv.get("min_freq", cfg.min_freq)),
-        )
+    if args.corpus_config:
+        cfg = TokenizerConfig.from_kv(read_kv_config(args.corpus_config), base=cfg)
     return cfg
 
 
@@ -189,9 +177,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     encoder, meta = AdaptiveEncoder.load(args.ckpt)
     if args.precision and args.precision != encoder.config.precision:
-        from .encoder import with_precision
-
-        cast = AdaptiveEncoder(with_precision(encoder.config, args.precision), encoder.head, seed=0)
+        cast = AdaptiveEncoder(replace(encoder.config, precision=args.precision), encoder.head, seed=0)
         cast.store.load_arrays(encoder.store.state_arrays())
         encoder = cast
     corpus = _load_eval_corpus(Path(args.ckpt), args.data_tsv, meta)

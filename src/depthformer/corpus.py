@@ -62,8 +62,10 @@ class TokenizerConfig:
     min_freq: int = 1
 
     @classmethod
-    def from_kv(cls, kv: dict[str, str]) -> "TokenizerConfig":
-        base = cls()
+    def from_kv(cls, kv: dict[str, str], base: "TokenizerConfig | None" = None) -> "TokenizerConfig":
+        """Settings named in ``kv``; the others keep their ``base`` values
+        (the field defaults when no base is given)."""
+        base = base or cls()
         return cls(
             max_len=int(kv.get("max_len", base.max_len)),
             lowercase=_parse_bool(kv["lowercase"]) if "lowercase" in kv else base.lowercase,
@@ -150,7 +152,6 @@ class Vocab:
 class Document:
     tokens: np.ndarray  # int64 token ids, non-empty, len <= max_len
     label: int
-    raw_text: str
 
 
 @dataclass
@@ -184,7 +185,7 @@ def load_tsv(
     if not is_train and labels is None:
         raise ValueError("test split needs the training label set")
 
-    rows: list[tuple[str, str, list[str]]] = []
+    rows: list[tuple[str, list[str]]] = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if "\t" not in raw:
             raise CorpusError(f"{path}:{lineno}: expected label<TAB>text")
@@ -195,21 +196,21 @@ def load_tsv(
         tokens = tokenize(text, lowercase=config.lowercase)
         if not tokens:
             raise CorpusError(f"{path}:{lineno}: empty text")
-        rows.append((label, text, tokens[: config.max_len]))
+        rows.append((label, tokens[: config.max_len]))
     if not rows:
         raise CorpusError(f"{path}: no documents")
 
     if is_train:
-        labels = sorted({label for label, _, _ in rows})
-        vocab = Vocab.build([toks for _, _, toks in rows], min_freq=config.min_freq)
+        labels = sorted({label for label, _ in rows})
+        vocab = Vocab.build([toks for _, toks in rows], min_freq=config.min_freq)
     label_to_id = {name: i for i, name in enumerate(labels)}
 
     documents = []
-    for lineno, (label, text, tokens) in enumerate(rows, 1):
+    for lineno, (label, tokens) in enumerate(rows, 1):
         if label not in label_to_id:
             raise CorpusError(f"{path}:{lineno}: unknown label {label!r}")
         ids = np.asarray([vocab.encode(w) for w in tokens], dtype=np.int64)
-        documents.append(Document(tokens=ids, label=label_to_id[label], raw_text=text))
+        documents.append(Document(tokens=ids, label=label_to_id[label]))
 
     return Corpus(
         documents=documents,

@@ -9,13 +9,16 @@ present in the batch.
 Two forward implementations share the same parameters: a graph-building
 path used for training (gradients flow through the copy routing) and a
 plain-numpy inference path that actually skips the work for stopped
-tokens, which is what the speed benchmarks measure.
+tokens, which is what the speed benchmarks measure. The inference path has
+one layer kernel: keys and values come from every row, and the rest of
+the layer runs on the whole batch when every row is active, otherwise
+once per sentence on that sentence's active rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +31,11 @@ HEAD_CLASSIFIER = "cls"
 HEAD_MLM = "mlm"
 
 _PRECISIONS = {"f32": np.float32, "f64": np.float64}
+
+_LAYER_PARAMS = (
+    "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo",
+    "ln1.gamma", "ln1.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.gamma", "ln2.beta",
+)
 
 
 @dataclass(frozen=True)
@@ -190,7 +198,10 @@ class AdaptiveEncoder:
         if depths is None:
             depths = np.full(ids.shape, n, dtype=np.int64)
         else:
-            depths = np.asarray(depths, dtype=np.int64)
+            depths = np.asarray(depths)
+            if not np.issubdtype(depths.dtype, np.integer):
+                raise ValueError(f"depth map must hold integers, got dtype {depths.dtype}")
+            depths = depths.astype(np.int64, copy=False)
             if depths.ndim == 1:
                 depths = depths[None, :]
             if depths.shape != ids.shape:
@@ -318,51 +329,36 @@ class AdaptiveEncoder:
             raise ValueError(f"token id out of range: max id {ids.max()} for vocab {table.shape[0]}")
         return table[ids] * self.config.dtype.type(math.sqrt(self.config.d_model)) + self._pe[: ids.shape[1]]
 
-    def _weights(self, i: int, name: str) -> np.ndarray:
-        return self.store[f"layer{i}.{name}"].data
-
-    def _layer_full_infer(self, h: np.ndarray, i: int) -> np.ndarray:
-        cfg = self.config
-        batch, time, d = h.shape
-        q = h @ self._weights(i, "attn.wq") + self._weights(i, "attn.bq")
-        k = h @ self._weights(i, "attn.wk") + self._weights(i, "attn.bk")
-        v = h @ self._weights(i, "attn.wv") + self._weights(i, "attn.bv")
-        qh = q.reshape(batch, time, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
-        kh = k.reshape(batch, time, cfg.n_heads, cfg.d_head).transpose(0, 2, 3, 1)
-        vh = v.reshape(batch, time, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
-        probs = _softmax_np(np.matmul(qh, kh) / math.sqrt(cfg.d_head))
-        ctx = np.matmul(probs, vh).transpose(0, 2, 1, 3).reshape(batch, time, d)
-        attn = ctx @ self._weights(i, "attn.wo") + self._weights(i, "attn.bo")
-        h = _layer_norm_np(h + attn, self._weights(i, "ln1.gamma"), self._weights(i, "ln1.beta"))
-        ff = np.maximum(h @ self._weights(i, "ffn.w1") + self._weights(i, "ffn.b1"), 0.0)
-        ff = ff @ self._weights(i, "ffn.w2") + self._weights(i, "ffn.b2")
-        return _layer_norm_np(h + ff, self._weights(i, "ln2.gamma"), self._weights(i, "ln2.beta"))
-
-    def _layer_partial_infer(self, h: np.ndarray, i: int, active: np.ndarray) -> np.ndarray:
-        """Transform only active rows; stopped rows are copied bit-exactly
+    def _layer_infer(self, h: np.ndarray, i: int, active: np.ndarray) -> np.ndarray:
+        """One layer for the active rows; stopped rows are copied bit-exactly
         yet still contribute keys/values for everyone else's attention."""
         cfg = self.config
         batch, time, d = h.shape
+        w = {name: self.store[f"layer{i}.{name}"].data for name in _LAYER_PARAMS}
+        k = h @ w["attn.wk"] + w["attn.bk"]
+        v = h @ w["attn.wv"] + w["attn.bv"]
+
+        def rows(hq: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+            # (B, M, d) query rows attending over (B, T, d) keys/values
+            b, m, _ = hq.shape
+            q = hq @ w["attn.wq"] + w["attn.bq"]
+            qh = q.reshape(b, m, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
+            kh = keys.reshape(b, time, cfg.n_heads, cfg.d_head).transpose(0, 2, 3, 1)
+            vh = values.reshape(b, time, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
+            probs = _softmax_np(np.matmul(qh, kh) / math.sqrt(cfg.d_head))
+            ctx = np.matmul(probs, vh).transpose(0, 2, 1, 3).reshape(b, m, d)
+            attn = ctx @ w["attn.wo"] + w["attn.bo"]
+            hr = _layer_norm_np(hq + attn, w["ln1.gamma"], w["ln1.beta"])
+            ff = np.maximum(hr @ w["ffn.w1"] + w["ffn.b1"], 0.0) @ w["ffn.w2"] + w["ffn.b2"]
+            return _layer_norm_np(hr + ff, w["ln2.gamma"], w["ln2.beta"])
+
+        if active.all():
+            return rows(h, k, v)
         out = h.copy()
-        k = h @ self._weights(i, "attn.wk") + self._weights(i, "attn.bk")
-        v = h @ self._weights(i, "attn.wv") + self._weights(i, "attn.bv")
-        wq, bq = self._weights(i, "attn.wq"), self._weights(i, "attn.bq")
         for b in range(batch):
             idx = np.nonzero(active[b])[0]
-            if idx.size == 0:
-                continue
-            m = idx.size
-            qa = h[b, idx] @ wq + bq
-            qh = qa.reshape(m, cfg.n_heads, cfg.d_head).transpose(1, 0, 2)
-            kh = k[b].reshape(time, cfg.n_heads, cfg.d_head).transpose(1, 2, 0)
-            vh = v[b].reshape(time, cfg.n_heads, cfg.d_head).transpose(1, 0, 2)
-            probs = _softmax_np(np.matmul(qh, kh) / math.sqrt(cfg.d_head))
-            ctx = np.matmul(probs, vh).transpose(1, 0, 2).reshape(m, d)
-            attn = ctx @ self._weights(i, "attn.wo") + self._weights(i, "attn.bo")
-            hr = _layer_norm_np(h[b, idx] + attn, self._weights(i, "ln1.gamma"), self._weights(i, "ln1.beta"))
-            ff = np.maximum(hr @ self._weights(i, "ffn.w1") + self._weights(i, "ffn.b1"), 0.0)
-            ff = ff @ self._weights(i, "ffn.w2") + self._weights(i, "ffn.b2")
-            out[b, idx] = _layer_norm_np(hr + ff, self._weights(i, "ln2.gamma"), self._weights(i, "ln2.beta"))
+            if idx.size:
+                out[b, idx] = rows(h[b, idx][None], k[b : b + 1], v[b : b + 1])[0]
         return out
 
     def forward_infer(
@@ -379,13 +375,9 @@ class AdaptiveEncoder:
         layers: list[np.ndarray] = []
         for n in range(1, n_max + 1):
             active = depths >= n
+            h = self._layer_infer(h, n - 1, active)
             counts.kv_projections += batch * time
-            if active.all():
-                h = self._layer_full_infer(h, n - 1)
-                counts.ffn_applications += batch * time
-            else:
-                h = self._layer_partial_infer(h, n - 1, active)
-                counts.ffn_applications += int(active.sum())
+            counts.ffn_applications += int(active.sum())
             if collect_layers:
                 layers.append(h)
         return (layers if collect_layers else h), counts
@@ -425,7 +417,3 @@ class AdaptiveEncoder:
         enc = cls(config, head=meta["head"], seed=0)
         enc.store.load_arrays(arrays)
         return enc, meta
-
-
-def with_precision(config: EncoderConfig, precision: str) -> EncoderConfig:
-    return replace(config, precision=precision)

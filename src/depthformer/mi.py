@@ -59,32 +59,6 @@ def _mi_from_counts(
     return terms.sum(axis=-1)
 
 
-def mi_score(stats: CorpusStats, word_id: int, smoothing: float = DEFAULT_SMOOTHING) -> float:
-    """MI between one word's presence indicator and the label set (nats).
-
-    Words absent from the statistics score with document frequency 0; the
-    smoothing keeps every contingency cell positive, so the result is
-    always finite and positive.
-    """
-    if smoothing <= 0:
-        raise ValueError(f"smoothing must be > 0, got {smoothing}")
-    joint = stats.joint_counts(word_id)
-    return float(
-        _mi_from_counts(joint, joint.sum(), stats.label_counts, stats.n_docs, smoothing)
-    )
-
-
-def log_scale(mi: float) -> float:
-    """Map a raw MI value to its depth score ``-ln(mi)``.
-
-    Large MI (informative word) gives a small score; the long tail of
-    near-zero MI values is spread out instead of crowding one bin.
-    """
-    if mi <= 0:
-        raise ValueError(f"log scaling needs mi > 0, got {mi}")
-    return float(-np.log(mi))
-
-
 def assign_bins(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, float, float]:
     """Fixed-width binning of scores into depths 1..n_bins.
 

@@ -32,12 +32,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self.params
 
-    def names(self) -> list[str]:
-        return list(self.params)
-
-    def n_parameters(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = np.zeros_like(p.data)
@@ -60,6 +54,9 @@ class ParamStore:
             if p.data.shape != data.shape:
                 raise ValueError(f"{name}: shape {data.shape} != expected {p.data.shape}")
             p.data = np.asarray(data, dtype=self.dtype)
+        missing = [name for name in self.params if name not in arrays]
+        if missing:
+            raise ValueError(f"checkpoint is missing parameters: {', '.join(missing)}")
 
 
 def clip_gradients(store: ParamStore, max_norm: float) -> float:

@@ -185,26 +185,6 @@ def train_mlm(
 # depth selection
 
 
-def layer_losses(encoder: AdaptiveEncoder, tokens: np.ndarray, position: int, mask_id: int) -> np.ndarray:
-    """Per-layer reconstruction loss of the token at ``position``.
-
-    The sentence is fed once at full depth with that single position
-    masked; the shared classifier scores the true token at every layer.
-    """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if not 0 <= position < len(tokens):
-        raise ValueError(f"position {position} outside sentence of length {len(tokens)}")
-    corrupted = tokens.copy()
-    corrupted[position] = mask_id
-    layer_states, _ = encoder.forward_infer(corrupted[None, :], None, collect_layers=True)
-    true_id = int(tokens[position])
-    profile = np.empty(len(layer_states), dtype=np.float64)
-    for n, h in enumerate(layer_states):
-        log_probs = encoder.mlm_log_probs_infer(h[0, position : position + 1])
-        profile[n] = -float(log_probs[0, true_id])
-    return profile
-
-
 def sentence_profiles(
     encoder: AdaptiveEncoder, tokens: np.ndarray, mask_id: int, chunk_rows: int = 32
 ) -> np.ndarray:

@@ -123,15 +123,15 @@ def test_criterion_01_mi_oracle_equivalence(tmp_path):
         path = tmp_path / f"c{trial}.tsv"
         path.write_text("\n".join(random_corpus_lines(rng)) + "\n", encoding="utf-8")
         corpus = load_tsv(path)
-        stats = collect_stats(corpus)
+        table = mi.build_mi_table(collect_stats(corpus), corpus.vocab, N_LAYERS, smoothing=0.1)
         docs = [
             ({corpus.vocab.id_to_word[i] for i in d.tokens}, d.label)
             for d in corpus.documents
         ]
-        for wid in range(3, len(corpus.vocab)):
-            got = mi.mi_score(stats, wid, smoothing=0.1)
-            want = oracle_mi(docs, corpus.vocab.id_to_word[wid], range(corpus.n_labels), 0.1)
-            assert abs(got - want) < 1e-12, (trial, corpus.vocab.id_to_word[wid])
+        for wid, got in zip(table.word_ids, table.mi):
+            word = corpus.vocab.id_to_word[int(wid)]
+            want = oracle_mi(docs, word, range(corpus.n_labels), 0.1)
+            assert abs(got - want) < 1e-12, (trial, word)
             n_checked += 1
     elapsed = time.perf_counter() - start
     assert n_checked > 500

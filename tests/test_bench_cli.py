@@ -61,6 +61,17 @@ class TestDepthsMi:
         assert len(maps) == len(corpus.documents)
         assert all(len(m) == len(d.tokens) for m, d in zip(maps, corpus.documents))
 
+    def test_corpus_config_keeps_flags_it_does_not_set(self, workdir, tmp_path):
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text("lowercase = false\n", encoding="utf-8")
+        assert main([
+            "depths", "--mode", "mi", "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--test-tsv", str(workdir / "data" / "test.tsv"), "--out-dir", str(tmp_path / "out"),
+            "--max-len", "5", "--corpus-config", str(cfg),
+        ]) == 0
+        maps = mi.read_depth_file(tmp_path / "out" / "train.depths")
+        assert maps and all(len(m) == 5 for m in maps)
+
 
 class TestTrainAndEval:
     def test_checkpoint_sidecars_written(self, workdir):
@@ -122,6 +133,22 @@ class TestTrainAndEval:
             "--out", str(out), "--steps", "3", "--batch-size", "8", "--seed", "1", *TINY_MODEL,
         ]) == 0
         assert out.exists()
+
+    def test_eval_rejects_checkpoint_missing_a_tensor(self, workdir, tmp_path, capsys):
+        import shutil
+
+        from depthformer.checkpoint import load_checkpoint, save_checkpoint
+
+        arrays, meta = load_checkpoint(workdir / "cls.ckpt")
+        del arrays["layer1.ffn.w2"]
+        save_checkpoint(tmp_path / "cut.ckpt", arrays, meta)
+        shutil.copy(workdir / "cls.ckpt.vocab.tsv", tmp_path / "cut.ckpt.vocab.tsv")
+        code = main([
+            "eval", "--ckpt", str(tmp_path / "cut.ckpt"),
+            "--data-tsv", str(workdir / "data" / "test.tsv"), "--reps", "1",
+        ])
+        assert code == 2
+        assert "error: checkpoint is missing parameters: layer1.ffn.w2" in capsys.readouterr().err
 
     def test_misaligned_depth_file_is_an_error(self, workdir, tmp_path, capsys):
         mi.write_depth_file(tmp_path / "bad.depths", [np.array([1, 2])])

@@ -117,6 +117,12 @@ class TestAdaptiveForward:
         with pytest.raises(ValueError, match=r"\[1, 3\]"):
             encoder.forward_infer(ids, np.full(ids.shape, 4))
 
+    def test_float_depth_map_rejected(self, encoder):
+        ids = token_batch((1, 3))
+        for path in (encoder.forward_infer, encoder.forward_graph):
+            with pytest.raises(ValueError, match="float64"):
+                path(ids, np.array([[2.9, 1.5, 1.0]]))
+
     def test_graph_and_inference_paths_agree(self, encoder):
         ids = token_batch((2, 6), seed=5)
         depths = np.random.default_rng(6).integers(1, 4, size=ids.shape)

@@ -17,17 +17,21 @@ def corpus_from_lines(tmp_path, lines, name="t.tsv"):
     return load_tsv(path)
 
 
+def table_mi(corpus, word, smoothing=0.1):
+    """The MI ``build_mi_table`` assigns to one word of ``corpus``."""
+    table = mi.build_mi_table(collect_stats(corpus), corpus.vocab, 12, smoothing=smoothing)
+    return float(table.mi[list(table.word_ids).index(corpus.vocab.word_to_id[word])])
+
+
 class TestMiScore:
     def test_matches_oracle_on_four_doc_corpus(self, tmp_path):
         corpus = corpus_from_lines(
             tmp_path, ["pos\tgood a", "pos\tgood b", "neg\ta b", "neg\tb a"]
         )
-        stats = collect_stats(corpus)
         docs = [({corpus.vocab.id_to_word[i] for i in d.tokens}, d.label) for d in corpus.documents]
         for word in ("good", "a", "b"):
-            wid = corpus.vocab.word_to_id[word]
             expected = oracle_mi(docs, word, range(corpus.n_labels), 0.1)
-            assert mi.mi_score(stats, wid, 0.1) == pytest.approx(expected, abs=1e-12)
+            assert table_mi(corpus, word) == pytest.approx(expected, abs=1e-12)
 
     def test_label_aligned_word_approaches_two_ln_two(self, tmp_path):
         # word present in exactly the positive docs of a balanced 4-doc
@@ -35,26 +39,18 @@ class TestMiScore:
         corpus = corpus_from_lines(
             tmp_path, ["pos\tgood a", "pos\tgood b", "neg\ta b", "neg\tb a"]
         )
-        stats = collect_stats(corpus)
-        wid = corpus.vocab.word_to_id["good"]
-        assert mi.mi_score(stats, wid, 1e-9) == pytest.approx(2 * math.log(2), abs=1e-6)
+        assert table_mi(corpus, "good", 1e-9) == pytest.approx(2 * math.log(2), abs=1e-6)
 
     def test_balanced_word_is_near_zero(self, tmp_path):
         corpus = corpus_from_lines(
             tmp_path, ["pos\tx a", "pos\tb c", "neg\tx b", "neg\ta c"]
         )
-        stats = collect_stats(corpus)
-        assert mi.mi_score(stats, corpus.vocab.word_to_id["x"], 0.1) < 1e-2
-
-    def test_absent_word_scores_with_zero_frequency(self, synth_train):
-        stats = collect_stats(synth_train)
-        score = mi.mi_score(stats, 10_000, 0.1)
-        assert np.isfinite(score)
+        assert table_mi(corpus, "x") < 1e-2
 
     def test_smoothing_must_be_positive(self, synth_train):
         stats = collect_stats(synth_train)
-        with pytest.raises(ValueError):
-            mi.mi_score(stats, 3, 0.0)
+        with pytest.raises(ValueError, match="smoothing"):
+            mi.build_mi_table(stats, synth_train.vocab, 12, smoothing=0.0)
 
     def test_randomized_oracle_agreement(self, tmp_path):
         from oracles import random_corpus_lines
@@ -64,31 +60,34 @@ class TestMiScore:
             corpus = corpus_from_lines(
                 tmp_path, random_corpus_lines(rng, max_docs=120, max_words=25), f"r{trial}.tsv"
             )
-            stats = collect_stats(corpus)
+            table = mi.build_mi_table(collect_stats(corpus), corpus.vocab, 12)
             docs = [
                 ({corpus.vocab.id_to_word[i] for i in d.tokens}, d.label)
                 for d in corpus.documents
             ]
-            for wid in range(3, len(corpus.vocab)):
-                word = corpus.vocab.id_to_word[wid]
+            for wid, got in zip(table.word_ids, table.mi):
+                word = corpus.vocab.id_to_word[int(wid)]
                 expected = oracle_mi(docs, word, range(corpus.n_labels), 0.1)
-                assert mi.mi_score(stats, wid, 0.1) == pytest.approx(expected, abs=1e-12)
+                assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestLogScale:
-    def test_identity_points(self):
-        assert mi.log_scale(1.0) == 0.0
-        assert mi.log_scale(math.exp(-2)) == pytest.approx(2.0, abs=1e-12)
+    def test_identity_points(self, synth_train):
+        # every word with a nonzero MI is scored by exactly -ln(mi)
+        table = mi.build_mi_table(collect_stats(synth_train), synth_train.vocab, 12)
+        scored = table.mi > mi.ZERO_MI_TOL
+        assert scored.sum() > 10
+        assert np.array_equal(table.mi_log[scored], -np.log(table.mi[scored]))
 
-    def test_direct_value(self):
-        assert mi.log_scale(0.05) == pytest.approx(-math.log(0.05), abs=1e-12)
-        assert mi.log_scale(0.05) == pytest.approx(2.995732273553991, abs=1e-9)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            mi.log_scale(0.0)
-        with pytest.raises(ValueError):
-            mi.log_scale(-1.0)
+    def test_direct_value(self, tmp_path):
+        corpus = corpus_from_lines(
+            tmp_path, ["pos\tgood a", "pos\tgood b", "neg\ta b", "neg\tb a"]
+        )
+        docs = [({corpus.vocab.id_to_word[i] for i in d.tokens}, d.label) for d in corpus.documents]
+        table = mi.build_mi_table(collect_stats(corpus), corpus.vocab, 12)
+        i = list(table.word_ids).index(corpus.vocab.word_to_id["good"])
+        expected = -math.log(oracle_mi(docs, "good", range(corpus.n_labels), 0.1))
+        assert table.mi_log[i] == pytest.approx(expected, abs=1e-12)
 
 
 class TestAssignBins:

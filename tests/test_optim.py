@@ -35,6 +35,11 @@ class TestParamStore:
         with pytest.raises(ValueError, match="shape"):
             store.load_arrays({"a": np.zeros((2, 2))})
 
+    def test_load_arrays_rejects_missing_names(self):
+        store = make_store()
+        with pytest.raises(ValueError, match="missing parameters: b"):
+            store.load_arrays({"a": np.zeros(3)})
+
 
 class TestClipping:
     def test_norm_below_threshold_untouched(self):
