@@ -1,16 +1,16 @@
-"""Exact compute accounting, accuracy evaluation, and wall-clock benchmarks.
+"""Accuracy evaluation and wall-clock benchmarks over exact compute counts.
 
 Layer-application counts are the primary speed metric: they are integers
-accumulated inside the forward pass, reproducible anywhere. Wall-clock
-numbers are secondary and always reported as min/median over repeated
-runs.
+accumulated inside the forward pass into ``LayerCounts``, reproducible
+anywhere. Wall-clock numbers are secondary and always reported as
+min/median over repeated runs.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ except ImportError:  # pragma: no cover - present in normal installs
 
 from .corpus import Corpus
 from .encoder import AdaptiveEncoder, LayerCounts
-from .train import check_depth_alignment, length_buckets
+from .train import check_depth_alignment, gather_batch, length_buckets
 
 
 def single_worker():
@@ -29,56 +29,9 @@ def single_worker():
     return threadpool_limits(limits=1) if threadpool_limits is not None else nullcontext()
 
 
-@dataclass
-class ComputeReport:
-    """Work done by a sequence of forward passes."""
-
-    n_layers: int
-    batch_size: int
-    ffn_applications: int = 0
-    kv_projections: int = 0
-    n_tokens: int = 0
-    n_sentences: int = 0
-    wall_clock_ns: list[int] = field(default_factory=list)
-
-    def add_batch(self, counts: LayerCounts, n_tokens: int, n_sentences: int, elapsed_ns: int) -> None:
-        self.ffn_applications += counts.ffn_applications
-        self.kv_projections += counts.kv_projections
-        self.n_tokens += n_tokens
-        self.n_sentences += n_sentences
-        self.wall_clock_ns.append(elapsed_ns)
-
-    @property
-    def fixed_ffn_applications(self) -> int:
-        """What a fixed-depth pass over the same tokens would execute."""
-        return self.n_layers * self.n_tokens
-
-    @property
-    def count_ratio(self) -> float:
-        return self.ffn_applications / self.fixed_ffn_applications
-
-    @property
-    def total_wall_ns(self) -> int:
-        return int(sum(self.wall_clock_ns))
-
-    def wall_summary_ns(self) -> tuple[int, int]:
-        times = sorted(self.wall_clock_ns)
-        return times[0], times[len(times) // 2]
-
-
-@dataclass
-class RunSummary:
-    """Accuracy spread over independently seeded runs."""
-
-    accuracies: list[float]
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.accuracies))
-
-    @property
-    def variance(self) -> float:
-        return float(np.var(self.accuracies))
+def upper_median(values: list[int]) -> int:
+    """The upper of the two middle values for an even count."""
+    return sorted(values)[len(values) // 2]
 
 
 def evaluate_classifier(
@@ -86,23 +39,22 @@ def evaluate_classifier(
     corpus: Corpus,
     depth_maps: list[np.ndarray] | None = None,
     batch_size: int = 1,
-) -> tuple[float, ComputeReport]:
-    """Accuracy plus exact counts over a split; batches share a length."""
+) -> tuple[float, LayerCounts]:
+    """Accuracy plus exact counts merged over the split's batches, with one
+    wall-clock entry per batch; batches share a length."""
     if depth_maps is not None:
         check_depth_alignment(corpus, depth_maps)
-    report = ComputeReport(n_layers=encoder.config.n_layers, batch_size=batch_size)
+    total = LayerCounts()
     correct = 0
     lengths = [len(d.tokens) for d in corpus.documents]
     for idx in length_buckets(lengths, batch_size):
-        ids = np.stack([corpus.documents[i].tokens for i in idx])
-        depths = np.stack([depth_maps[i] for i in idx]) if depth_maps is not None else None
-        gold = np.asarray([corpus.documents[i].label for i in idx])
+        ids, gold, depths = gather_batch(corpus, idx, depth_maps)
         start = time.perf_counter_ns()
         pred, _, counts = encoder.predict(ids, depths)
-        elapsed = time.perf_counter_ns() - start
+        counts.wall_ns.append(time.perf_counter_ns() - start)
         correct += int((pred == gold).sum())
-        report.add_batch(counts, ids.size, len(idx), elapsed)
-    return correct / len(corpus.documents), report
+        total.merge(counts)
+    return correct / len(corpus.documents), total
 
 
 # ---------------------------------------------------------------------------
@@ -159,31 +111,31 @@ def make_bench_depths(
 
 @dataclass
 class BenchRow:
+    """Fixed and adaptive counts over the same sentences at one batch size;
+    each holds the counts of one pass and the wall clock of every rep."""
+
     batch_size: int
-    fixed_min_ns: int
-    fixed_median_ns: int
-    adaptive_min_ns: int
-    adaptive_median_ns: int
-    ffn_fixed: int
-    ffn_adaptive: int
-    kv_adaptive: int
+    fixed: LayerCounts
+    adaptive: LayerCounts
 
     @property
     def wall_speedup(self) -> float:
         # min-of-reps is the least noisy estimate of the true cost
-        return self.fixed_min_ns / self.adaptive_min_ns
+        return min(self.fixed.wall_ns) / min(self.adaptive.wall_ns)
 
     @property
     def count_ratio(self) -> float:
-        return self.ffn_adaptive / self.ffn_fixed
+        return self.adaptive.ffn_applications / self.fixed.ffn_applications
 
     HEADER = "batch_size\tfixed_min_ns\tfixed_median_ns\tadaptive_min_ns\tadaptive_median_ns\twall_speedup\tffn_fixed\tffn_adaptive\tcount_ratio\tkv_adaptive"
 
     def as_tsv(self) -> str:
+        fixed, adaptive = self.fixed, self.adaptive
         return (
-            f"{self.batch_size}\t{self.fixed_min_ns}\t{self.fixed_median_ns}"
-            f"\t{self.adaptive_min_ns}\t{self.adaptive_median_ns}\t{self.wall_speedup:.3f}"
-            f"\t{self.ffn_fixed}\t{self.ffn_adaptive}\t{self.count_ratio:.4f}\t{self.kv_adaptive}"
+            f"{self.batch_size}\t{min(fixed.wall_ns)}\t{upper_median(fixed.wall_ns)}"
+            f"\t{min(adaptive.wall_ns)}\t{upper_median(adaptive.wall_ns)}\t{self.wall_speedup:.3f}"
+            f"\t{fixed.ffn_applications}\t{adaptive.ffn_applications}\t{self.count_ratio:.4f}"
+            f"\t{adaptive.kv_projections}"
         )
 
 
@@ -192,18 +144,18 @@ def _timed_pass(
     ids: np.ndarray,
     depth_rows: list[np.ndarray] | None,
     batch_size: int,
-) -> tuple[int, LayerCounts]:
-    """One full pass over the sentences at the given batch size."""
+) -> LayerCounts:
+    """One pass over every sentence at the given batch size (the last batch
+    may be partial); its wall clock is the one ``wall_ns`` entry."""
     total = LayerCounts()
-    n = (ids.shape[0] // batch_size) * batch_size
     start = time.perf_counter_ns()
-    for lo in range(0, n, batch_size):
+    for lo in range(0, ids.shape[0], batch_size):
         chunk = ids[lo : lo + batch_size]
         depths = np.stack(depth_rows[lo : lo + batch_size]) if depth_rows is not None else None
         _, counts = encoder.forward_infer(chunk, depths)
         total.merge(counts)
-    elapsed = time.perf_counter_ns() - start
-    return elapsed, total
+    total.wall_ns.append(time.perf_counter_ns() - start)
+    return total
 
 
 def bench_compare(
@@ -226,31 +178,16 @@ def bench_compare(
 
 def _bench_compare(encoder, ids, depth_rows, batch_sizes, reps):
     configs = [(b, rows) for b in batch_sizes for rows in (None, depth_rows)]
-    times: dict[int, dict[bool, list[int]]] = {b: {False: [], True: []} for b in batch_sizes}
-    counts: dict[int, dict[bool, LayerCounts]] = {b: {} for b in batch_sizes}
     for batch_size, rows in configs:  # warmup
         _timed_pass(encoder, ids, rows, batch_size)
+    # every rep does the same work, so the first rep's counts stand for all
+    measured: dict[tuple[int, bool], LayerCounts] = {}
     for _ in range(reps):
         for batch_size, rows in configs:
-            t, c = _timed_pass(encoder, ids, rows, batch_size)
-            adaptive = rows is not None
-            times[batch_size][adaptive].append(t)
-            counts[batch_size][adaptive] = c
-
-    out = []
-    for batch_size in batch_sizes:
-        fixed_times = sorted(times[batch_size][False])
-        adaptive_times = sorted(times[batch_size][True])
-        out.append(
-            BenchRow(
-                batch_size=batch_size,
-                fixed_min_ns=fixed_times[0],
-                fixed_median_ns=fixed_times[len(fixed_times) // 2],
-                adaptive_min_ns=adaptive_times[0],
-                adaptive_median_ns=adaptive_times[len(adaptive_times) // 2],
-                ffn_fixed=counts[batch_size][False].ffn_applications,
-                ffn_adaptive=counts[batch_size][True].ffn_applications,
-                kv_adaptive=counts[batch_size][True].kv_projections,
-            )
-        )
-    return out
+            counts = _timed_pass(encoder, ids, rows, batch_size)
+            key = (batch_size, rows is not None)
+            if key in measured:
+                measured[key].wall_ns.extend(counts.wall_ns)
+            else:
+                measured[key] = counts
+    return [BenchRow(b, fixed=measured[b, False], adaptive=measured[b, True]) for b in batch_sizes]

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, mi, recon, synth
-from .corpus import CorpusError, TokenizerConfig, Vocab, collect_stats, load_tsv, read_kv_config
+from .corpus import TokenizerConfig, Vocab, collect_stats, load_tsv, read_kv_config
 from .encoder import AdaptiveEncoder, EncoderConfig
 from .recon import estimate_corpus_depths, train_mlm
-from .train import check_depth_alignment, train_classifier, write_train_log
+from .train import train_classifier, write_train_log
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -44,8 +44,10 @@ def _vocab_path(ckpt: str | Path) -> Path:
 
 
 def _corpus_meta(corpus) -> dict[str, str]:
+    # the tokenizer's max_len can differ from the encoder's (--corpus-config)
     return {
         "labels": ",".join(corpus.labels),
+        "tokenizer_max_len": str(corpus.config.max_len),
         "lowercase": str(corpus.config.lowercase),
         "min_freq": str(corpus.config.min_freq),
     }
@@ -53,13 +55,14 @@ def _corpus_meta(corpus) -> dict[str, str]:
 
 def _config_from_meta(meta: dict[str, str]) -> TokenizerConfig:
     return TokenizerConfig(
-        max_len=int(meta["max_len"]),
+        max_len=int(meta.get("tokenizer_max_len", meta["max_len"])),
         lowercase=meta.get("lowercase", "True") == "True",
         min_freq=int(meta.get("min_freq", "1")),
     )
 
 
-def _load_eval_corpus(ckpt_path: Path, data_tsv: Path, meta: dict[str, str]):
+def _load_eval_corpus(ckpt_path: str | Path, data_tsv: Path, meta: dict[str, str]):
+    """A split tokenized as the checkpoint's training corpus was."""
     vocab = Vocab.read(_vocab_path(ckpt_path))
     return load_tsv(data_tsv, _config_from_meta(meta), vocab=vocab, labels=meta["labels"].split(","))
 
@@ -99,12 +102,9 @@ def cmd_depths(args) -> int:
     if not args.mlm_ckpt or not Path(args.mlm_ckpt).exists():
         raise FileNotFoundError(f"reconstruction mode needs a trained MLM checkpoint, got {args.mlm_ckpt!r}")
     encoder, meta = AdaptiveEncoder.load(args.mlm_ckpt)
-    vocab = Vocab.read(_vocab_path(args.mlm_ckpt))
-    config = _config_from_meta(meta)
-    labels = meta["labels"].split(",")
     summaries = []
     for split, path in (("train", args.train_tsv), ("test", args.test_tsv)):
-        corpus = load_tsv(path, config, vocab=vocab, labels=labels)
+        corpus = _load_eval_corpus(args.mlm_ckpt, path, meta)
         maps, avg = estimate_corpus_depths(encoder, corpus, penalty=args.penalty, chunk_rows=args.chunk_rows)
         mi.write_depth_file(out_dir / f"{split}.depths", maps)
         mi.write_histogram(
@@ -180,32 +180,30 @@ def cmd_eval(args) -> int:
         cast = AdaptiveEncoder(replace(encoder.config, precision=args.precision), encoder.head, seed=0)
         cast.store.load_arrays(encoder.store.state_arrays())
         encoder = cast
-    corpus = _load_eval_corpus(Path(args.ckpt), args.data_tsv, meta)
+    corpus = _load_eval_corpus(args.ckpt, args.data_tsv, meta)
     depth_maps = mi.read_depth_file(args.depths) if args.depths else None
-    if depth_maps is not None:
-        check_depth_alignment(corpus, depth_maps)
 
-    accuracy, report = bench.evaluate_classifier(encoder, corpus, depth_maps, batch_size=args.batch_size)
-    totals = [report.total_wall_ns]
+    accuracy, counts = bench.evaluate_classifier(encoder, corpus, depth_maps, batch_size=args.batch_size)
+    totals = [sum(counts.wall_ns)]
     for _ in range(max(0, args.reps - 1)):
         _, rep = bench.evaluate_classifier(encoder, corpus, depth_maps, batch_size=args.batch_size)
-        totals.append(rep.total_wall_ns)
-    totals.sort()
+        totals.append(sum(rep.wall_ns))
 
-    forward_min, forward_median = report.wall_summary_ns()
+    # what a fixed-depth pass over the same tokens would execute
+    fixed_ffn_applications = encoder.config.n_layers * counts.n_tokens
     lines = [
         ("accuracy", f"{accuracy:.4f}"),
-        ("n_sentences", report.n_sentences),
-        ("n_tokens", report.n_tokens),
-        ("batch_size", report.batch_size),
-        ("ffn_applications", report.ffn_applications),
-        ("fixed_ffn_applications", report.fixed_ffn_applications),
-        ("count_ratio", f"{report.count_ratio:.4f}"),
-        ("kv_projections", report.kv_projections),
-        ("wall_total_ns_min", totals[0]),
-        ("wall_total_ns_median", totals[len(totals) // 2]),
-        ("wall_forward_ns_min", forward_min),
-        ("wall_forward_ns_median", forward_median),
+        ("n_sentences", len(corpus.documents)),
+        ("n_tokens", counts.n_tokens),
+        ("batch_size", args.batch_size),
+        ("ffn_applications", counts.ffn_applications),
+        ("fixed_ffn_applications", fixed_ffn_applications),
+        ("count_ratio", f"{counts.ffn_applications / fixed_ffn_applications:.4f}"),
+        ("kv_projections", counts.kv_projections),
+        ("wall_total_ns_min", min(totals)),
+        ("wall_total_ns_median", bench.upper_median(totals)),
+        ("wall_forward_ns_min", min(counts.wall_ns)),
+        ("wall_forward_ns_median", bench.upper_median(counts.wall_ns)),
     ]
     for key, value in lines:
         print(f"{key}\t{value}")
@@ -218,11 +216,8 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep_lambda(args) -> int:
     encoder, meta = AdaptiveEncoder.load(args.mlm_ckpt)
-    vocab = Vocab.read(_vocab_path(args.mlm_ckpt))
-    config = _config_from_meta(meta)
-    labels = meta["labels"].split(",")
-    train = load_tsv(args.train_tsv, config, vocab=vocab, labels=labels)
-    test = load_tsv(args.test_tsv, config, vocab=vocab, labels=labels)
+    train = _load_eval_corpus(args.mlm_ckpt, args.train_tsv, meta)
+    test = _load_eval_corpus(args.mlm_ckpt, args.test_tsv, meta)
 
     # profiles do not depend on the penalty, so score each split once
     train_profiles = recon.corpus_profiles(encoder, train, chunk_rows=args.chunk_rows)
@@ -240,8 +235,8 @@ def cmd_sweep_lambda(args) -> int:
         if args.cls_steps > 0:
             train_maps = recon.depths_from_profiles(train_profiles, penalty)
             enc_config = EncoderConfig(
-                vocab_size=len(vocab),
-                n_labels=len(labels),
+                vocab_size=len(train.vocab),
+                n_labels=train.n_labels,
                 n_layers=n_layers,
                 d_model=args.d_model,
                 n_heads=args.n_heads,
@@ -417,7 +412,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

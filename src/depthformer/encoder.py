@@ -18,7 +18,7 @@ once per sentence on that sentence's active rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,16 +98,21 @@ class EncoderConfig:
 
 @dataclass
 class LayerCounts:
-    """Exact work counters for one forward pass (never estimated)."""
+    """Exact work counters (never estimated) for one forward pass or, after
+    ``merge``, for many, plus the wall clock of the timed ones."""
 
     ffn_applications: int = 0  # positions that ran the full layer
-    kv_projections: int = 0  # positions that computed keys/values
+    kv_projections: int = 0  # positions that computed keys/values: Σ n_max·B·T
     n_max: int = 0  # deepest layer actually executed
+    n_tokens: int = 0  # B·T positions fed in
+    wall_ns: list[int] = field(default_factory=list)  # one per timed batch or pass
 
     def merge(self, other: "LayerCounts") -> None:
         self.ffn_applications += other.ffn_applications
         self.kv_projections += other.kv_projections
         self.n_max = max(self.n_max, other.n_max)
+        self.n_tokens += other.n_tokens
+        self.wall_ns.extend(other.wall_ns)
 
 
 def sinusoidal_encoding(max_len: int, d_model: int, dtype) -> np.ndarray:
@@ -261,7 +266,7 @@ class AdaptiveEncoder:
         batch, time = ids.shape
         h = self.embed(ids, train)
         n_max = int(depths.max())
-        counts = LayerCounts(n_max=n_max)
+        counts = LayerCounts(n_max=n_max, n_tokens=ids.size)
         layers: list[Tensor] = []
         for n in range(1, n_max + 1):
             h_new = self._layer_graph(h, n - 1, train)
@@ -371,7 +376,7 @@ class AdaptiveEncoder:
         batch, time = ids.shape
         h = self.embed_infer(ids)
         n_max = int(depths.max())
-        counts = LayerCounts(n_max=n_max)
+        counts = LayerCounts(n_max=n_max, n_tokens=ids.size)
         layers: list[np.ndarray] = []
         for n in range(1, n_max + 1):
             active = depths >= n

@@ -47,9 +47,10 @@ class ParamStore:
         return {name: p.data for name, p in self.params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        unknown = [name for name in arrays if name not in self.params]
+        if unknown:
+            raise ValueError(f"checkpoint has unknown parameters: {', '.join(unknown)}")
         for name, data in arrays.items():
-            if name not in self.params:
-                raise KeyError(f"unknown parameter {name!r}")
             p = self.params[name]
             if p.data.shape != data.shape:
                 raise ValueError(f"{name}: shape {data.shape} != expected {p.data.shape}")

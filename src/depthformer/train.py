@@ -47,9 +47,10 @@ def length_buckets(lengths: list[int], batch_size: int, rng: np.random.Generator
     return batches
 
 
-def _gather_batch(
+def gather_batch(
     corpus: Corpus, idx: np.ndarray, depth_maps: list[np.ndarray] | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Token ids, gold labels and (when maps are given) depths of one batch."""
     docs = [corpus.documents[i] for i in idx]
     ids = np.stack([d.tokens for d in docs])
     gold = np.asarray([d.label for d in docs], dtype=np.int64)
@@ -90,7 +91,7 @@ def train_classifier(
         for idx in length_buckets(lengths, batch_size, data_rng):
             if step >= steps:
                 break
-            ids, gold, depths = _gather_batch(corpus, idx, depth_maps)
+            ids, gold, depths = gather_batch(corpus, idx, depth_maps)
             layers, _ = encoder.forward_graph(ids, depths, train=True)
             probs = encoder.classify_graph(layers[-1])
             loss = encoder.task_loss_graph(probs, gold)

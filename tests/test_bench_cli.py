@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from depthformer import bench, mi
-from depthformer.bench import RunSummary, make_bench_depths
+from depthformer.bench import make_bench_depths
 from depthformer.cli import main
 from depthformer.corpus import load_tsv
 from depthformer.encoder import AdaptiveEncoder
@@ -12,6 +12,16 @@ from depthformer.encoder import AdaptiveEncoder
 
 TINY_NET = ["--n-layers", "2", "--d-model", "16", "--n-heads", "2", "--d-ff", "32"]
 TINY_MODEL = [*TINY_NET, "--max-len", "32"]
+
+
+def batch_coupled_kv(depth_rows, batch_size):
+    """Σ n_max·B·T over consecutive batches: every position of a batch
+    projects keys/values until the batch's deepest token stops."""
+    total = 0
+    for lo in range(0, len(depth_rows), batch_size):
+        chunk = np.stack(depth_rows[lo : lo + batch_size])
+        total += int(chunk.max()) * chunk.size
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +160,38 @@ class TestTrainAndEval:
         assert code == 2
         assert "error: checkpoint is missing parameters: layer1.ffn.w2" in capsys.readouterr().err
 
+    def test_eval_rejects_checkpoint_with_an_extra_tensor(self, workdir, tmp_path, capsys):
+        import shutil
+
+        from depthformer.checkpoint import load_checkpoint, save_checkpoint
+
+        arrays, meta = load_checkpoint(workdir / "cls.ckpt")
+        arrays["layer99.extra"] = np.zeros(3, dtype=np.float32)
+        save_checkpoint(tmp_path / "extra.ckpt", arrays, meta)
+        shutil.copy(workdir / "cls.ckpt.vocab.tsv", tmp_path / "extra.ckpt.vocab.tsv")
+        code = main([
+            "eval", "--ckpt", str(tmp_path / "extra.ckpt"),
+            "--data-tsv", str(workdir / "data" / "test.tsv"), "--reps", "1",
+        ])
+        assert code == 2
+        assert "error: checkpoint has unknown parameters: layer99.extra" in capsys.readouterr().err
+
+    def test_eval_tokenizes_at_the_trained_max_len(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text("max_len = 8\n", encoding="utf-8")
+        ckpt = tmp_path / "short.ckpt"
+        assert main([
+            "train", "--task", "cls", "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--out", str(ckpt), "--steps", "1", "--batch-size", "8", "--seed", "0",
+            *TINY_MODEL, "--corpus-config", str(cfg),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "eval", "--ckpt", str(ckpt), "--data-tsv", str(workdir / "data" / "test.tsv"), "--reps", "1",
+        ]) == 0
+        lines = dict(l.split("\t") for l in capsys.readouterr().out.strip().splitlines())
+        assert int(lines["n_tokens"]) == 20 * 8  # twelve-token documents cut at 8
+
     def test_misaligned_depth_file_is_an_error(self, workdir, tmp_path, capsys):
         mi.write_depth_file(tmp_path / "bad.depths", [np.array([1, 2])])
         code = main([
@@ -238,11 +280,28 @@ class TestBenchCommand:
         ]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == bench.BenchRow.HEADER
+        depth_rows = make_bench_depths(4, 16, 2, 1.5, seed=3)  # as the command draws them
         for line in lines[1:]:
             cols = line.split("\t")
             ffn_fixed, ffn_adaptive = int(cols[6]), int(cols[7])
             assert ffn_fixed == 2 * 4 * 16
             assert ffn_adaptive == int(round(1.5 * 4 * 16))
+            assert cols[8] == f"{ffn_adaptive / ffn_fixed:.4f}"
+            assert int(cols[9]) == batch_coupled_kv(depth_rows, int(cols[0]))
+
+    def test_batch_sizes_that_do_not_divide_the_sentences(self, tmp_path):
+        out = tmp_path / "bench.tsv"
+        assert main([
+            "bench", "--seq-len", "16", "--n-sentences", "5", "--batch-sizes", "2,15",
+            "--target-avg-depth", "1.5", "--reps", "1", "--seed", "3", "--out", str(out), *TINY_NET,
+        ]) == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [2, 15]
+        depth_rows = make_bench_depths(5, 16, 2, 1.5, seed=3)
+        for cols in rows:
+            assert int(cols[6]) == 2 * 5 * 16
+            assert int(cols[7]) == sum(int(r.sum()) for r in depth_rows)
+            assert int(cols[9]) == batch_coupled_kv(depth_rows, int(cols[0]))
 
 
 class TestExportHist:
@@ -277,13 +336,6 @@ class TestBenchHelpers:
         with pytest.raises(ValueError, match="unreachable"):
             make_bench_depths(4, 8, 12, 11.5, seed=0, deep_sentence_frac=0.0, shallow_cap=2)
 
-    def test_run_summary_matches_direct_recomputation(self):
-        accs = [0.91, 0.93, 0.89]
-        summary = RunSummary(accs)
-        assert summary.mean == pytest.approx(np.mean(accs))
-        assert summary.variance == pytest.approx(np.var(accs))
-        assert summary.variance >= 0
-
 
 class TestVariableLengthCorpora:
     @pytest.fixture()
@@ -311,6 +363,7 @@ class TestVariableLengthCorpora:
 
     def test_eval_covers_every_document_once(self, varlen):
         from depthformer.encoder import AdaptiveEncoder, EncoderConfig
+        from depthformer.train import length_buckets
 
         config = EncoderConfig(
             vocab_size=len(varlen.vocab), n_labels=2, n_layers=2,
@@ -319,7 +372,8 @@ class TestVariableLengthCorpora:
         encoder = AdaptiveEncoder(config, head="cls", seed=0)
         maps = [np.full(len(d.tokens), 1, dtype=np.int64) for d in varlen.documents]
         acc, report = bench.evaluate_classifier(encoder, varlen, maps, batch_size=4)
-        assert report.n_sentences == len(varlen.documents)
+        lengths = [len(d.tokens) for d in varlen.documents]
+        assert len(report.wall_ns) == len(length_buckets(lengths, 4))  # one entry per batch
         assert report.n_tokens == sum(len(d.tokens) for d in varlen.documents)
         assert report.ffn_applications == report.n_tokens  # depth 1 everywhere
 
@@ -333,5 +387,5 @@ class TestEvaluateClassifier:
         acc, report = bench.evaluate_classifier(encoder, corpus, maps, batch_size=2)
         assert report.ffn_applications == sum(int(m.sum()) for m in maps)
         assert report.n_tokens == sum(len(m) for m in maps)
-        assert report.count_ratio <= 1.0
+        assert report.ffn_applications <= encoder.config.n_layers * report.n_tokens
         assert 0.0 <= acc <= 1.0

@@ -40,6 +40,12 @@ class TestParamStore:
         with pytest.raises(ValueError, match="missing parameters: b"):
             store.load_arrays({"a": np.zeros(3)})
 
+    def test_load_arrays_rejects_unknown_names(self):
+        store = make_store()
+        arrays = {**store.state_arrays(), "x": np.zeros(1), "y": np.zeros(1)}
+        with pytest.raises(ValueError, match="unknown parameters: x, y"):
+            store.load_arrays(arrays)
+
 
 class TestClipping:
     def test_norm_below_threshold_untouched(self):
