@@ -172,6 +172,10 @@ def bench_compare(
     load hits every configuration equally. Counts come from the measured
     passes themselves.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if any(b < 1 for b in batch_sizes):
+        raise ValueError(f"batch_sizes must all be >= 1, got {batch_sizes}")
     with single_worker():
         return _bench_compare(encoder, ids, depth_rows, batch_sizes, reps)
 

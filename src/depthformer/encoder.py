@@ -126,9 +126,11 @@ def sinusoidal_encoding(max_len: int, d_model: int, dtype) -> np.ndarray:
 
 
 def _softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax written into ``x``, which the caller must own; returns ``x``."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 def _log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -137,9 +139,20 @@ def _log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _layer_norm_np(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    """Layer norm written into ``x``, which the caller must own; returns ``x``.
+
+    The variance is ``np.var``'s own arithmetic (mean of squared deviations),
+    so the result is bit-identical to ``(x - mean) / sqrt(var + eps) * gamma + beta``.
+    """
+    x -= x.mean(axis=-1, keepdims=True)
+    var = np.square(x).sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
+    var += eps
+    np.sqrt(var, out=var)
+    x /= var
+    x *= gamma
+    x += beta
+    return x
 
 
 class AdaptiveEncoder:
@@ -340,22 +353,36 @@ class AdaptiveEncoder:
         cfg = self.config
         batch, time, d = h.shape
         w = {name: self.store[f"layer{i}.{name}"].data for name in _LAYER_PARAMS}
-        k = h @ w["attn.wk"] + w["attn.bk"]
-        v = h @ w["attn.wv"] + w["attn.bv"]
+        k = h @ w["attn.wk"]
+        k += w["attn.bk"]
+        v = h @ w["attn.wv"]
+        v += w["attn.bv"]
 
         def rows(hq: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-            # (B, M, d) query rows attending over (B, T, d) keys/values
+            # (B, M, d) query rows attending over (B, T, d) keys/values.
+            # Every elementwise step writes into a matmul output this function
+            # owns, never into hq, keys or values.
             b, m, _ = hq.shape
-            q = hq @ w["attn.wq"] + w["attn.bq"]
+            q = hq @ w["attn.wq"]
+            q += w["attn.bq"]
             qh = q.reshape(b, m, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
             kh = keys.reshape(b, time, cfg.n_heads, cfg.d_head).transpose(0, 2, 3, 1)
             vh = values.reshape(b, time, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
-            probs = _softmax_np(np.matmul(qh, kh) / math.sqrt(cfg.d_head))
+            scores = np.matmul(qh, kh)
+            scores /= math.sqrt(cfg.d_head)
+            probs = _softmax_np(scores)
             ctx = np.matmul(probs, vh).transpose(0, 2, 1, 3).reshape(b, m, d)
-            attn = ctx @ w["attn.wo"] + w["attn.bo"]
-            hr = _layer_norm_np(hq + attn, w["ln1.gamma"], w["ln1.beta"])
-            ff = np.maximum(hr @ w["ffn.w1"] + w["ffn.b1"], 0.0) @ w["ffn.w2"] + w["ffn.b2"]
-            return _layer_norm_np(hr + ff, w["ln2.gamma"], w["ln2.beta"])
+            attn = ctx @ w["attn.wo"]
+            attn += w["attn.bo"]
+            attn += hq
+            hr = _layer_norm_np(attn, w["ln1.gamma"], w["ln1.beta"])
+            hid = hr @ w["ffn.w1"]
+            hid += w["ffn.b1"]
+            np.maximum(hid, 0, out=hid)
+            ff = hid @ w["ffn.w2"]
+            ff += w["ffn.b2"]
+            ff += hr
+            return _layer_norm_np(ff, w["ln2.gamma"], w["ln2.beta"])
 
         if active.all():
             return rows(h, k, v)

@@ -26,16 +26,6 @@ DEFAULT_PENALTY = 0.1
 N_SPECIAL_TOKENS = 3  # <PAD>, <UNK>, <MASK> are never sampled as replacements
 
 
-@dataclass(frozen=True)
-class ReconConfig:
-    penalty: float = DEFAULT_PENALTY
-    chunk_rows: int = 32  # masked sentence variants per estimation forward
-
-    def __post_init__(self) -> None:
-        if self.penalty < 0:
-            raise ValueError(f"penalty must be >= 0, got {self.penalty}")
-
-
 def mask_batch(
     ids: np.ndarray,
     mask_id: int,
@@ -193,6 +183,8 @@ def sentence_profiles(
     Each forward still masks exactly one position; the masked variants of
     the sentence are merely batched together for throughput.
     """
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     tokens = np.asarray(tokens, dtype=np.int64)
     time = len(tokens)
     profiles = np.empty((time, encoder.config.n_layers), dtype=np.float64)
@@ -215,6 +207,8 @@ def select_depth(profile: np.ndarray, penalty: float) -> int:
     The linear term charges each extra layer ``penalty``, so raising the
     penalty can only move the choice shallower.
     """
+    if not penalty >= 0:  # also rejects NaN
+        raise ValueError(f"penalty must be >= 0, got {penalty}")
     profile = np.asarray(profile, dtype=np.float64)
     if profile.ndim != 1 or profile.size < 1:
         raise ValueError(f"profile must be a non-empty vector, got shape {profile.shape}")

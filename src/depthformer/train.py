@@ -31,6 +31,8 @@ def check_depth_alignment(corpus: Corpus, depth_maps: list[np.ndarray]) -> None:
 
 def length_buckets(lengths: list[int], batch_size: int, rng: np.random.Generator | None = None) -> list[np.ndarray]:
     """Index batches grouped by sentence length, optionally shuffled."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     groups: dict[int, list[int]] = defaultdict(list)
     for i, n in enumerate(lengths):
         groups[n].append(i)

@@ -192,6 +192,15 @@ class TestTrainAndEval:
         lines = dict(l.split("\t") for l in capsys.readouterr().out.strip().splitlines())
         assert int(lines["n_tokens"]) == 20 * 8  # twelve-token documents cut at 8
 
+    @pytest.mark.parametrize("batch_size", ["0", "-2"])
+    def test_eval_rejects_non_positive_batch_size(self, workdir, capsys, batch_size):
+        code = main([
+            "eval", "--ckpt", str(workdir / "cls.ckpt"), "--data-tsv", str(workdir / "data" / "test.tsv"),
+            "--batch-size", batch_size, "--reps", "1",
+        ])
+        assert code == 2
+        assert f"error: batch_size must be >= 1, got {batch_size}" in capsys.readouterr().err
+
     def test_misaligned_depth_file_is_an_error(self, workdir, tmp_path, capsys):
         mi.write_depth_file(tmp_path / "bad.depths", [np.array([1, 2])])
         code = main([
@@ -252,6 +261,26 @@ class TestDepthsRecon:
         assert float(lam) == 0.1 and 1.0 <= float(avg) <= 2.0 and int(n) == 20
 
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--chunk-rows", "0", "chunk_rows must be >= 1, got 0", id="chunk-rows-0"),
+            pytest.param("--chunk-rows", "-1", "chunk_rows must be >= 1, got -1", id="chunk-rows-neg"),
+            pytest.param("--penalty", "-0.5", "penalty must be >= 0, got -0.5", id="penalty-neg"),
+        ],
+    )
+    def test_invalid_setting_is_an_error(self, workdir, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "recon"
+        code = main([
+            "depths", "--mode", "recon", "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--test-tsv", str(workdir / "data" / "test.tsv"),
+            "--out-dir", str(out), "--mlm-ckpt", str(workdir / "mlm.ckpt"), flag, value,
+        ])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "train.depths").exists()
+
+
 class TestSweepLambda:
     def test_table_schema_and_monotone_depth(self, workdir, tmp_path, capsys):
         out = tmp_path / "sweep.tsv"
@@ -268,6 +297,24 @@ class TestSweepLambda:
         depths = [float(r[3]) for r in rows]
         assert all(b <= a for a, b in zip(depths, depths[1:]))
         assert all(r[1] == "-" for r in rows)  # accuracy column off by default
+
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--chunk-rows", "0", "chunk_rows must be >= 1, got 0", id="chunk-rows-0"),
+            pytest.param("--lambdas", "0.1,-0.5", "penalty must be >= 0, got -0.5", id="lambda-neg"),
+        ],
+    )
+    def test_invalid_setting_is_an_error(self, workdir, tmp_path, capsys, flag, value, message):
+        code = main([
+            "sweep-lambda", "--mlm-ckpt", str(workdir / "mlm.ckpt"),
+            "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--test-tsv", str(workdir / "data" / "test.tsv"),
+            flag, value, "--out", str(tmp_path / "sweep.tsv"),
+        ])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestBenchCommand:
@@ -302,6 +349,19 @@ class TestBenchCommand:
             assert int(cols[6]) == 2 * 5 * 16
             assert int(cols[7]) == sum(int(r.sum()) for r in depth_rows)
             assert int(cols[9]) == batch_coupled_kv(depth_rows, int(cols[0]))
+
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--reps", "0", "reps must be >= 1, got 0", id="reps-0"),
+            pytest.param("--batch-sizes", "1,0", "batch_sizes must all be >= 1, got [1, 0]", id="batch-sizes-0"),
+        ],
+    )
+    def test_non_positive_size_is_an_error(self, capsys, flag, value, message):
+        args = ["bench", "--seq-len", "8", "--n-sentences", "2", "--target-avg-depth", "1.5", *TINY_NET]
+        assert main([*args, "--reps", "1", flag, value]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestExportHist:

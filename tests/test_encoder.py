@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from depthformer import autodiff as ad
 from depthformer.autodiff import Tensor
-from depthformer.encoder import AdaptiveEncoder, EncoderConfig
+from depthformer.encoder import _LAYER_PARAMS, AdaptiveEncoder, EncoderConfig
 
 
 def small_config(**overrides):
@@ -140,6 +142,96 @@ class TestAdaptiveForward:
         for b in range(3):
             h_one, _ = encoder.forward_infer(ids[b : b + 1], depths[b : b + 1])
             np.testing.assert_allclose(h_batch[b], h_one[0], atol=1e-10)
+
+
+def reference_layer(enc, h, i, active):
+    """One inference layer in the plain allocating formula: every step makes
+    a new array and the layer norm goes through ``np.var``. Rows are grouped
+    the way the encoder groups them (the whole batch when every row is
+    active, else each sentence's active rows), so results must match bit
+    for bit."""
+    cfg = enc.config
+    batch, time, d = h.shape
+    w = {name: enc.store[f"layer{i}.{name}"].data for name in _LAYER_PARAMS}
+
+    def softmax(x):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    def layer_norm(x, gamma, beta):
+        mean = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        return (x - mean) / np.sqrt(var + 1e-5) * gamma + beta
+
+    k = h @ w["attn.wk"] + w["attn.bk"]
+    v = h @ w["attn.wv"] + w["attn.bv"]
+
+    def rows(hq, keys, values):
+        b, m, _ = hq.shape
+        q = hq @ w["attn.wq"] + w["attn.bq"]
+        qh = q.reshape(b, m, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
+        kh = keys.reshape(b, time, cfg.n_heads, cfg.d_head).transpose(0, 2, 3, 1)
+        vh = values.reshape(b, time, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
+        probs = softmax(np.matmul(qh, kh) / math.sqrt(cfg.d_head))
+        ctx = np.matmul(probs, vh).transpose(0, 2, 1, 3).reshape(b, m, d)
+        attn = ctx @ w["attn.wo"] + w["attn.bo"]
+        hr = layer_norm(hq + attn, w["ln1.gamma"], w["ln1.beta"])
+        ff = np.maximum(hr @ w["ffn.w1"] + w["ffn.b1"], 0.0) @ w["ffn.w2"] + w["ffn.b2"]
+        return layer_norm(hr + ff, w["ln2.gamma"], w["ln2.beta"])
+
+    if active.all():
+        return rows(h, k, v)
+    out = h.copy()
+    for b in range(batch):
+        idx = np.nonzero(active[b])[0]
+        if idx.size:
+            out[b, idx] = rows(h[b, idx][None], k[b : b + 1], v[b : b + 1])[0]
+    return out
+
+
+class TestInPlaceKernel:
+    """The inference kernel reuses its own temporaries; it must still give
+    exactly the plain formula's bits and never write into its input."""
+
+    @pytest.fixture(params=["f32", "f64"])
+    def perturbed(self, request):
+        # non-trivial biases and gains, so every residual and affine step
+        # counts; a width that is not a power of two, so no division is exact
+        cfg = small_config(n_layers=4, d_model=12, d_ff=24, precision=request.param)
+        enc = AdaptiveEncoder(cfg, head="cls", seed=4)
+        gen = np.random.default_rng(12)
+        for name, p in enc.store.params.items():
+            if p.data.ndim == 1:
+                p.data[:] = (1.0 if "gamma" in name else 0.0) + gen.normal(0.0, 0.3, p.data.shape)
+        return enc
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["full", "mixed"])
+    def test_collected_layers_match_reference_bit_for_bit(self, perturbed, batch, mixed):
+        ids = token_batch((batch, 9), seed=batch)
+        depths = None
+        if mixed:
+            depths = np.random.default_rng(batch + 20).integers(1, 5, size=ids.shape)
+            depths[0, 0] = 4  # reach the last layer with partial rows on the way
+        layers, _ = perturbed.forward_infer(ids, depths, collect_layers=True)
+        full = np.full(ids.shape, 4) if depths is None else depths
+        h = perturbed.embed_infer(ids)
+        assert len(layers) == 4
+        for n, got in enumerate(layers, start=1):
+            h = reference_layer(perturbed, h, n - 1, full >= n)
+            assert got.dtype == perturbed.config.dtype
+            assert np.array_equal(got, h), f"layer {n}"
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["full", "mixed"])
+    def test_layer_input_left_unchanged(self, perturbed, mixed):
+        ids = token_batch((3, 7), seed=2)
+        depths = np.random.default_rng(3).integers(1, 5, size=ids.shape) if mixed else np.full(ids.shape, 4)
+        h = perturbed.embed_infer(ids)
+        for n in range(1, 5):
+            before = h.copy()
+            out = perturbed._layer_infer(h, n - 1, depths >= n)
+            assert np.array_equal(h, before), f"layer {n} wrote into its input"
+            h = out
 
 
 class TestClassify:

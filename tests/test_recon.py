@@ -7,7 +7,6 @@ from depthformer import recon
 from depthformer.corpus import load_tsv
 from depthformer.encoder import EncoderConfig
 from depthformer.recon import (
-    ReconConfig,
     anytime_loss_on_docs,
     depths_from_profiles,
     estimate_corpus_depths,
@@ -90,8 +89,10 @@ class TestSelectDepth:
 
 class TestReconConfig:
     def test_negative_penalty_rejected(self):
-        with pytest.raises(ValueError):
-            ReconConfig(penalty=-0.1)
+        profiles = [np.array([[1.0, 0.5], [0.2, 0.9]])]
+        for penalty in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="penalty must be >= 0"):
+                depths_from_profiles(profiles, penalty)
 
 
 class TestMaskBatch:
