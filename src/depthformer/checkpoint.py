@@ -46,32 +46,42 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, 
     blob = Path(path).read_bytes()
     offset = 0
 
-    def take(fmt: str):
+    def need(n_bytes: int, what: str) -> None:
+        if offset + n_bytes > len(blob):
+            raise ValueError(
+                f"{path}: checkpoint is truncated: {what} needs {n_bytes} bytes at offset {offset}, "
+                f"{len(blob) - offset} remain"
+            )
+
+    def take(fmt: str, what: str):
         nonlocal offset
         size = struct.calcsize(fmt)
+        need(size, what)
         values = struct.unpack_from(fmt, blob, offset)
         offset += size
         return values
 
-    (version,) = take("<B")
+    (version,) = take("<B", "version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    (count,) = take("<I")
+    (count,) = take("<I", "tensor count")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = take("<H")
+        (name_len,) = take("<H", "name length")
+        need(name_len, "name")
         name = blob[offset : offset + name_len].decode("utf-8")
         offset += name_len
-        code, ndim = take("<BB")
-        shape = take(f"<{ndim}I")
+        code, ndim = take("<BB", f"{name} dtype and rank")
+        shape = take(f"<{ndim}I", f"{name} shape")
+        if code not in _CODE_DTYPES:
+            raise ValueError(f"{path}: {name}: unknown dtype code {code}")
         dtype = _CODE_DTYPES[code].newbyteorder("<")
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        arrays[name] = (
-            np.frombuffer(blob, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)), offset=offset)
-            .reshape(shape)
-            .astype(_CODE_DTYPES[code])
-        )
-        offset += n_bytes
+        n_items = int(np.prod(shape, dtype=np.int64))
+        need(n_items * dtype.itemsize, f"{name} payload")
+        arrays[name] = np.frombuffer(blob, dtype, n_items, offset).reshape(shape).astype(_CODE_DTYPES[code])
+        offset += n_items * dtype.itemsize
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last tensor")
 
     meta: dict[str, str] = {}
     mp = meta_path(path)

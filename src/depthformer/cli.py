@@ -39,6 +39,21 @@ def _tokenizer_config(args) -> TokenizerConfig:
     return cfg
 
 
+def _encoder_config(args, vocab_size: int, n_labels: int, max_len: int, n_layers: int | None = None) -> EncoderConfig:
+    """An encoder built from the model flags (``_add_model_flags``)."""
+    return EncoderConfig(
+        vocab_size=vocab_size,
+        n_labels=n_labels,
+        n_layers=args.n_layers if n_layers is None else n_layers,
+        d_model=args.d_model,
+        n_heads=args.n_heads,
+        d_ff=args.d_ff,
+        dropout=args.dropout,
+        max_len=max_len,
+        precision=args.precision,
+    )
+
+
 def _vocab_path(ckpt: str | Path) -> Path:
     return Path(str(ckpt) + ".vocab.tsv")
 
@@ -80,6 +95,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_depths(args) -> int:
+    if args.mode == "recon":
+        recon.check_penalty(args.penalty)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -123,17 +140,7 @@ def cmd_depths(args) -> int:
 def cmd_train(args) -> int:
     config = _tokenizer_config(args)
     corpus = load_tsv(args.train_tsv, config)
-    enc_config = EncoderConfig(
-        vocab_size=len(corpus.vocab),
-        n_labels=corpus.n_labels,
-        n_layers=args.n_layers,
-        d_model=args.d_model,
-        n_heads=args.n_heads,
-        d_ff=args.d_ff,
-        dropout=args.dropout,
-        max_len=args.max_len,
-        precision=args.precision,
-    )
+    enc_config = _encoder_config(args, len(corpus.vocab), corpus.n_labels, args.max_len)
 
     if args.task == "cls":
         depth_maps = mi.read_depth_file(args.depths) if args.depths else None
@@ -215,6 +222,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_lambda(args) -> int:
+    penalties = [float(x) for x in args.lambdas.split(",")]
+    for penalty in penalties:
+        recon.check_penalty(penalty)
     encoder, meta = AdaptiveEncoder.load(args.mlm_ckpt)
     train = _load_eval_corpus(args.mlm_ckpt, args.train_tsv, meta)
     test = _load_eval_corpus(args.mlm_ckpt, args.test_tsv, meta)
@@ -223,7 +233,6 @@ def cmd_sweep_lambda(args) -> int:
     train_profiles = recon.corpus_profiles(encoder, train, chunk_rows=args.chunk_rows)
     test_profiles = recon.corpus_profiles(encoder, test, chunk_rows=args.chunk_rows)
 
-    penalties = [float(x) for x in args.lambdas.split(",")]
     n_layers = encoder.config.n_layers
     rows = []
     for penalty in penalties:
@@ -234,17 +243,7 @@ def cmd_sweep_lambda(args) -> int:
         accuracy = "-"
         if args.cls_steps > 0:
             train_maps = recon.depths_from_profiles(train_profiles, penalty)
-            enc_config = EncoderConfig(
-                vocab_size=len(train.vocab),
-                n_labels=train.n_labels,
-                n_layers=n_layers,
-                d_model=args.d_model,
-                n_heads=args.n_heads,
-                d_ff=args.d_ff,
-                dropout=args.dropout,
-                max_len=int(meta["max_len"]),
-                precision=args.precision,
-            )
+            enc_config = _encoder_config(args, len(train.vocab), train.n_labels, int(meta["max_len"]), n_layers)
             cls, _ = train_classifier(
                 train, enc_config, steps=args.cls_steps, lr=args.lr,
                 batch_size=args.batch_size, seed=args.seed, depth_maps=train_maps,
@@ -267,17 +266,7 @@ def cmd_sweep_lambda(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    enc_config = EncoderConfig(
-        vocab_size=args.vocab_size,
-        n_labels=2,
-        n_layers=args.n_layers,
-        d_model=args.d_model,
-        n_heads=args.n_heads,
-        d_ff=args.d_ff,
-        dropout=args.dropout,
-        max_len=max(args.seq_len, 1),
-        precision=args.precision,
-    )
+    enc_config = _encoder_config(args, args.vocab_size, 2, max(args.seq_len, 1))
     encoder = AdaptiveEncoder(enc_config, head="cls", seed=args.seed)
     rng = np.random.default_rng(args.seed)
     ids = rng.integers(3, args.vocab_size, size=(args.n_sentences, args.seq_len))

@@ -225,25 +225,14 @@ def load_tsv(
 class CorpusStats:
     """Document-level presence counts from the training split.
 
-    ``joint[w]`` is a per-label vector counting documents that contain
-    word ``w`` and carry each label; summing it over labels recovers the
-    word's document frequency (documents are single-label).
+    ``joint[w, y]`` counts documents that contain word id ``w`` and carry
+    label ``y``; one row per vocabulary id. Summing a row over labels
+    recovers the word's document frequency (documents are single-label).
     """
 
     n_docs: int
     label_counts: np.ndarray  # (n_labels,) documents per label
-    joint: dict[int, np.ndarray]  # word id -> (n_labels,) presence counts
-    n_labels: int
-
-    def doc_freq(self, word_id: int) -> int:
-        counts = self.joint.get(word_id)
-        return 0 if counts is None else int(counts.sum())
-
-    def joint_counts(self, word_id: int) -> np.ndarray:
-        counts = self.joint.get(word_id)
-        if counts is None:
-            return np.zeros(self.n_labels, dtype=np.int64)
-        return counts
+    joint: np.ndarray  # (len(vocab), n_labels) int64 presence counts
 
 
 def collect_stats(corpus: Corpus) -> CorpusStats:
@@ -253,20 +242,9 @@ def collect_stats(corpus: Corpus) -> CorpusStats:
     if not corpus.documents:
         raise CorpusError("empty training split")
 
-    n_labels = corpus.n_labels
-    label_counts = np.zeros(n_labels, dtype=np.int64)
-    joint: dict[int, np.ndarray] = {}
+    label_counts = np.zeros(corpus.n_labels, dtype=np.int64)
+    joint = np.zeros((len(corpus.vocab), corpus.n_labels), dtype=np.int64)
     for doc in corpus.documents:
         label_counts[doc.label] += 1
-        for wid in set(doc.tokens.tolist()):
-            row = joint.get(wid)
-            if row is None:
-                row = np.zeros(n_labels, dtype=np.int64)
-                joint[wid] = row
-            row[doc.label] += 1
-    return CorpusStats(
-        n_docs=len(corpus.documents),
-        label_counts=label_counts,
-        joint=joint,
-        n_labels=n_labels,
-    )
+        joint[np.unique(doc.tokens), doc.label] += 1
+    return CorpusStats(n_docs=len(corpus.documents), label_counts=label_counts, joint=joint)

@@ -89,19 +89,16 @@ class MiTable:
     mi_log: np.ndarray  # (W,) float64
     depth: np.ndarray  # (W,) int64 in [1, n_bins]
     n_bins: int
-    smoothing: float
 
     def __post_init__(self) -> None:
-        self._index = {int(w): i for i, w in enumerate(self.word_ids)}
-
-    def depth_for(self, word_id: int) -> int:
-        """Depth lookup; unknown words get the maximum depth."""
-        i = self._index.get(int(word_id))
-        return self.n_bins if i is None else int(self.depth[i])
+        # depth indexed by vocabulary id; ids outside the table (the
+        # special tokens) get the maximum depth
+        self.depth_by_id = np.full(int(self.word_ids.max(initial=-1)) + 1, self.n_bins, dtype=np.int64)
+        self.depth_by_id[self.word_ids] = self.depth
 
     def sentence_depths(self, tokens: np.ndarray) -> np.ndarray:
         """Per-token depth map, aligned one-to-one with the sentence."""
-        return np.asarray([self.depth_for(t) for t in np.asarray(tokens).ravel()], dtype=np.int64)
+        return self.depth_by_id[np.asarray(tokens, dtype=np.int64).ravel()]
 
     def write(self, path: str | Path, vocab: Vocab) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -110,7 +107,7 @@ class MiTable:
                 fh.write(f"{word}\t{self.mi[i]:.17g}\t{self.mi_log[i]:.17g}\t{int(self.depth[i])}\n")
 
     @classmethod
-    def read(cls, path: str | Path, vocab: Vocab, n_bins: int, smoothing: float = DEFAULT_SMOOTHING) -> "MiTable":
+    def read(cls, path: str | Path, vocab: Vocab, n_bins: int) -> "MiTable":
         wids, mi, mi_log, depth = [], [], [], []
         for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             parts = raw.split("\t")
@@ -126,7 +123,6 @@ class MiTable:
             mi_log=np.asarray(mi_log, dtype=np.float64),
             depth=np.asarray(depth, dtype=np.int64),
             n_bins=n_bins,
-            smoothing=smoothing,
         )
 
 
@@ -144,11 +140,8 @@ def build_mi_table(
     """
     if smoothing <= 0:
         raise ValueError(f"smoothing must be > 0, got {smoothing}")
-    word_ids = np.asarray(
-        [i for i in range(len(vocab)) if i not in (vocab.pad_id, vocab.unk_id, vocab.mask_id)],
-        dtype=np.int64,
-    )
-    joint = np.stack([stats.joint_counts(int(w)) for w in word_ids])
+    word_ids = np.delete(np.arange(len(vocab), dtype=np.int64), [vocab.pad_id, vocab.unk_id, vocab.mask_id])
+    joint = stats.joint[word_ids]
     mi = _mi_from_counts(joint, joint.sum(axis=-1), stats.label_counts, stats.n_docs, smoothing)
     # a word with exactly symmetric counts across labels has MI 0 even after
     # smoothing; it carries no label signal, so score it at the smallest
@@ -165,7 +158,6 @@ def build_mi_table(
         mi_log=mi_log,
         depth=depth,
         n_bins=n_bins,
-        smoothing=smoothing,
     )
 
 

@@ -19,8 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import Corpus, Vocab
 from .encoder import HEAD_MLM, AdaptiveEncoder, EncoderConfig
-from .optim import adam_step
-from .train import length_buckets
+from .train import fit, length_buckets
 
 DEFAULT_PENALTY = 0.1
 N_SPECIAL_TOKENS = 3  # <PAD>, <UNK>, <MASK> are never sampled as replacements
@@ -135,32 +134,26 @@ def train_mlm(
 
     initial = heldout_loss()
     heldout_log: list[tuple[int, float]] = [(0, initial)]
+
+    def batch_loss(idx: np.ndarray) -> ad.Tensor:
+        ids = np.stack([train_docs[i] for i in idx])
+        corrupted, flat_idx, true_ids = mask_batch(
+            ids, corpus.vocab.mask_id, len(corpus.vocab), data_rng, mask_rate
+        )
+        loss, _ = encoder.mlm_anytime_loss_graph(corrupted, flat_idx, true_ids, train=True)
+        return loss
+
+    def on_step(step: int) -> None:
+        if eval_every and step % eval_every == 0:
+            heldout_log.append((step, heldout_loss()))
+
     lengths = [len(t) for t in train_docs]
-    log: list[tuple[int, float]] = []
-    step = 0
-    while step < steps:
-        for idx in length_buckets(lengths, batch_size, data_rng):
-            if step >= steps:
-                break
-            ids = np.stack([train_docs[i] for i in idx])
-            corrupted, flat_idx, true_ids = mask_batch(
-                ids, corpus.vocab.mask_id, len(corpus.vocab), data_rng, mask_rate
-            )
-            loss, _ = encoder.mlm_anytime_loss_graph(corrupted, flat_idx, true_ids, train=True)
-            if not np.isfinite(loss.data):
-                raise FloatingPointError(f"MLM training diverged at step {step}: loss={loss.data}")
-            encoder.store.zero_grad()
-            ad.backward(loss)
-            cur_lr = lr * min(1.0, (step + 1) / warmup) if warmup else lr
-            adam_step(encoder.store, lr=cur_lr, clip=clip)
-            step += 1
-            log.append((step, float(loss.data)))
-            if eval_every and step % eval_every == 0:
-                heldout_log.append((step, heldout_loss()))
+    log = fit(encoder, batch_loss, lengths, steps, lr, batch_size, data_rng, clip, warmup, on_step)
+    step = len(log)
     if heldout_log[-1][0] == step:
         final = heldout_log[-1][1]
     else:
-        final = heldout_loss() if steps else initial
+        final = heldout_loss()
         heldout_log.append((step, final))
     return MlmTrainResult(
         encoder=encoder,
@@ -201,14 +194,18 @@ def sentence_profiles(
     return profiles
 
 
+def check_penalty(penalty: float) -> None:
+    if not penalty >= 0:  # also rejects NaN
+        raise ValueError(f"penalty must be >= 0, got {penalty}")
+
+
 def select_depth(profile: np.ndarray, penalty: float) -> int:
     """Penalized argmin over layers, 1-based; ties go to the shallowest.
 
     The linear term charges each extra layer ``penalty``, so raising the
     penalty can only move the choice shallower.
     """
-    if not penalty >= 0:  # also rejects NaN
-        raise ValueError(f"penalty must be >= 0, got {penalty}")
+    check_penalty(penalty)
     profile = np.asarray(profile, dtype=np.float64)
     if profile.ndim != 1 or profile.size < 1:
         raise ValueError(f"profile must be a non-empty vector, got shape {profile.shape}")

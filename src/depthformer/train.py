@@ -1,4 +1,5 @@
-"""Classifier training loop and shared batching helpers.
+"""The training step loop both tasks share, classifier training, and
+batching helpers.
 
 Batches only ever contain same-length sentences (documents are grouped by
 token count), so no padding or masking is needed anywhere in the model.
@@ -7,6 +8,7 @@ token count), so no padding or masking is needed anywhere in the model.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Callable
 
 import numpy as np
 
@@ -86,17 +88,39 @@ def train_classifier(
     encoder = AdaptiveEncoder(config, HEAD_CLASSIFIER, seed=int(model_seed.generate_state(1)[0]))
     data_rng = np.random.default_rng(data_seed)
 
+    def batch_loss(idx: np.ndarray) -> ad.Tensor:
+        ids, gold, depths = gather_batch(corpus, idx, depth_maps)
+        layers, _ = encoder.forward_graph(ids, depths, train=True)
+        return encoder.task_loss_graph(encoder.classify_graph(layers[-1]), gold)
+
     lengths = [len(d.tokens) for d in corpus.documents]
+    log = fit(encoder, batch_loss, lengths, steps, lr, batch_size, data_rng, clip, warmup)
+    return encoder, log
+
+
+def fit(
+    encoder: AdaptiveEncoder,
+    batch_loss: Callable[[np.ndarray], ad.Tensor],
+    lengths: list[int],
+    steps: int,
+    lr: float,
+    batch_size: int,
+    data_rng: np.random.Generator,
+    clip: float,
+    warmup: int,
+    on_step: Callable[[int], None] | None = None,
+) -> list[tuple[int, float]]:
+    """The training step loop shared by both tasks: ``steps`` Adam steps on
+    ``batch_loss(idx)`` over shuffled length buckets, with the learning
+    rate ramped linearly over the first ``warmup`` steps. ``on_step(step)``
+    runs after each step. Returns the (step, loss) log."""
     log: list[tuple[int, float]] = []
     step = 0
     while step < steps:
         for idx in length_buckets(lengths, batch_size, data_rng):
             if step >= steps:
                 break
-            ids, gold, depths = gather_batch(corpus, idx, depth_maps)
-            layers, _ = encoder.forward_graph(ids, depths, train=True)
-            probs = encoder.classify_graph(layers[-1])
-            loss = encoder.task_loss_graph(probs, gold)
+            loss = batch_loss(idx)
             if not np.isfinite(loss.data):
                 raise FloatingPointError(f"training diverged at step {step}: loss={loss.data}")
             encoder.store.zero_grad()
@@ -105,7 +129,9 @@ def train_classifier(
             adam_step(encoder.store, lr=cur_lr, clip=clip)
             step += 1
             log.append((step, float(loss.data)))
-    return encoder, log
+            if on_step is not None:
+                on_step(step)
+    return log
 
 
 def write_train_log(path, log: list[tuple[int, float]]) -> None:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from depthformer import bench, mi
+from depthformer import bench, mi, recon
 from depthformer.bench import make_bench_depths
 from depthformer.cli import main
 from depthformer.corpus import load_tsv
@@ -22,6 +22,18 @@ def batch_coupled_kv(depth_rows, batch_size):
         chunk = np.stack(depth_rows[lo : lo + batch_size])
         total += int(chunk.max()) * chunk.size
     return total
+
+
+def first_tensor_layout(blob: bytes) -> tuple[str, int]:
+    """Name and payload offset of a checkpoint's first tensor: version
+    byte, u32 count, u16 name length, name, dtype and rank bytes, u32 dims."""
+    name_len = int.from_bytes(blob[5:7], "little")
+    ndim = blob[7 + name_len + 1]
+    return blob[7 : 7 + name_len].decode("utf-8"), 7 + name_len + 2 + 4 * ndim
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("profiles computed before the settings were checked")
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +188,27 @@ class TestTrainAndEval:
         assert code == 2
         assert "error: checkpoint has unknown parameters: layer99.extra" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            pytest.param(lambda blob, at: blob[: at - 2], "checkpoint is truncated: {name} shape needs", id="cut-in-header"),
+            pytest.param(lambda blob, at: blob[: at + 2], "checkpoint is truncated: {name} payload needs", id="cut-in-payload"),
+            pytest.param(lambda blob, at: blob + b"junk", "4 trailing bytes after the last tensor", id="trailing-bytes"),
+        ],
+    )
+    def test_eval_rejects_damaged_checkpoint(self, workdir, tmp_path, capsys, damage, message):
+        import shutil
+
+        blob = (workdir / "cls.ckpt").read_bytes()
+        name, payload_at = first_tensor_layout(blob)
+        ckpt = tmp_path / "damaged.ckpt"
+        ckpt.write_bytes(damage(blob, payload_at))
+        for suffix in (".meta", ".vocab.tsv"):
+            shutil.copy(str(workdir / "cls.ckpt") + suffix, str(ckpt) + suffix)
+        code = main(["eval", "--ckpt", str(ckpt), "--data-tsv", str(workdir / "data" / "test.tsv"), "--reps", "1"])
+        assert code == 2
+        assert f"error: {ckpt}: {message.format(name=name)}" in capsys.readouterr().err
+
     def test_eval_tokenizes_at_the_trained_max_len(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "corpus.cfg"
         cfg.write_text("max_len = 8\n", encoding="utf-8")
@@ -269,8 +302,11 @@ class TestDepthsRecon:
             pytest.param("--penalty", "-0.5", "penalty must be >= 0, got -0.5", id="penalty-neg"),
         ],
     )
-    def test_invalid_setting_is_an_error(self, workdir, tmp_path, capsys, flag, value, message):
+    def test_invalid_setting_is_an_error(self, workdir, tmp_path, capsys, monkeypatch, flag, value, message):
         out = tmp_path / "recon"
+        if flag == "--penalty":
+            # a bad penalty fails before the output directory or any profile
+            monkeypatch.setattr(recon, "sentence_profiles", never_called)
         code = main([
             "depths", "--mode", "recon", "--train-tsv", str(workdir / "data" / "train.tsv"),
             "--test-tsv", str(workdir / "data" / "test.tsv"),
@@ -279,6 +315,8 @@ class TestDepthsRecon:
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "train.depths").exists()
+        if flag == "--penalty":
+            assert not out.exists()
 
 
 class TestSweepLambda:
@@ -306,7 +344,10 @@ class TestSweepLambda:
             pytest.param("--lambdas", "0.1,-0.5", "penalty must be >= 0, got -0.5", id="lambda-neg"),
         ],
     )
-    def test_invalid_setting_is_an_error(self, workdir, tmp_path, capsys, flag, value, message):
+    def test_invalid_setting_is_an_error(self, workdir, tmp_path, capsys, monkeypatch, flag, value, message):
+        if flag == "--lambdas":
+            # a bad penalty fails before either split is profiled
+            monkeypatch.setattr(recon, "sentence_profiles", never_called)
         code = main([
             "sweep-lambda", "--mlm-ckpt", str(workdir / "mlm.ckpt"),
             "--train-tsv", str(workdir / "data" / "train.tsv"),

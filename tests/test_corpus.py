@@ -125,23 +125,25 @@ class TestCollectStats:
         stats = collect_stats(corpus)
         wid = corpus.vocab.word_to_id["good"]
         pos = corpus.labels.index("pos")
-        assert stats.doc_freq(wid) == 2
-        assert stats.joint_counts(wid)[pos] == 2
-        assert stats.joint_counts(wid)[1 - pos] == 0
+        assert stats.joint[wid].sum() == 2
+        assert stats.joint[wid, pos] == 2
+        assert stats.joint[wid, 1 - pos] == 0
         wid_fine = corpus.vocab.word_to_id["fine"]
-        assert stats.doc_freq(wid_fine) == 2
-        assert stats.joint_counts(wid_fine)[pos] == 1
+        assert stats.joint[wid_fine].sum() == 2
+        assert stats.joint[wid_fine, pos] == 1
 
     def test_word_in_every_document(self, tmp_path):
         corpus = load_tsv(write(tmp_path, "t.tsv", ["pos\tx a", "neg\tx b", "pos\tx c"]))
         stats = collect_stats(corpus)
-        assert stats.doc_freq(corpus.vocab.word_to_id["x"]) == stats.n_docs
+        assert stats.joint[corpus.vocab.word_to_id["x"]].sum() == stats.n_docs
 
     def test_absent_word(self, tmp_path):
+        # one row per vocabulary id: an id in no document, such as <MASK>,
+        # has an all-zero row
         corpus = self.four_doc_corpus(tmp_path)
         stats = collect_stats(corpus)
-        assert stats.doc_freq(999) == 0
-        assert stats.joint_counts(999).sum() == 0
+        assert stats.joint.shape == (len(corpus.vocab), corpus.n_labels)
+        assert stats.joint[corpus.vocab.mask_id].sum() == 0
 
     def test_label_counts_partition_docs(self, synth_train):
         stats = collect_stats(synth_train)
@@ -149,7 +151,7 @@ class TestCollectStats:
 
     def test_joint_bounded_by_marginals(self, synth_train):
         stats = collect_stats(synth_train)
-        for wid, joint in stats.joint.items():
+        for wid, joint in enumerate(stats.joint):
             df = synth_train.vocab.doc_freq[wid]
             assert joint.sum() == df
             assert np.all(joint <= stats.label_counts)
@@ -159,8 +161,7 @@ class TestCollectStats:
         b = collect_stats(synth_train)
         assert a.n_docs == b.n_docs
         assert np.array_equal(a.label_counts, b.label_counts)
-        assert set(a.joint) == set(b.joint)
-        assert all(np.array_equal(a.joint[w], b.joint[w]) for w in a.joint)
+        assert np.array_equal(a.joint, b.joint)
 
     def test_rejects_test_split(self, synth_test):
         with pytest.raises(ValueError, match="training split"):
@@ -195,7 +196,7 @@ def test_joint_counts_never_exceed_marginals(rows):
         )
         corpus = load_tsv(path)
         stats = collect_stats(corpus)
-        for wid, joint in stats.joint.items():
+        for wid, joint in enumerate(stats.joint):
             assert joint.sum() <= stats.n_docs
             assert np.all(joint <= stats.label_counts)
             assert joint.sum() == corpus.vocab.doc_freq[wid]

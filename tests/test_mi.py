@@ -191,7 +191,8 @@ class TestSentenceDepths:
         doc = synth_train.documents[0]
         depths = table.sentence_depths(doc.tokens)
         assert len(depths) == len(doc.tokens)
-        assert all(depths[i] == table.depth_for(t) for i, t in enumerate(doc.tokens))
+        depth_of = {int(w): int(d) for w, d in zip(table.word_ids, table.depth)}
+        assert all(depths[i] == depth_of.get(int(t), 12) for i, t in enumerate(doc.tokens))
 
     def test_oov_gets_maximum_depth(self, synth_train):
         table = mi.build_mi_table(collect_stats(synth_train), synth_train.vocab, 12)
