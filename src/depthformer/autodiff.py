@@ -328,7 +328,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Te
     if not train or rate == 0.0:
         return x
     keep = 1.0 - rate
-    mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / keep
+    mask = (rng.random(x.data.shape, dtype=x.data.dtype) >= rate).astype(x.data.dtype) / keep
 
     def vjp(g):
         return (g * mask,)
@@ -336,18 +336,24 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Te
     return _result(x.data * mask, (x,), vjp)
 
 
-def where_mask(mask: np.ndarray, new: Tensor, old: Tensor) -> Tensor:
-    """Positionwise routing: take ``new`` where mask holds, else ``old``.
+def scatter_rows(old: Tensor, new: Tensor, dst: np.ndarray, src: np.ndarray) -> Tensor:
+    """Rows of ``old`` with ``new[src]`` written over rows ``dst``, along
+    axis 0; every other row is copied exactly. ``dst`` and ``src`` each name
+    distinct rows.
 
-    The mask broadcasts over trailing feature axes. Gradients split the
-    same way, so the kept branch is fully transparent to backprop.
+    Gradients split the same way: ``g[dst]`` flows to ``new[src]``, and
+    ``old`` gets ``g`` with zeros at ``dst``.
     """
-    m = np.asarray(mask, dtype=bool)
-    while m.ndim < new.data.ndim:
-        m = m[..., None]
-    out = np.where(m, new.data, old.data)
+    dst = np.asarray(dst, dtype=np.int64)
+    src = np.asarray(src, dtype=np.int64)
+    out = old.data.copy()
+    out[dst] = new.data[src]
 
     def vjp(g):
-        return np.where(m, g, 0.0), np.where(m, 0.0, g)
+        g_old = g.copy()
+        g_old[dst] = 0.0
+        g_new = np.zeros_like(new.data)
+        g_new[src] = g[dst]
+        return g_old, g_new
 
-    return _result(out, (new, old), vjp)
+    return _result(out, (old, new), vjp)

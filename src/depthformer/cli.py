@@ -97,6 +97,8 @@ def cmd_gen_data(args) -> int:
 def cmd_depths(args) -> int:
     if args.mode == "recon":
         recon.check_penalty(args.penalty)
+        if not args.mlm_ckpt or not Path(args.mlm_ckpt).exists():
+            raise FileNotFoundError(f"reconstruction mode needs a trained MLM checkpoint, got {args.mlm_ckpt!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -116,8 +118,6 @@ def cmd_depths(args) -> int:
         return 0
 
     # reconstruction mode
-    if not args.mlm_ckpt or not Path(args.mlm_ckpt).exists():
-        raise FileNotFoundError(f"reconstruction mode needs a trained MLM checkpoint, got {args.mlm_ckpt!r}")
     encoder, meta = AdaptiveEncoder.load(args.mlm_ckpt)
     summaries = []
     for split, path in (("train", args.train_tsv), ("test", args.test_tsv)):

@@ -8,11 +8,13 @@ present in the batch.
 
 Two forward implementations share the same parameters: a graph-building
 path used for training (gradients flow through the copy routing) and a
-plain-numpy inference path that actually skips the work for stopped
-tokens, which is what the speed benchmarks measure. The inference path has
-one layer kernel: keys and values come from every row, and the rest of
-the layer runs on the whole batch when every row is active, otherwise
-once per sentence on that sentence's active rows.
+plain-numpy inference path, which is what the speed benchmarks measure.
+Both skip the work for stopped tokens except their keys and values, which
+come from every row. The graph path gathers each sentence's active rows
+into one padded block, runs the rest of the layer on it and scatters the
+results back. The inference path runs the rest of the layer on the whole
+batch when every row is active, otherwise once per sentence on that
+sentence's active rows.
 """
 
 from __future__ import annotations
@@ -242,34 +244,55 @@ class AdaptiveEncoder:
         cfg = self.config
         return ad.transpose(ad.reshape(x, (batch, time, cfg.n_heads, cfg.d_head)), (0, 2, 1, 3))
 
-    def _layer_graph(self, h: Tensor, i: int, train: bool) -> Tensor:
+    def _layer_graph(self, h: Tensor, i: int, active: np.ndarray, train: bool) -> Tensor:
+        """One layer on the graph. Keys and values come from every row; the
+        rest of the layer runs on a (B, M, d) block of each sentence's active
+        rows, M being the largest active count, and is scattered back over
+        ``h``, so stopped rows are copied exactly. A sentence with fewer
+        active rows pads its block by repeating its first one. When every row
+        is active the block is ``h`` itself and nothing is gathered."""
         cfg = self.config
         batch, time, d = h.shape
         p = self.store
         rate, rng = cfg.dropout, self._dropout_rng
 
-        q = ad.add(ad.matmul(h, p[f"layer{i}.attn.wq"]), p[f"layer{i}.attn.bq"])
         k = ad.add(ad.matmul(h, p[f"layer{i}.attn.wk"]), p[f"layer{i}.attn.bk"])
         v = ad.add(ad.matmul(h, p[f"layer{i}.attn.wv"]), p[f"layer{i}.attn.bv"])
-        qh = self._split_heads(q, batch, time)
+        if active.all():
+            hq, m = h, time
+        else:
+            n_active = active.sum(axis=1)
+            m = int(n_active.max())
+            pos = np.argsort(~active, axis=1, kind="stable")[:, :m]  # active positions first, in order
+            valid = np.arange(m) < n_active[:, None]
+            rows = np.arange(batch)[:, None] * time + np.where(valid, pos, pos[:, :1])
+            flat = ad.reshape(h, (batch * time, d))
+            hq = ad.reshape(ad.take_rows(flat, rows.ravel()), (batch, m, d))
+
+        q = ad.add(ad.matmul(hq, p[f"layer{i}.attn.wq"]), p[f"layer{i}.attn.bq"])
+        qh = self._split_heads(q, batch, m)
         kh = self._split_heads(k, batch, time)
         vh = self._split_heads(v, batch, time)
         scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
         probs = ad.dropout(ad.softmax(scores, -1), rate, rng, train)
-        ctx = ad.reshape(ad.transpose(ad.matmul(probs, vh), (0, 2, 1, 3)), (batch, time, d))
+        ctx = ad.reshape(ad.transpose(ad.matmul(probs, vh), (0, 2, 1, 3)), (batch, m, d))
         attn = ad.add(ad.matmul(ctx, p[f"layer{i}.attn.wo"]), p[f"layer{i}.attn.bo"])
-        h = ad.layer_norm(
-            ad.add(h, ad.dropout(attn, rate, rng, train)),
+        hr = ad.layer_norm(
+            ad.add(hq, ad.dropout(attn, rate, rng, train)),
             p[f"layer{i}.ln1.gamma"],
             p[f"layer{i}.ln1.beta"],
         )
-        hidden = ad.relu(ad.add(ad.matmul(h, p[f"layer{i}.ffn.w1"]), p[f"layer{i}.ffn.b1"]))
+        hidden = ad.relu(ad.add(ad.matmul(hr, p[f"layer{i}.ffn.w1"]), p[f"layer{i}.ffn.b1"]))
         ff = ad.add(ad.matmul(hidden, p[f"layer{i}.ffn.w2"]), p[f"layer{i}.ffn.b2"])
-        return ad.layer_norm(
-            ad.add(h, ad.dropout(ff, rate, rng, train)),
+        out = ad.layer_norm(
+            ad.add(hr, ad.dropout(ff, rate, rng, train)),
             p[f"layer{i}.ln2.gamma"],
             p[f"layer{i}.ln2.beta"],
         )
+        if hq is h:
+            return out
+        out = ad.scatter_rows(flat, ad.reshape(out, (batch * m, d)), rows[valid], np.flatnonzero(valid))
+        return ad.reshape(out, (batch, time, d))
 
     def forward_graph(
         self, ids: np.ndarray, depths: np.ndarray | None = None, train: bool = False
@@ -282,11 +305,10 @@ class AdaptiveEncoder:
         counts = LayerCounts(n_max=n_max, n_tokens=ids.size)
         layers: list[Tensor] = []
         for n in range(1, n_max + 1):
-            h_new = self._layer_graph(h, n - 1, train)
             active = depths >= n
+            h = self._layer_graph(h, n - 1, active, train)
             counts.ffn_applications += int(active.sum())
             counts.kv_projections += batch * time
-            h = h_new if active.all() else ad.where_mask(active, h_new, h)
             layers.append(h)
         return layers, counts
 

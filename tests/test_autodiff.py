@@ -158,19 +158,22 @@ class TestPooling:
 
 
 class TestRoutingOps:
-    def test_where_mask_selects_and_routes_gradient(self):
-        mask = np.array([[True, False, True]])
+    def test_scatter_rows_routes_gradient(self):
+        # rows 3 and 0 of old are overwritten by rows 0 and 2 of new; row 1
+        # of new is unused and must get a zero gradient
+        dst, src = np.array([3, 0]), np.array([0, 2])
         check_op(
-            lambda a, b: ad.where_mask(mask, a, b),
-            [rng().normal(size=(1, 3, 4)), rng().normal(size=(1, 3, 4))],
+            lambda old, new: ad.scatter_rows(old, new, dst, src),
+            [rng().normal(size=(5, 4)), rng().normal(size=(3, 4))],
         )
 
-    def test_where_mask_copies_exactly(self):
-        old = Tensor(rng().normal(size=(1, 4, 3)))
-        new = Tensor(rng().normal(size=(1, 4, 3)))
-        out = ad.where_mask(np.array([[True, False, True, False]]), new, old)
-        assert np.array_equal(out.data[0, 1], old.data[0, 1])
-        assert np.array_equal(out.data[0, 0], new.data[0, 0])
+    def test_scatter_rows_copies_other_rows_exactly(self):
+        old = Tensor(rng().normal(size=(6, 3)))
+        new = Tensor(np.random.default_rng(1).normal(size=(2, 3)))
+        out = ad.scatter_rows(old, new, np.array([4, 1]), np.array([1, 0]))
+        assert np.array_equal(out.data[[0, 2, 3, 5]], old.data[[0, 2, 3, 5]])
+        assert np.array_equal(out.data[[4, 1]], new.data[[1, 0]])
+        assert not np.shares_memory(out.data, old.data)
 
     def test_reshape_transpose_roundtrip_gradient(self):
         check_op(

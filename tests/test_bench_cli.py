@@ -300,12 +300,18 @@ class TestDepthsRecon:
             pytest.param("--chunk-rows", "0", "chunk_rows must be >= 1, got 0", id="chunk-rows-0"),
             pytest.param("--chunk-rows", "-1", "chunk_rows must be >= 1, got -1", id="chunk-rows-neg"),
             pytest.param("--penalty", "-0.5", "penalty must be >= 0, got -0.5", id="penalty-neg"),
+            pytest.param(
+                "--mlm-ckpt", "missing.ckpt", "reconstruction mode needs a trained MLM checkpoint",
+                id="missing-ckpt",
+            ),
         ],
     )
     def test_invalid_setting_is_an_error(self, workdir, tmp_path, capsys, monkeypatch, flag, value, message):
         out = tmp_path / "recon"
-        if flag == "--penalty":
-            # a bad penalty fails before the output directory or any profile
+        if flag == "--mlm-ckpt":
+            value = str(tmp_path / value)
+        if flag in ("--penalty", "--mlm-ckpt"):
+            # these fail before the output directory or any profile
             monkeypatch.setattr(recon, "sentence_profiles", never_called)
         code = main([
             "depths", "--mode", "recon", "--train-tsv", str(workdir / "data" / "train.tsv"),
@@ -315,7 +321,7 @@ class TestDepthsRecon:
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "train.depths").exists()
-        if flag == "--penalty":
+        if flag in ("--penalty", "--mlm-ckpt"):
             assert not out.exists()
 
 

@@ -234,6 +234,112 @@ class TestInPlaceKernel:
             h = out
 
 
+def reference_graph_layers(enc, ids, depths):
+    """The graph path before it gathered active rows: every layer runs on
+    every row, then a 0/1 mask puts the stopped rows' old states back."""
+    cfg, p = enc.config, enc.store
+    batch, time = ids.shape
+
+    def linear(x, i, w, b):
+        return ad.add(ad.matmul(x, p[f"layer{i}.{w}"]), p[f"layer{i}.{b}"])
+
+    def heads(x):
+        return ad.transpose(ad.reshape(x, (batch, time, cfg.n_heads, cfg.d_head)), (0, 2, 1, 3))
+
+    h = enc.embed(ids)
+    layers = []
+    for i in range(int(depths.max())):
+        q, k, v = (heads(linear(h, i, f"attn.w{c}", f"attn.b{c}")) for c in "qkv")
+        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
+        ctx = ad.matmul(ad.softmax(scores, -1), v)
+        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, time, cfg.d_model))
+        hr = ad.add(h, linear(ctx, i, "attn.wo", "attn.bo"))
+        hr = ad.layer_norm(hr, p[f"layer{i}.ln1.gamma"], p[f"layer{i}.ln1.beta"])
+        ff = linear(ad.relu(linear(hr, i, "ffn.w1", "ffn.b1")), i, "ffn.w2", "ffn.b2")
+        new = ad.layer_norm(ad.add(hr, ff), p[f"layer{i}.ln2.gamma"], p[f"layer{i}.ln2.beta"])
+        keep = (depths > i)[..., None].astype(np.float64)
+        h = ad.add(ad.mul(new, Tensor(keep)), ad.mul(h, Tensor(1.0 - keep)))
+        layers.append(h)
+    return layers
+
+
+class TestGatheredGraphLayer:
+    """The training path runs Q, attention, ``wo``, the layer norms and the
+    FFN on each sentence's active rows only; it must give the same loss and
+    gradients as computing every row and masking."""
+
+    @pytest.fixture
+    def perturbed(self):
+        enc = AdaptiveEncoder(small_config(d_model=12, d_ff=24), head="cls", seed=5)
+        gen = np.random.default_rng(13)
+        for name, p in enc.store.params.items():
+            if p.data.ndim == 1:
+                p.data[:] = (1.0 if "gamma" in name else 0.0) + gen.normal(0.0, 0.3, p.data.shape)
+        return enc
+
+    @pytest.mark.parametrize(
+        "depths",
+        [
+            pytest.param([[3, 3, 3, 3, 3], [3, 3, 3, 3, 3], [3, 3, 3, 3, 3]], id="all-active"),
+            # sentence 0 has no active row at layers 2 and 3
+            pytest.param([[1, 1, 1, 1, 1], [2, 3, 1, 3, 2], [3, 1, 2, 2, 3]], id="empty-sentence"),
+            # active counts 4, 2, 4 at layer 2 and 4, 1, 3 at layer 3
+            pytest.param([[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]], id="uneven"),
+        ],
+    )
+    def test_loss_and_gradients_match_masked_reference(self, perturbed, depths):
+        enc, depths = perturbed, np.array(depths)
+        ids = token_batch(depths.shape, seed=21)
+        gold = np.array([0, 1, 1])
+
+        def run(layers):
+            loss = enc.task_loss_graph(enc.classify_graph(layers[-1]), gold)
+            enc.store.zero_grad()
+            ad.backward(loss)
+            grads = {name: p.grad.copy() for name, p in enc.store.params.items()}
+            return [h.data for h in layers], float(loss.data), grads
+
+        got_states, got_loss, got = run(enc.forward_graph(ids, depths)[0])
+        ref_states, ref_loss, ref = run(reference_graph_layers(enc, ids, depths))
+        assert len(got_states) == len(ref_states) == 3
+        for n, (a, b) in enumerate(zip(got_states, ref_states), start=1):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=f"layer {n}")
+        assert abs(got_loss - ref_loss) <= 1e-10
+        for name, g in ref.items():
+            np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_stopped_rows_copied_exactly(self, perturbed):
+        ids = token_batch((3, 5), seed=22)
+        depths = np.array([[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]])
+        layers, _ = perturbed.forward_graph(ids, depths)
+        for b, t in np.argwhere(depths < 3):
+            stop = depths[b, t]
+            for n in range(stop, 3):
+                assert np.array_equal(layers[n].data[b, t], layers[stop - 1].data[b, t])
+
+    def test_ffn_rows_are_the_gathered_block(self, encoder, monkeypatch):
+        # the graph-path counterpart of ffn_applications == sum of depths:
+        # once a row has stopped, the FFN sees B*M rows (M the largest active
+        # count of any sentence), not B*T
+        w1 = {id(encoder.store[f"layer{i}.ffn.w1"]): i for i in range(3)}
+        rows: list[tuple[int, int]] = []
+        matmul = ad.matmul
+
+        def counting(a, b):
+            if id(b) in w1:
+                rows.append((w1[id(b)], a.data.size // a.data.shape[-1]))
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", counting)
+        ids = token_batch((3, 5), seed=23)
+        depths = np.array([[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]])
+        encoder.forward_graph(ids, depths, train=True)
+        assert rows == [(0, 3 * 5), (1, 3 * 4), (2, 3 * 4)]
+        rows.clear()
+        encoder.forward_graph(ids, np.array([[1, 2, 1, 1, 1], [1, 1, 1, 1, 3], [1, 1, 1, 1, 1]]), train=True)
+        assert rows == [(0, 3 * 5), (1, 3 * 1), (2, 3 * 1)]
+
+
 class TestClassify:
     def test_zero_states_give_uniform_distribution(self, encoder):
         probs = encoder.classify_infer(np.zeros((2, 4, 16)))
