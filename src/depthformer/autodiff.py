@@ -48,12 +48,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
-    # own copy on first write: vjp outputs may be shared between nodes
-    if tensor.grad is None:
-        tensor.grad = np.array(grad)
-    else:
+def _accumulate(tensor: Tensor, grad: np.ndarray, node: Tensor, grads: tuple) -> None:
+    """Add ``grad``, one of ``node``'s VJP outputs ``grads``, into ``tensor``.
+
+    A first gradient is later added to in place, so it is stored without a
+    copy only when no other array can see its memory: a fresh array that is
+    neither ``node``'s own gradient nor handed to another parent too (``add``,
+    ``reshape`` and ``transpose`` return ``node.grad`` or views of it).
+    """
+    if tensor.grad is not None:
         tensor.grad += grad
+    elif (
+        isinstance(grad, np.ndarray)
+        and grad.base is None
+        and grad is not node.grad
+        and (len(grads) == 1 or sum(g is grad for g in grads) == 1)
+    ):
+        tensor.grad = grad
+    else:
+        tensor.grad = np.array(grad)
 
 
 def backward(loss: Tensor) -> None:
@@ -88,7 +101,7 @@ def backward(loss: Tensor) -> None:
         for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue
-            _accumulate(parent, g)
+            _accumulate(parent, g, node, grads)
 
 
 # ---------------------------------------------------------------------------

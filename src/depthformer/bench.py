@@ -8,25 +8,25 @@ min/median over repeated runs.
 
 from __future__ import annotations
 
+import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - present in normal installs
-    threadpool_limits = None
 
 from .corpus import Corpus
 from .encoder import AdaptiveEncoder, LayerCounts
 from .train import check_depth_alignment, gather_batch, length_buckets
 
 
-def single_worker():
-    """Pin BLAS to one thread while timing; counts are unaffected."""
-    return threadpool_limits(limits=1) if threadpool_limits is not None else nullcontext()
+def blas_threads() -> str:
+    """The BLAS thread setting in the environment, which the BLAS library
+    reads when it loads, so that a timing shows whether it ran on one
+    thread; nothing here changes the setting."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        if var in os.environ:
+            return f"{var}={os.environ[var]}"
+    return "unset"
 
 
 def upper_median(values: list[int]) -> int:
@@ -176,11 +176,6 @@ def bench_compare(
         raise ValueError(f"reps must be >= 1, got {reps}")
     if any(b < 1 for b in batch_sizes):
         raise ValueError(f"batch_sizes must all be >= 1, got {batch_sizes}")
-    with single_worker():
-        return _bench_compare(encoder, ids, depth_rows, batch_sizes, reps)
-
-
-def _bench_compare(encoder, ids, depth_rows, batch_sizes, reps):
     configs = [(b, rows) for b in batch_sizes for rows in (None, depth_rows)]
     for batch_size, rows in configs:  # warmup
         _timed_pass(encoder, ids, rows, batch_size)

@@ -211,6 +211,7 @@ def cmd_eval(args) -> int:
         ("wall_total_ns_median", bench.upper_median(totals)),
         ("wall_forward_ns_min", min(counts.wall_ns)),
         ("wall_forward_ns_median", bench.upper_median(counts.wall_ns)),
+        ("blas_threads", bench.blas_threads()),
     ]
     for key, value in lines:
         print(f"{key}\t{value}")
@@ -280,6 +281,7 @@ def cmd_bench(args) -> int:
         )
     batch_sizes = [int(x) for x in args.batch_sizes.split(",")]
     rows = bench.bench_compare(encoder, ids, depth_rows, batch_sizes, reps=args.reps)
+    print(f"blas_threads\t{bench.blas_threads()}")
     print(bench.BenchRow.HEADER)
     out_lines = [bench.BenchRow.HEADER]
     for row in rows:

@@ -12,9 +12,10 @@ plain-numpy inference path, which is what the speed benchmarks measure.
 Both skip the work for stopped tokens except their keys and values, which
 come from every row. The graph path gathers each sentence's active rows
 into one padded block, runs the rest of the layer on it and scatters the
-results back. The inference path runs the rest of the layer on the whole
-batch when every row is active, otherwise once per sentence on that
-sentence's active rows.
+results back. The inference path plans its routing once per batch: it
+sorts sentences and, within each, tokens by depth, deepest first, so every
+layer's active rows lie in one leading corner of the batch, on which the
+rest of the layer runs as a single block.
 """
 
 from __future__ import annotations
@@ -140,6 +141,13 @@ def _log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
+def _unpermute(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Undo ``x = original[rows, cols]``."""
+    out = np.empty_like(x)
+    out[rows, cols] = x
+    return out
+
+
 def _layer_norm_np(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Layer norm written into ``x``, which the caller must own; returns ``x``.
 
@@ -170,6 +178,11 @@ class AdaptiveEncoder:
         self._dropout_rng = np.random.default_rng(dropout_seed)
         self._init_params(np.random.default_rng(init_seed))
         self._pe = sinusoidal_encoding(config.max_len, config.d_model, config.dtype)
+        # adam_step and load_arrays replace .data on these same Tensor
+        # objects, so the tuples never go stale
+        self._layer_tensors = [
+            tuple(self.store[f"layer{i}.{name}"] for name in _LAYER_PARAMS) for i in range(config.n_layers)
+        ]
 
     # ------------------------------------------------------------------
     # parameters
@@ -369,51 +382,61 @@ class AdaptiveEncoder:
             raise ValueError(f"token id out of range: max id {ids.max()} for vocab {table.shape[0]}")
         return table[ids] * self.config.dtype.type(math.sqrt(self.config.d_model)) + self._pe[: ids.shape[1]]
 
-    def _layer_infer(self, h: np.ndarray, i: int, active: np.ndarray) -> np.ndarray:
-        """One layer for the active rows; stopped rows are copied bit-exactly
-        yet still contribute keys/values for everyone else's attention."""
+    def _layer_infer(
+        self, h: np.ndarray, i: int, block: tuple[int, int], active: np.ndarray | None
+    ) -> np.ndarray:
+        """One layer whose active rows all lie in the leading ``block`` =
+        (b, m) corner of ``h``. Keys and values come from every row; the rest
+        of the layer runs on ``h[:b, :m]``. ``active`` is that corner's mask,
+        or None when every corner row is active. Stopped rows, inside the
+        corner or outside it, are copied bit-exactly. ``h`` is never written.
+
+        Attention is key-major: scores are ``K·Qᵀ`` of shape (b, H, T, m),
+        so the softmax reduces over the key axis -2, which numpy runs several
+        times faster than a reduction over a short last axis once the block
+        holds a few dozen queries. ``q`` carries the 1/√d_head scale and the
+        context is normalized after the ``P·V`` product.
+        """
         cfg = self.config
         batch, time, d = h.shape
-        w = {name: self.store[f"layer{i}.{name}"].data for name in _LAYER_PARAMS}
-        k = h @ w["attn.wk"]
-        k += w["attn.bk"]
-        v = h @ w["attn.wv"]
-        v += w["attn.bv"]
-
-        def rows(hq: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-            # (B, M, d) query rows attending over (B, T, d) keys/values.
-            # Every elementwise step writes into a matmul output this function
-            # owns, never into hq, keys or values.
-            b, m, _ = hq.shape
-            q = hq @ w["attn.wq"]
-            q += w["attn.bq"]
-            qh = q.reshape(b, m, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
-            kh = keys.reshape(b, time, cfg.n_heads, cfg.d_head).transpose(0, 2, 3, 1)
-            vh = values.reshape(b, time, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
-            scores = np.matmul(qh, kh)
-            scores /= math.sqrt(cfg.d_head)
-            probs = _softmax_np(scores)
-            ctx = np.matmul(probs, vh).transpose(0, 2, 1, 3).reshape(b, m, d)
-            attn = ctx @ w["attn.wo"]
-            attn += w["attn.bo"]
-            attn += hq
-            hr = _layer_norm_np(attn, w["ln1.gamma"], w["ln1.beta"])
-            hid = hr @ w["ffn.w1"]
-            hid += w["ffn.b1"]
-            np.maximum(hid, 0, out=hid)
-            ff = hid @ w["ffn.w2"]
-            ff += w["ffn.b2"]
-            ff += hr
-            return _layer_norm_np(ff, w["ln2.gamma"], w["ln2.beta"])
-
-        if active.all():
-            return rows(h, k, v)
-        out = h.copy()
-        for b in range(batch):
-            idx = np.nonzero(active[b])[0]
-            if idx.size:
-                out[b, idx] = rows(h[b, idx][None], k[b : b + 1], v[b : b + 1])[0]
-        return out
+        b, m = block
+        heads, d_head = cfg.n_heads, cfg.d_head
+        wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = (
+            t.data for t in self._layer_tensors[i]
+        )
+        k = h @ wk
+        k += bk
+        v = h @ wv
+        v += bv
+        # every elementwise step below writes into an array this layer made
+        hq = h[:b, :m]
+        q = hq @ wq
+        q += bq
+        q *= 1.0 / math.sqrt(d_head)
+        qh = q.reshape(b, m, heads, d_head).transpose(0, 2, 3, 1)
+        kh = k[:b].reshape(b, time, heads, d_head).transpose(0, 2, 1, 3)
+        vh = v[:b].reshape(b, time, heads, d_head).transpose(0, 2, 3, 1)
+        scores = np.matmul(kh, qh)
+        scores -= scores.max(axis=-2, keepdims=True)
+        np.exp(scores, out=scores)
+        ctx = np.matmul(vh, scores)
+        ctx /= scores.sum(axis=-2, keepdims=True)
+        attn = ctx.transpose(0, 3, 1, 2).reshape(b, m, d) @ wo
+        attn += bo
+        attn += hq
+        hr = _layer_norm_np(attn, ln1_g, ln1_b)
+        hid = hr @ w1
+        hid += b1
+        np.maximum(hid, 0, out=hid)
+        out = hid @ w2
+        out += b2
+        out += hr
+        _layer_norm_np(out, ln2_g, ln2_b)
+        if active is None and (b, m) == (batch, time):
+            return out
+        new = h.copy()
+        np.copyto(new[:b, :m], out, where=True if active is None else active[..., None])
+        return new
 
     def forward_infer(
         self,
@@ -421,20 +444,46 @@ class AdaptiveEncoder:
         depths: np.ndarray | None = None,
         collect_layers: bool = False,
     ) -> tuple[np.ndarray | list[np.ndarray], LayerCounts]:
+        """Final (or every executed layer's) states with exact work counts.
+
+        Routing is planned once per batch. Unless every depth is equal,
+        sentences are sorted by their deepest token and each sentence's
+        tokens by depth, deepest first (both stable), so at layer n every
+        active row lies in a leading (b_n, m_n) corner: b_n sentences still
+        have an active row and m_n is the largest active count among them.
+        The returned states are put back in input order.
+        """
         ids, depths = self._check_inputs(ids, depths)
         batch, time = ids.shape
         h = self.embed_infer(ids)
         n_max = int(depths.max())
-        counts = LayerCounts(n_max=n_max, n_tokens=ids.size)
+        counts = LayerCounts(
+            ffn_applications=int(depths.sum()), kv_projections=n_max * ids.size, n_max=n_max, n_tokens=ids.size
+        )
+        if int(depths.min()) == n_max:
+            plan = [((batch, time), False)] * n_max
+            rows = cols = None
+        else:
+            rows = np.argsort(-depths.max(axis=1), kind="stable")
+            cols = np.argsort(-depths[rows], axis=1, kind="stable")
+            rows = rows[:, None]
+            depths = depths[rows, cols]
+            h = h[rows, cols]
+            n_active = np.count_nonzero(depths >= np.arange(1, n_max + 1)[:, None, None], axis=2)
+            b_n = np.count_nonzero(n_active, axis=1)
+            m_n = n_active.max(axis=1)
+            masked = n_active.sum(axis=1) < b_n * m_n
+            plan = list(zip(zip(b_n.tolist(), m_n.tolist()), masked.tolist()))
         layers: list[np.ndarray] = []
-        for n in range(1, n_max + 1):
-            active = depths >= n
-            h = self._layer_infer(h, n - 1, active)
-            counts.kv_projections += batch * time
-            counts.ffn_applications += int(active.sum())
+        for n, ((b, m), masked) in enumerate(plan, start=1):
+            h = self._layer_infer(h, n - 1, (b, m), depths[:b, :m] >= n if masked else None)
             if collect_layers:
                 layers.append(h)
-        return (layers if collect_layers else h), counts
+        if rows is None:
+            return (layers if collect_layers else h), counts
+        if collect_layers:
+            return [_unpermute(x, rows, cols) for x in layers], counts
+        return _unpermute(h, rows, cols), counts
 
     def classify_infer(self, h_last: np.ndarray) -> np.ndarray:
         feats = np.concatenate([h_last.max(axis=1), h_last.mean(axis=1)], axis=-1)

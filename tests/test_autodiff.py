@@ -212,6 +212,26 @@ class TestBackward:
         ad.backward(loss)
         np.testing.assert_allclose(a.grad, [2.0])
 
+    @pytest.mark.parametrize("shared_first", [True, False], ids=["shared-first", "shared-last"])
+    def test_gradient_handed_to_two_parents_is_not_shared(self, shared_first):
+        # add hands its one gradient array to both parents, then mul gives
+        # each parent a second contribution, added in place; neither may
+        # leak into the other, whichever term backward reaches first
+        arrays = [rng().normal(size=(3, 4)), np.random.default_rng(1).normal(size=(3, 4))]
+        r1, r2 = np.random.default_rng(2).normal(size=(2, 3, 4))
+
+        def build(a, b):
+            shared = ad.sum_all(ad.mul(ad.add(a, b), Tensor(r1)))
+            other = ad.sum_all(ad.mul(ad.mul(a, b), Tensor(r2)))
+            return ad.add(shared, other) if shared_first else ad.add(other, shared)
+
+        a, b = (Tensor(x, requires_grad=True) for x in arrays)
+        ad.backward(build(a, b))
+        fd = finite_difference(lambda: float(build(*map(Tensor, arrays)).data), arrays)
+        for leaf, want in zip((a, b), fd):
+            np.testing.assert_allclose(leaf.grad, want, rtol=1e-6, atol=1e-6)
+        assert not np.shares_memory(a.grad, b.grad)
+
     def test_backward_requires_scalar(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):

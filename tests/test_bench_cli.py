@@ -116,6 +116,27 @@ class TestTrainAndEval:
         assert int(lines["ffn_applications"]) == int(lines["fixed_ffn_applications"])
         assert float(lines["count_ratio"]) == 1.0
 
+    @pytest.mark.parametrize(
+        "env, shown",
+        [
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, "OPENBLAS_NUM_THREADS=1"),
+            ({"OMP_NUM_THREADS": "2"}, "OMP_NUM_THREADS=2"),
+            ({}, "unset"),
+        ],
+        ids=["openblas", "omp", "unset"],
+    )
+    def test_eval_prints_the_blas_thread_setting(self, workdir, capsys, monkeypatch, env, shown):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert main([
+            "eval", "--ckpt", str(workdir / "cls.ckpt"),
+            "--data-tsv", str(workdir / "data" / "test.tsv"), "--reps", "1",
+        ]) == 0
+        lines = dict(l.split("\t") for l in capsys.readouterr().out.strip().splitlines())
+        assert lines["blas_threads"] == shown
+
     def test_constant_full_depth_file_equals_no_file(self, workdir, tmp_path, capsys):
         corpus = load_tsv(workdir / "data" / "test.tsv")
         full = [np.full(len(d.tokens), 2, dtype=np.int64) for d in corpus.documents]
@@ -374,6 +395,10 @@ class TestBenchCommand:
         ]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == bench.BenchRow.HEADER
+        # the thread setting goes to stdout only; the TSV keeps its schema
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == f"blas_threads\t{bench.blas_threads()}"
+        assert printed[1:] == lines
         depth_rows = make_bench_depths(4, 16, 2, 1.5, seed=3)  # as the command draws them
         for line in lines[1:]:
             cols = line.split("\t")

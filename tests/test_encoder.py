@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from depthformer import autodiff as ad
+from depthformer import encoder as enc_module
 from depthformer.autodiff import Tensor
 from depthformer.encoder import _LAYER_PARAMS, AdaptiveEncoder, EncoderConfig
+from depthformer.optim import adam_step
 
 
 def small_config(**overrides):
@@ -144,24 +146,85 @@ class TestAdaptiveForward:
             np.testing.assert_allclose(h_batch[b], h_one[0], atol=1e-10)
 
 
-def reference_layer(enc, h, i, active):
-    """One inference layer in the plain allocating formula: every step makes
-    a new array and the layer norm goes through ``np.var``. Rows are grouped
-    the way the encoder groups them (the whole batch when every row is
-    active, else each sentence's active rows), so results must match bit
-    for bit."""
+def _layer_weights(enc, i):
+    return {name: enc.store[f"layer{i}.{name}"].data for name in _LAYER_PARAMS}
+
+
+def _plain_layer_norm(x, gamma, beta):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + 1e-5) * gamma + beta
+
+
+def reference_layer(enc, h, i, b, m):
+    """One inference layer in the plain allocating formula, for the query
+    rows ``h[:b, :m]`` against every row's keys and values: every step makes
+    a new array and the layer norm goes through ``np.var``. Key-major
+    attention as the encoder computes it: the scores are K·Qᵀ with the
+    1/√d_head scale on q, the softmax reduces over the key axis -2, and the
+    context is normalized after the P·V product. Returns the (b, m, d)
+    block."""
+    cfg = enc.config
+    _, time, d = h.shape
+    heads, dh = cfg.n_heads, cfg.d_head
+    w = _layer_weights(enc, i)
+    k = h @ w["attn.wk"] + w["attn.bk"]
+    v = h @ w["attn.wv"] + w["attn.bv"]
+    hq = h[:b, :m]
+    q = (hq @ w["attn.wq"] + w["attn.bq"]) * (1.0 / math.sqrt(dh))
+    qh = q.reshape(b, m, heads, dh).transpose(0, 2, 3, 1)
+    kh = k[:b].reshape(b, time, heads, dh).transpose(0, 2, 1, 3)
+    vh = v[:b].reshape(b, time, heads, dh).transpose(0, 2, 3, 1)
+    scores = np.matmul(kh, qh)
+    e = np.exp(scores - scores.max(axis=-2, keepdims=True))
+    ctx = np.matmul(vh, e) / e.sum(axis=-2, keepdims=True)
+    attn = ctx.transpose(0, 3, 1, 2).reshape(b, m, d) @ w["attn.wo"] + w["attn.bo"]
+    hr = _plain_layer_norm(hq + attn, w["ln1.gamma"], w["ln1.beta"])
+    ff = np.maximum(hr @ w["ffn.w1"] + w["ffn.b1"], 0.0) @ w["ffn.w2"] + w["ffn.b2"]
+    return _plain_layer_norm(hr + ff, w["ln2.gamma"], w["ln2.beta"])
+
+
+def reference_forward(enc, ids, depths):
+    """Every layer's states, grouped the way the encoder groups rows:
+    sentences sorted by their deepest token and each sentence's tokens by
+    depth, deepest first, both stable (Python's ``sorted``); layer n runs on
+    the smallest leading corner that holds every active row, and stopped
+    rows keep their state. Each layer is returned in input order, so the
+    result must match the encoder bit for bit."""
+    batch, time = ids.shape
+    h = enc.embed_infer(ids)
+    sents = sorted(range(batch), key=lambda s: -max(depths[s]))
+    toks = [sorted(range(time), key=lambda t: -depths[s][t]) for s in sents]
+    hp = np.stack([h[s, order] for s, order in zip(sents, toks)])
+    dp = np.stack([depths[s][order] for s, order in zip(sents, toks)])
+    layers = []
+    for n in range(1, int(depths.max()) + 1):
+        act = dp >= n
+        b = int(act.any(axis=1).sum())
+        m = int(act.sum(axis=1).max())
+        block = reference_layer(enc, hp, n - 1, b, m)
+        hp = hp.copy()
+        corner = hp[:b, :m]
+        corner[act[:b, :m]] = block[act[:b, :m]]
+        out = np.empty_like(hp)
+        for row, (s, order) in enumerate(zip(sents, toks)):
+            out[s, order] = hp[row]
+        layers.append(out)
+    return layers
+
+
+def rowmajor_reference_layer(enc, h, i, active):
+    """The earlier inference layer: query-major scores with the softmax over
+    the last axis, in input order, on the whole batch when every row is
+    active, else on each sentence's active rows in turn. It rounds
+    differently from the encoder, so it is a tolerance reference."""
     cfg = enc.config
     batch, time, d = h.shape
-    w = {name: enc.store[f"layer{i}.{name}"].data for name in _LAYER_PARAMS}
+    w = _layer_weights(enc, i)
 
     def softmax(x):
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)
-
-    def layer_norm(x, gamma, beta):
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return (x - mean) / np.sqrt(var + 1e-5) * gamma + beta
 
     k = h @ w["attn.wk"] + w["attn.bk"]
     v = h @ w["attn.wv"] + w["attn.bv"]
@@ -175,9 +238,9 @@ def reference_layer(enc, h, i, active):
         probs = softmax(np.matmul(qh, kh) / math.sqrt(cfg.d_head))
         ctx = np.matmul(probs, vh).transpose(0, 2, 1, 3).reshape(b, m, d)
         attn = ctx @ w["attn.wo"] + w["attn.bo"]
-        hr = layer_norm(hq + attn, w["ln1.gamma"], w["ln1.beta"])
+        hr = _plain_layer_norm(hq + attn, w["ln1.gamma"], w["ln1.beta"])
         ff = np.maximum(hr @ w["ffn.w1"] + w["ffn.b1"], 0.0) @ w["ffn.w2"] + w["ffn.b2"]
-        return layer_norm(hr + ff, w["ln2.gamma"], w["ln2.beta"])
+        return _plain_layer_norm(hr + ff, w["ln2.gamma"], w["ln2.beta"])
 
     if active.all():
         return rows(h, k, v)
@@ -189,8 +252,18 @@ def reference_layer(enc, h, i, active):
     return out
 
 
+def corners(depths):
+    """Each layer's leading (b, m) corner for depths already sorted across
+    and within sentences, deepest first."""
+    return [
+        (int((depths >= n).any(axis=1).sum()), int((depths >= n).sum(axis=1).max()))
+        for n in range(1, int(depths.max()) + 1)
+    ]
+
+
 class TestInPlaceKernel:
-    """The inference kernel reuses its own temporaries; it must still give
+    """The inference kernel plans its routing once per batch, runs each
+    layer on one corner block and reuses its own temporaries; it must give
     exactly the plain formula's bits and never write into its input."""
 
     @pytest.fixture(params=["f32", "f64"])
@@ -205,33 +278,96 @@ class TestInPlaceKernel:
                 p.data[:] = (1.0 if "gamma" in name else 0.0) + gen.normal(0.0, 0.3, p.data.shape)
         return enc
 
+    @staticmethod
+    def unsorted_depths(batch, seed):
+        # unsorted across sentences (the deepest is not first) and within
+        # each one, with a sentence that stops at layer 1 when batch > 1
+        depths = np.random.default_rng(seed).integers(1, 5, size=(batch, 9))
+        depths[-1, 4] = 4
+        if batch > 1:
+            depths[0] = 1
+            depths[1, 0] = 1
+        return depths
+
     @pytest.mark.parametrize("batch", [1, 4])
     @pytest.mark.parametrize("mixed", [False, True], ids=["full", "mixed"])
     def test_collected_layers_match_reference_bit_for_bit(self, perturbed, batch, mixed):
         ids = token_batch((batch, 9), seed=batch)
-        depths = None
-        if mixed:
-            depths = np.random.default_rng(batch + 20).integers(1, 5, size=ids.shape)
-            depths[0, 0] = 4  # reach the last layer with partial rows on the way
+        depths = self.unsorted_depths(batch, batch + 20) if mixed else None
         layers, _ = perturbed.forward_infer(ids, depths, collect_layers=True)
         full = np.full(ids.shape, 4) if depths is None else depths
-        h = perturbed.embed_infer(ids)
-        assert len(layers) == 4
-        for n, got in enumerate(layers, start=1):
-            h = reference_layer(perturbed, h, n - 1, full >= n)
+        want = reference_forward(perturbed, ids, full)
+        assert len(layers) == len(want) == 4
+        for n, (got, ref) in enumerate(zip(layers, want), start=1):
             assert got.dtype == perturbed.config.dtype
-            assert np.array_equal(got, h), f"layer {n}"
+            assert np.array_equal(got, ref), f"layer {n}"
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["full", "mixed"])
+    def test_collected_layers_match_rowmajor_reference(self, perturbed, batch, mixed):
+        ids = token_batch((batch, 9), seed=batch + 7)
+        depths = self.unsorted_depths(batch, batch + 30) if mixed else np.full(ids.shape, 4)
+        layers, _ = perturbed.forward_infer(ids, depths, collect_layers=True)
+        tol = 1e-5 if perturbed.config.precision == "f32" else 1e-12
+        h = perturbed.embed_infer(ids)
+        for n, got in enumerate(layers, start=1):
+            h = rowmajor_reference_layer(perturbed, h, n - 1, depths >= n)
+            np.testing.assert_allclose(got, h, rtol=0, atol=tol, err_msg=f"layer {n}")
 
     @pytest.mark.parametrize("mixed", [False, True], ids=["full", "mixed"])
     def test_layer_input_left_unchanged(self, perturbed, mixed):
         ids = token_batch((3, 7), seed=2)
         depths = np.random.default_rng(3).integers(1, 5, size=ids.shape) if mixed else np.full(ids.shape, 4)
+        # the kernel takes rows already in corner order: deepest first
+        depths = -np.sort(-depths, axis=1)
+        depths = depths[np.argsort(-depths[:, 0], kind="stable")]
         h = perturbed.embed_infer(ids)
-        for n in range(1, 5):
+        for n, (b, m) in enumerate(corners(depths), start=1):
+            active = depths[:b, :m] >= n
             before = h.copy()
-            out = perturbed._layer_infer(h, n - 1, depths >= n)
+            out = perturbed._layer_infer(h, n - 1, (b, m), None if active.all() else active)
             assert np.array_equal(h, before), f"layer {n} wrote into its input"
             h = out
+
+    def test_each_layer_runs_on_its_corner_block(self, encoder, monkeypatch):
+        # the layer norms see the (b_n, m_n) corner: sentence 0 stops at
+        # layer 1, and at most 4 then 2 tokens of a sentence stay active
+        shapes = []
+        layer_norm = enc_module._layer_norm_np
+
+        def recording(x, gamma, beta):
+            shapes.append(x.shape[:-1])
+            return layer_norm(x, gamma, beta)
+
+        monkeypatch.setattr(enc_module, "_layer_norm_np", recording)
+        ids = token_batch((3, 5), seed=24)
+        depths = np.array([[1, 1, 1, 1, 1], [2, 3, 1, 3, 2], [3, 1, 2, 2, 3]])
+        encoder.forward_infer(ids, depths)
+        assert shapes == [(3, 5), (3, 5), (2, 4), (2, 4), (2, 2), (2, 2)]
+        shapes.clear()
+        encoder.forward_infer(ids, np.array([[1, 2, 1, 1, 1], [1, 1, 1, 1, 3], [1, 1, 1, 1, 1]]))
+        assert shapes == [(3, 5), (3, 5), (2, 1), (2, 1), (1, 1), (1, 1)]
+
+    def test_weight_cache_follows_load_arrays_and_adam_step(self, perturbed):
+        ids = token_batch((3, 6), seed=25)
+        depths = np.random.default_rng(26).integers(1, 5, size=ids.shape)
+        cfg = perturbed.config
+
+        def fresh_copy():
+            enc = AdaptiveEncoder(cfg, head="cls", seed=0)
+            enc.store.load_arrays({k: v.copy() for k, v in perturbed.store.state_arrays().items()})
+            return enc
+
+        perturbed.forward_infer(ids, depths)  # read the weights once before they change
+        other = AdaptiveEncoder(cfg, head="cls", seed=9)
+        perturbed.store.load_arrays({k: v.copy() for k, v in other.store.state_arrays().items()})
+        assert np.array_equal(perturbed.forward_infer(ids, depths)[0], fresh_copy().forward_infer(ids, depths)[0])
+
+        layers, _ = perturbed.forward_graph(ids, depths, train=False)
+        perturbed.store.zero_grad()
+        ad.backward(perturbed.task_loss_graph(perturbed.classify_graph(layers[-1]), np.array([0, 1, 1])))
+        adam_step(perturbed.store, lr=0.05)
+        assert np.array_equal(perturbed.forward_infer(ids, depths)[0], fresh_copy().forward_infer(ids, depths)[0])
 
 
 def reference_graph_layers(enc, ids, depths):
