@@ -349,24 +349,32 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Te
     return _result(x.data * mask, (x,), vjp)
 
 
-def scatter_rows(old: Tensor, new: Tensor, dst: np.ndarray, src: np.ndarray) -> Tensor:
-    """Rows of ``old`` with ``new[src]`` written over rows ``dst``, along
-    axis 0; every other row is copied exactly. ``dst`` and ``src`` each name
-    distinct rows.
+def corner(x: Tensor, b: int, m: int) -> Tensor:
+    """The leading ``x[:b, :m]`` block, a view; its gradient is zero-padded."""
 
-    Gradients split the same way: ``g[dst]`` flows to ``new[src]``, and
-    ``old`` gets ``g`` with zeros at ``dst``.
-    """
-    dst = np.asarray(dst, dtype=np.int64)
-    src = np.asarray(src, dtype=np.int64)
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        gx[:b, :m] = g
+        return (gx,)
+
+    return _result(x.data[:b, :m], (x,), vjp)
+
+
+def put_corner(old: Tensor, new: Tensor, where: np.ndarray | None = None) -> Tensor:
+    """``old`` with its leading ``[:b, :m]`` corner, (b, m) being ``new``'s
+    first two dimensions, taken from ``new`` wherever the corner mask
+    ``where`` is true (everywhere when None); every other row is copied
+    exactly. Gradients split the same way."""
+    b, m = new.data.shape[:2]
+    keep = True if where is None else where[..., None]
     out = old.data.copy()
-    out[dst] = new.data[src]
+    np.copyto(out[:b, :m], new.data, where=keep)
 
     def vjp(g):
         g_old = g.copy()
-        g_old[dst] = 0.0
         g_new = np.zeros_like(new.data)
-        g_new[src] = g[dst]
+        np.copyto(g_new, g[:b, :m], where=keep)
+        np.copyto(g_old[:b, :m], 0.0, where=keep)
         return g_old, g_new
 
     return _result(out, (old, new), vjp)

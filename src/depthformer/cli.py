@@ -82,6 +82,14 @@ def _load_eval_corpus(ckpt_path: str | Path, data_tsv: Path, meta: dict[str, str
     return load_tsv(data_tsv, _config_from_meta(meta), vocab=vocab, labels=meta["labels"].split(","))
 
 
+def _emit(lines: list[str], path: Path | None) -> None:
+    """Print ``lines`` and, when ``path`` is set, write the same text there."""
+    text = "".join(line + "\n" for line in lines)
+    print(text, end="")
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -182,6 +190,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"reps must be >= 1, got {args.reps}")
     encoder, meta = AdaptiveEncoder.load(args.ckpt)
     if args.precision and args.precision != encoder.config.precision:
         cast = AdaptiveEncoder(replace(encoder.config, precision=args.precision), encoder.head, seed=0)
@@ -190,11 +200,8 @@ def cmd_eval(args) -> int:
     corpus = _load_eval_corpus(args.ckpt, args.data_tsv, meta)
     depth_maps = mi.read_depth_file(args.depths) if args.depths else None
 
-    accuracy, counts = bench.evaluate_classifier(encoder, corpus, depth_maps, batch_size=args.batch_size)
-    totals = [sum(counts.wall_ns)]
-    for _ in range(max(0, args.reps - 1)):
-        _, rep = bench.evaluate_classifier(encoder, corpus, depth_maps, batch_size=args.batch_size)
-        totals.append(sum(rep.wall_ns))
+    runs = [bench.evaluate_classifier(encoder, corpus, depth_maps, batch_size=args.batch_size) for _ in range(args.reps)]
+    (accuracy, counts), totals = runs[0], [sum(rep.wall_ns) for _, rep in runs]
 
     # what a fixed-depth pass over the same tokens would execute
     fixed_ffn_applications = encoder.config.n_layers * counts.n_tokens
@@ -213,12 +220,7 @@ def cmd_eval(args) -> int:
         ("wall_forward_ns_median", bench.upper_median(counts.wall_ns)),
         ("blas_threads", bench.blas_threads()),
     ]
-    for key, value in lines:
-        print(f"{key}\t{value}")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            for key, value in lines:
-                fh.write(f"{key}\t{value}\n")
+    _emit([f"{key}\t{value}" for key, value in lines], args.report)
     return 0
 
 
@@ -254,15 +256,8 @@ def cmd_sweep_lambda(args) -> int:
             accuracy = f"{acc:.4f}"
         rows.append((penalty, accuracy, speed, avg))
 
-    header = "lambda\taccuracy\tspeed\tavg_depth"
-    print(header)
-    out_lines = [header]
-    for penalty, accuracy, speed, avg in rows:
-        line = f"{penalty}\t{accuracy}\t{speed:.3f}\t{avg:.4f}"
-        print(line)
-        out_lines.append(line)
-    if args.out:
-        Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
+    table = [f"{penalty}\t{accuracy}\t{speed:.3f}\t{avg:.4f}" for penalty, accuracy, speed, avg in rows]
+    _emit(["lambda\taccuracy\tspeed\tavg_depth", *table], args.out)
     return 0
 
 
@@ -282,13 +277,7 @@ def cmd_bench(args) -> int:
     batch_sizes = [int(x) for x in args.batch_sizes.split(",")]
     rows = bench.bench_compare(encoder, ids, depth_rows, batch_sizes, reps=args.reps)
     print(f"blas_threads\t{bench.blas_threads()}")
-    print(bench.BenchRow.HEADER)
-    out_lines = [bench.BenchRow.HEADER]
-    for row in rows:
-        print(row.as_tsv())
-        out_lines.append(row.as_tsv())
-    if args.out:
-        Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
+    _emit([bench.BenchRow.HEADER, *(row.as_tsv() for row in rows)], args.out)
     return 0
 
 

@@ -9,13 +9,9 @@ present in the batch.
 Two forward implementations share the same parameters: a graph-building
 path used for training (gradients flow through the copy routing) and a
 plain-numpy inference path, which is what the speed benchmarks measure.
-Both skip the work for stopped tokens except their keys and values, which
-come from every row. The graph path gathers each sentence's active rows
-into one padded block, runs the rest of the layer on it and scatters the
-results back. The inference path plans its routing once per batch: it
-sorts sentences and, within each, tokens by depth, deepest first, so every
-layer's active rows lie in one leading corner of the batch, on which the
-rest of the layer runs as a single block.
+Both run on one routing plan, made once per batch by ``_route``: each
+layer's active rows lie in one leading corner of the depth-sorted batch,
+on which everything but the keys and values runs as a single block.
 """
 
 from __future__ import annotations
@@ -141,11 +137,38 @@ def _log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def _unpermute(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Undo ``x = original[rows, cols]``."""
-    out = np.empty_like(x)
-    out[rows, cols] = x
-    return out
+def _route(depths: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, list, LayerCounts]:
+    """The routing of one batch, planned from its depths before any layer runs.
+
+    Unless every depth is equal, sentences are sorted by their deepest token
+    and each sentence's tokens by depth, deepest first (both stable), so at
+    layer n every active row lies in a leading (b_n, m_n) corner: b_n
+    sentences still have an active row and m_n is the largest active count
+    among them. Returns the flat gather of the B·T positions into that
+    order and the one back (both None when nothing is sorted), each layer's
+    ((b_n, m_n), corner mask), the mask None when the whole corner is
+    active, and the exact counts: keys and values come from every row.
+    """
+    batch, time = depths.shape
+    n_max = int(depths.max())
+    counts = LayerCounts(
+        ffn_applications=int(depths.sum()), kv_projections=n_max * depths.size, n_max=n_max, n_tokens=depths.size
+    )
+    if int(depths.min()) == n_max:
+        return None, None, [((batch, time), None)] * n_max, counts
+    rows = np.argsort(-depths.max(axis=1), kind="stable")
+    cols = np.argsort(-depths[rows], axis=1, kind="stable")
+    order = (rows[:, None] * time + cols).ravel()
+    depths = depths.reshape(-1)[order].reshape(batch, time)
+    n_active = np.count_nonzero(depths >= np.arange(1, n_max + 1)[:, None, None], axis=2)
+    b_n = np.count_nonzero(n_active, axis=1)
+    m_n = n_active.max(axis=1)
+    masked = n_active.sum(axis=1) < b_n * m_n
+    plan = [
+        ((b, m), depths[:b, :m] >= n if mask else None)
+        for n, b, m, mask in zip(range(1, n_max + 1), b_n.tolist(), m_n.tolist(), masked.tolist())
+    ]
+    return order, np.argsort(order), plan, counts
 
 
 def _layer_norm_np(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -257,72 +280,59 @@ class AdaptiveEncoder:
         cfg = self.config
         return ad.transpose(ad.reshape(x, (batch, time, cfg.n_heads, cfg.d_head)), (0, 2, 1, 3))
 
-    def _layer_graph(self, h: Tensor, i: int, active: np.ndarray, train: bool) -> Tensor:
-        """One layer on the graph. Keys and values come from every row; the
-        rest of the layer runs on a (B, M, d) block of each sentence's active
-        rows, M being the largest active count, and is scattered back over
-        ``h``, so stopped rows are copied exactly. A sentence with fewer
-        active rows pads its block by repeating its first one. When every row
-        is active the block is ``h`` itself and nothing is gathered."""
+    def _layer_graph(
+        self, h: Tensor, i: int, block: tuple[int, int], active: np.ndarray | None, train: bool
+    ) -> Tensor:
+        """One layer on the graph, on the routing ``_layer_infer`` takes: keys
+        and values come from every row, the rest of the layer runs on the
+        leading ``block`` = (b, m) corner of ``h``, and ``active`` is that
+        corner's mask, or None when every corner row is active. Stopped rows
+        are copied exactly. When the corner is all of ``h`` and fully active,
+        nothing is sliced or written back."""
         cfg = self.config
         batch, time, d = h.shape
-        p = self.store
+        b, m = block
         rate, rng = cfg.dropout, self._dropout_rng
+        wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = self._layer_tensors[i]
 
-        k = ad.add(ad.matmul(h, p[f"layer{i}.attn.wk"]), p[f"layer{i}.attn.bk"])
-        v = ad.add(ad.matmul(h, p[f"layer{i}.attn.wv"]), p[f"layer{i}.attn.bv"])
-        if active.all():
-            hq, m = h, time
-        else:
-            n_active = active.sum(axis=1)
-            m = int(n_active.max())
-            pos = np.argsort(~active, axis=1, kind="stable")[:, :m]  # active positions first, in order
-            valid = np.arange(m) < n_active[:, None]
-            rows = np.arange(batch)[:, None] * time + np.where(valid, pos, pos[:, :1])
-            flat = ad.reshape(h, (batch * time, d))
-            hq = ad.reshape(ad.take_rows(flat, rows.ravel()), (batch, m, d))
-
-        q = ad.add(ad.matmul(hq, p[f"layer{i}.attn.wq"]), p[f"layer{i}.attn.bq"])
-        qh = self._split_heads(q, batch, m)
-        kh = self._split_heads(k, batch, time)
-        vh = self._split_heads(v, batch, time)
+        k = ad.add(ad.matmul(h, wk), bk)
+        v = ad.add(ad.matmul(h, wv), bv)
+        hq = h if (b, m) == (batch, time) else ad.corner(h, b, m)
+        if b < batch:
+            k, v = ad.corner(k, b, time), ad.corner(v, b, time)
+        q = ad.add(ad.matmul(hq, wq), bq)
+        qh = self._split_heads(q, b, m)
+        kh = self._split_heads(k, b, time)
+        vh = self._split_heads(v, b, time)
         scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
         probs = ad.dropout(ad.softmax(scores, -1), rate, rng, train)
-        ctx = ad.reshape(ad.transpose(ad.matmul(probs, vh), (0, 2, 1, 3)), (batch, m, d))
-        attn = ad.add(ad.matmul(ctx, p[f"layer{i}.attn.wo"]), p[f"layer{i}.attn.bo"])
-        hr = ad.layer_norm(
-            ad.add(hq, ad.dropout(attn, rate, rng, train)),
-            p[f"layer{i}.ln1.gamma"],
-            p[f"layer{i}.ln1.beta"],
-        )
-        hidden = ad.relu(ad.add(ad.matmul(hr, p[f"layer{i}.ffn.w1"]), p[f"layer{i}.ffn.b1"]))
-        ff = ad.add(ad.matmul(hidden, p[f"layer{i}.ffn.w2"]), p[f"layer{i}.ffn.b2"])
-        out = ad.layer_norm(
-            ad.add(hr, ad.dropout(ff, rate, rng, train)),
-            p[f"layer{i}.ln2.gamma"],
-            p[f"layer{i}.ln2.beta"],
-        )
-        if hq is h:
+        ctx = ad.reshape(ad.transpose(ad.matmul(probs, vh), (0, 2, 1, 3)), (b, m, d))
+        attn = ad.add(ad.matmul(ctx, wo), bo)
+        hr = ad.layer_norm(ad.add(hq, ad.dropout(attn, rate, rng, train)), ln1_g, ln1_b)
+        hidden = ad.relu(ad.add(ad.matmul(hr, w1), b1))
+        ff = ad.add(ad.matmul(hidden, w2), b2)
+        out = ad.layer_norm(ad.add(hr, ad.dropout(ff, rate, rng, train)), ln2_g, ln2_b)
+        if hq is h and active is None:
             return out
-        out = ad.scatter_rows(flat, ad.reshape(out, (batch * m, d)), rows[valid], np.flatnonzero(valid))
-        return ad.reshape(out, (batch, time, d))
+        return ad.put_corner(h, out, active)
 
     def forward_graph(
         self, ids: np.ndarray, depths: np.ndarray | None = None, train: bool = False
     ) -> tuple[list[Tensor], LayerCounts]:
-        """All executed layer states (1..n_max) with exact work counts."""
+        """All executed layer states (1..n_max), in input order, with exact
+        work counts; routed as ``forward_infer`` routes them."""
         ids, depths = self._check_inputs(ids, depths)
-        batch, time = ids.shape
+        order, inverse, plan, counts = _route(depths)
         h = self.embed(ids, train)
-        n_max = int(depths.max())
-        counts = LayerCounts(n_max=n_max, n_tokens=ids.size)
+        shape, flat = h.shape, (ids.size, self.config.d_model)
+        if order is not None:
+            h = ad.reshape(ad.take_rows(ad.reshape(h, flat), order), shape)
         layers: list[Tensor] = []
-        for n in range(1, n_max + 1):
-            active = depths >= n
-            h = self._layer_graph(h, n - 1, active, train)
-            counts.ffn_applications += int(active.sum())
-            counts.kv_projections += batch * time
+        for i, (block, active) in enumerate(plan):
+            h = self._layer_graph(h, i, block, active, train)
             layers.append(h)
+        if order is not None:
+            layers = [ad.reshape(ad.take_rows(ad.reshape(x, flat), inverse), shape) for x in layers]
         return layers, counts
 
     def classify_graph(self, h_last: Tensor) -> Tensor:
@@ -356,15 +366,13 @@ class AdaptiveEncoder:
         true_ids = np.asarray(true_ids, dtype=np.int64)
         if masked_flat_idx.size == 0:
             raise ValueError("anytime MLM loss needs at least one masked position")
-        ids, _ = self._check_inputs(ids, None)
-        batch, time = ids.shape
         layers, _ = self.forward_graph(ids, None, train)
         n_masked = masked_flat_idx.size
 
         total: Tensor | None = None
         per_layer = np.zeros(len(layers), dtype=np.float64)
         for n, h in enumerate(layers):
-            rows = ad.take_rows(ad.reshape(h, (batch * time, self.config.d_model)), masked_flat_idx)
+            rows = ad.take_rows(ad.reshape(h, (-1, self.config.d_model)), masked_flat_idx)
             logits = ad.add(ad.matmul(rows, self.store["mlm.w"]), self.store["mlm.b"])
             nll = ad.neg(ad.pick(ad.log_softmax(logits, -1), true_ids))
             layer_sum = ad.sum_all(nll)
@@ -444,46 +452,23 @@ class AdaptiveEncoder:
         depths: np.ndarray | None = None,
         collect_layers: bool = False,
     ) -> tuple[np.ndarray | list[np.ndarray], LayerCounts]:
-        """Final (or every executed layer's) states with exact work counts.
-
-        Routing is planned once per batch. Unless every depth is equal,
-        sentences are sorted by their deepest token and each sentence's
-        tokens by depth, deepest first (both stable), so at layer n every
-        active row lies in a leading (b_n, m_n) corner: b_n sentences still
-        have an active row and m_n is the largest active count among them.
-        The returned states are put back in input order.
-        """
+        """Final (or every executed layer's) states, in input order, with
+        exact work counts; routed by ``_route``."""
         ids, depths = self._check_inputs(ids, depths)
-        batch, time = ids.shape
+        order, inverse, plan, counts = _route(depths)
         h = self.embed_infer(ids)
-        n_max = int(depths.max())
-        counts = LayerCounts(
-            ffn_applications=int(depths.sum()), kv_projections=n_max * ids.size, n_max=n_max, n_tokens=ids.size
-        )
-        if int(depths.min()) == n_max:
-            plan = [((batch, time), False)] * n_max
-            rows = cols = None
-        else:
-            rows = np.argsort(-depths.max(axis=1), kind="stable")
-            cols = np.argsort(-depths[rows], axis=1, kind="stable")
-            rows = rows[:, None]
-            depths = depths[rows, cols]
-            h = h[rows, cols]
-            n_active = np.count_nonzero(depths >= np.arange(1, n_max + 1)[:, None, None], axis=2)
-            b_n = np.count_nonzero(n_active, axis=1)
-            m_n = n_active.max(axis=1)
-            masked = n_active.sum(axis=1) < b_n * m_n
-            plan = list(zip(zip(b_n.tolist(), m_n.tolist()), masked.tolist()))
+        shape, flat = h.shape, (ids.size, self.config.d_model)
+        if order is not None:
+            h = h.reshape(flat)[order].reshape(shape)
         layers: list[np.ndarray] = []
-        for n, ((b, m), masked) in enumerate(plan, start=1):
-            h = self._layer_infer(h, n - 1, (b, m), depths[:b, :m] >= n if masked else None)
+        for i, (block, active) in enumerate(plan):
+            h = self._layer_infer(h, i, block, active)
             if collect_layers:
                 layers.append(h)
-        if rows is None:
-            return (layers if collect_layers else h), counts
-        if collect_layers:
-            return [_unpermute(x, rows, cols) for x in layers], counts
-        return _unpermute(h, rows, cols), counts
+        out = layers if collect_layers else [h]
+        if order is not None:
+            out = [x.reshape(flat)[inverse].reshape(shape) for x in out]
+        return (out if collect_layers else out[0]), counts
 
     def classify_infer(self, h_last: np.ndarray) -> np.ndarray:
         feats = np.concatenate([h_last.max(axis=1), h_last.mean(axis=1)], axis=-1)

@@ -116,8 +116,6 @@ def train_mlm(
     and scored before and after training; with ``steps=0`` the returned
     checkpoint is exactly the initialization.
     """
-    if mask_rate <= 0:
-        raise ValueError(f"mask rate must be positive, got {mask_rate}")
     model_seed, data_seed, eval_seed = np.random.SeedSequence(seed).spawn(3)
     encoder = AdaptiveEncoder(config, HEAD_MLM, seed=int(model_seed.generate_state(1)[0]))
     data_rng = np.random.default_rng(data_seed)

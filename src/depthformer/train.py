@@ -114,6 +114,14 @@ def fit(
     ``batch_loss(idx)`` over shuffled length buckets, with the learning
     rate ramped linearly over the first ``warmup`` steps. ``on_step(step)``
     runs after each step. Returns the (step, loss) log."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not lr > 0:  # also rejects NaN
+        raise ValueError(f"lr must be > 0, got {lr}")
+    if not clip > 0:
+        raise ValueError(f"clip must be > 0, got {clip}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     log: list[tuple[int, float]] = []
     step = 0
     while step < steps:

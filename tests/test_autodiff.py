@@ -158,21 +158,32 @@ class TestPooling:
 
 
 class TestRoutingOps:
-    def test_scatter_rows_routes_gradient(self):
-        # rows 3 and 0 of old are overwritten by rows 0 and 2 of new; row 1
-        # of new is unused and must get a zero gradient
-        dst, src = np.array([3, 0]), np.array([0, 2])
+    def test_corner_gradient(self):
+        check_op(lambda x: ad.corner(x, 2, 3), [rng().normal(size=(3, 5, 2))])
+
+    def test_corner_is_the_leading_block(self):
+        x = Tensor(rng().normal(size=(3, 5, 2)))
+        assert np.array_equal(ad.corner(x, 2, 3).data, x.data[:2, :3])
+
+    # rows (0, 2) and (1, 0) of the (2, 3) corner are stopped
+    WHERE = np.array([[True, True, False], [False, True, True]])
+
+    @pytest.mark.parametrize("where", [None, WHERE], ids=["no-mask", "mask"])
+    def test_put_corner_gradient(self, where):
         check_op(
-            lambda old, new: ad.scatter_rows(old, new, dst, src),
-            [rng().normal(size=(5, 4)), rng().normal(size=(3, 4))],
+            lambda old, new: ad.put_corner(old, new, where),
+            [rng().normal(size=(3, 5, 2)), np.random.default_rng(1).normal(size=(2, 3, 2))],
         )
 
-    def test_scatter_rows_copies_other_rows_exactly(self):
-        old = Tensor(rng().normal(size=(6, 3)))
-        new = Tensor(np.random.default_rng(1).normal(size=(2, 3)))
-        out = ad.scatter_rows(old, new, np.array([4, 1]), np.array([1, 0]))
-        assert np.array_equal(out.data[[0, 2, 3, 5]], old.data[[0, 2, 3, 5]])
-        assert np.array_equal(out.data[[4, 1]], new.data[[1, 0]])
+    @pytest.mark.parametrize("where", [None, WHERE], ids=["no-mask", "mask"])
+    def test_put_corner_copies_other_rows_exactly(self, where):
+        old = Tensor(rng().normal(size=(3, 5, 2)))
+        new = Tensor(np.random.default_rng(1).normal(size=(2, 3, 2)))
+        out = ad.put_corner(old, new, where)
+        taken = np.zeros((3, 5), dtype=bool)
+        taken[:2, :3] = True if where is None else where
+        assert np.array_equal(out.data[taken], new.data[taken[:2, :3]])
+        assert np.array_equal(out.data[~taken], old.data[~taken])
         assert not np.shares_memory(out.data, old.data)
 
     def test_reshape_transpose_roundtrip_gradient(self):

@@ -255,6 +255,39 @@ class TestTrainAndEval:
         assert code == 2
         assert f"error: batch_size must be >= 1, got {batch_size}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reps", ["0", "-4"])
+    def test_eval_rejects_reps_below_one(self, workdir, capsys, reps):
+        code = main([
+            "eval", "--ckpt", str(workdir / "cls.ckpt"), "--data-tsv", str(workdir / "data" / "test.tsv"),
+            "--reps", reps,
+        ])
+        assert code == 2
+        assert f"error: reps must be >= 1, got {reps}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["cls", "mlm"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--steps", "-3", "steps must be >= 0, got -3", id="steps-neg"),
+            pytest.param("--lr", "0", "lr must be > 0, got 0.0", id="lr-0"),
+            pytest.param("--lr", "-0.001", "lr must be > 0, got -0.001", id="lr-neg"),
+            # a negative clip factor would flip every gradient
+            pytest.param("--clip", "-1", "clip must be > 0, got -1.0", id="clip-neg"),
+            pytest.param("--clip", "0", "clip must be > 0, got 0.0", id="clip-0"),
+            # a negative warmup would make the learning rate negative
+            pytest.param("--warmup", "-1", "warmup must be >= 0, got -1", id="warmup-neg"),
+        ],
+    )
+    def test_invalid_setting_is_an_error(self, workdir, tmp_path, capsys, task, flag, value, message):
+        out = tmp_path / "x.ckpt"
+        code = main([
+            "train", "--task", task, "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--out", str(out), "--steps", "2", "--batch-size", "8", *TINY_MODEL, flag, value,
+        ])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_misaligned_depth_file_is_an_error(self, workdir, tmp_path, capsys):
         mi.write_depth_file(tmp_path / "bad.depths", [np.array([1, 2])])
         code = main([
@@ -383,6 +416,25 @@ class TestSweepLambda:
         ])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--lr", "0", "lr must be > 0, got 0.0", id="lr-0"),
+            pytest.param("--warmup", "-1", "warmup must be >= 0, got -1", id="warmup-neg"),
+        ],
+    )
+    def test_invalid_classifier_setting_is_an_error(self, workdir, tmp_path, capsys, flag, value, message):
+        code = main([
+            "sweep-lambda", "--mlm-ckpt", str(workdir / "mlm.ckpt"),
+            "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--test-tsv", str(workdir / "data" / "test.tsv"), "--lambdas", "0.1",
+            "--cls-steps", "1", *TINY_NET, flag, value, "--out", str(tmp_path / "sweep.tsv"),
+        ])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.tsv").exists()
 
 
 class TestBenchCommand:

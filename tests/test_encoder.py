@@ -401,8 +401,8 @@ def reference_graph_layers(enc, ids, depths):
 
 class TestGatheredGraphLayer:
     """The training path runs Q, attention, ``wo``, the layer norms and the
-    FFN on each sentence's active rows only; it must give the same loss and
-    gradients as computing every row and masking."""
+    FFN on the corner block of active rows only; it must give the same loss
+    and gradients as computing every row and masking."""
 
     @pytest.fixture
     def perturbed(self):
@@ -455,8 +455,8 @@ class TestGatheredGraphLayer:
 
     def test_ffn_rows_are_the_gathered_block(self, encoder, monkeypatch):
         # the graph-path counterpart of ffn_applications == sum of depths:
-        # once a row has stopped, the FFN sees B*M rows (M the largest active
-        # count of any sentence), not B*T
+        # once a row has stopped, the FFN sees the b*m rows of the corner
+        # (b sentences with an active row, m their largest active count)
         w1 = {id(encoder.store[f"layer{i}.ffn.w1"]): i for i in range(3)}
         rows: list[tuple[int, int]] = []
         matmul = ad.matmul
@@ -473,7 +473,32 @@ class TestGatheredGraphLayer:
         assert rows == [(0, 3 * 5), (1, 3 * 4), (2, 3 * 4)]
         rows.clear()
         encoder.forward_graph(ids, np.array([[1, 2, 1, 1, 1], [1, 1, 1, 1, 3], [1, 1, 1, 1, 1]]), train=True)
-        assert rows == [(0, 3 * 5), (1, 3 * 1), (2, 3 * 1)]
+        assert rows == [(0, 3 * 5), (1, 2 * 1), (2, 1 * 1)]
+
+    def test_both_paths_run_the_same_corner_blocks(self, encoder, monkeypatch):
+        # one routing plan: both paths' layer norms see the (b_n, m_n)
+        # corner at every layer. Depths are unsorted across sentences (the
+        # deepest is last) and within them; sentence 1 has no active row
+        # after layer 1, sentence 0 none after layer 2.
+        shapes = {"graph": [], "infer": []}
+        graph_norm, infer_norm = ad.layer_norm, enc_module._layer_norm_np
+
+        def graph_recording(x, gamma, beta):
+            shapes["graph"].append(x.shape[:-1])
+            return graph_norm(x, gamma, beta)
+
+        def infer_recording(x, gamma, beta):
+            shapes["infer"].append(x.shape[:-1])
+            return infer_norm(x, gamma, beta)
+
+        monkeypatch.setattr(ad, "layer_norm", graph_recording)
+        monkeypatch.setattr(enc_module, "_layer_norm_np", infer_recording)
+        ids = token_batch((3, 6), seed=27)
+        depths = np.array([[1, 2, 1, 2, 1, 2], [1, 1, 1, 1, 1, 1], [2, 3, 3, 1, 2, 1]])
+        encoder.forward_graph(ids, depths, train=True)
+        encoder.forward_infer(ids, depths)
+        want = [(3, 6), (3, 6), (2, 4), (2, 4), (1, 2), (1, 2)]
+        assert shapes == {"graph": want, "infer": want}
 
 
 class TestClassify:
