@@ -13,7 +13,7 @@ from . import bench, mi, recon, synth
 from .corpus import TokenizerConfig, Vocab, collect_stats, load_tsv, read_kv_config
 from .encoder import AdaptiveEncoder, EncoderConfig
 from .recon import estimate_corpus_depths, train_mlm
-from .train import train_classifier, write_train_log
+from .train import DEFAULT_CLIP, check_fit_settings, train_classifier, write_train_log
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -228,6 +228,8 @@ def cmd_sweep_lambda(args) -> int:
     penalties = [float(x) for x in args.lambdas.split(",")]
     for penalty in penalties:
         recon.check_penalty(penalty)
+    if args.cls_steps > 0:
+        check_fit_settings(args.cls_steps, args.lr, args.batch_size, DEFAULT_CLIP, args.warmup)
     encoder, meta = AdaptiveEncoder.load(args.mlm_ckpt)
     train = _load_eval_corpus(args.mlm_ckpt, args.train_tsv, meta)
     test = _load_eval_corpus(args.mlm_ckpt, args.test_tsv, meta)

@@ -10,7 +10,9 @@ repeats), which is what the downstream mutual-information scoring needs.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -74,9 +76,19 @@ class TokenizerConfig:
 
 
 def tokenize(text: str, lowercase: bool = True) -> list[str]:
-    """Word-level split with punctuation broken off; deterministic."""
+    """Word-level split with punctuation broken off; deterministic.
+
+    ``_TOKEN_RE`` defines the tokens. When every non-space character is a
+    word character, its matches are exactly the whitespace-separated
+    chunks: ``re`` takes ``\\w`` to be ``str.isalnum()`` or ``_`` and
+    ``\\s`` to be ``str.isspace()``, which is what ``str.split()`` splits
+    on. That case skips the regex.
+    """
     if lowercase:
         text = text.lower()
+    chunks = text.split()
+    if "".join(chunks).replace("_", "a").isalnum():
+        return chunks
     return _TOKEN_RE.findall(text)
 
 
@@ -99,10 +111,7 @@ class Vocab:
     @classmethod
     def build(cls, doc_tokens: list[list[str]], min_freq: int = 1) -> "Vocab":
         """Frozen vocabulary from training documents only."""
-        presence: dict[str, int] = {}
-        for tokens in doc_tokens:
-            for w in set(tokens):
-                presence[w] = presence.get(w, 0) + 1
+        presence = Counter(chain.from_iterable(map(set, doc_tokens)))
         kept = [(w, c) for w, c in presence.items() if c >= min_freq]
         kept.sort(key=lambda wc: (-wc[1], wc[0]))
         words = list(SPECIAL_TOKENS) + [w for w, _ in kept]
@@ -120,9 +129,6 @@ class Vocab:
     @property
     def mask_id(self) -> int:
         return self.word_to_id[MASK_TOKEN]
-
-    def encode(self, word: str) -> int:
-        return self.word_to_id.get(word, self.unk_id)
 
     def __len__(self) -> int:
         return len(self.id_to_word)
@@ -205,11 +211,12 @@ def load_tsv(
         vocab = Vocab.build([toks for _, toks in rows], min_freq=config.min_freq)
     label_to_id = {name: i for i, name in enumerate(labels)}
 
+    lookup, unk = vocab.word_to_id.get, vocab.unk_id
     documents = []
     for lineno, (label, tokens) in enumerate(rows, 1):
         if label not in label_to_id:
             raise CorpusError(f"{path}:{lineno}: unknown label {label!r}")
-        ids = np.asarray([vocab.encode(w) for w in tokens], dtype=np.int64)
+        ids = np.fromiter(map(lookup, tokens, repeat(unk)), np.int64, count=len(tokens))
         documents.append(Document(tokens=ids, label=label_to_id[label]))
 
     return Corpus(
@@ -242,9 +249,13 @@ def collect_stats(corpus: Corpus) -> CorpusStats:
     if not corpus.documents:
         raise CorpusError("empty training split")
 
-    label_counts = np.zeros(corpus.n_labels, dtype=np.int64)
-    joint = np.zeros((len(corpus.vocab), corpus.n_labels), dtype=np.int64)
-    for doc in corpus.documents:
-        label_counts[doc.label] += 1
-        joint[np.unique(doc.tokens), doc.label] += 1
-    return CorpusStats(n_docs=len(corpus.documents), label_counts=label_counts, joint=joint)
+    docs = corpus.documents
+    n_words, n_labels = len(corpus.vocab), corpus.n_labels
+    labels = np.fromiter((doc.label for doc in docs), np.int64, count=len(docs))
+    doc_index = np.repeat(np.arange(len(docs), dtype=np.int64), [len(doc.tokens) for doc in docs])
+    # one key per distinct (document, word) pair: a word counts once per document
+    present = np.unique(doc_index * n_words + np.concatenate([doc.tokens for doc in docs]))
+    cells = present % n_words * n_labels + labels[present // n_words]
+    joint = np.bincount(cells, minlength=n_words * n_labels).reshape(n_words, n_labels)
+    label_counts = np.bincount(labels, minlength=n_labels)
+    return CorpusStats(n_docs=len(docs), label_counts=label_counts, joint=joint)

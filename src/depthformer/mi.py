@@ -9,7 +9,9 @@ get small depths; uninformative words land deep.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +115,10 @@ class MiTable:
             parts = raw.split("\t")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected word<TAB>mi<TAB>mi_log<TAB>depth")
-            wids.append(vocab.word_to_id[parts[0]])
+            wid = vocab.word_to_id.get(parts[0])
+            if wid is None:
+                raise ValueError(f"{path}:{lineno}: word {parts[0]!r} is not in the vocabulary")
+            wids.append(wid)
             mi.append(float(parts[1]))
             mi_log.append(float(parts[2]))
             depth.append(int(parts[3]))
@@ -168,15 +173,28 @@ def corpus_depth_maps(table: MiTable, corpus: Corpus) -> list[np.ndarray]:
 
 def write_depth_file(path: str | Path, depth_maps: list[np.ndarray]) -> None:
     """One line per sentence, space-separated integer depths."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for depths in depth_maps:
-            fh.write(" ".join(str(int(d)) for d in depths) + "\n")
+    rows = [np.asarray(depths, dtype=np.int64) for depths in depth_maps]
+    # a depth file holds few distinct values, so each is formatted once
+    values = np.unique(np.concatenate(rows)).tolist() if rows else []
+    text = dict(zip(values, map(str, values))).__getitem__
+    lines = (" ".join(map(text, row.tolist())) + "\n" for row in rows)
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def read_depth_file(path: str | Path) -> list[np.ndarray]:
+    """The depth maps of a ``write_depth_file`` file, one per line."""
+    rows = [raw.split() for raw in Path(path).read_text(encoding="utf-8").splitlines()]
+    # as in writing, each distinct value is parsed once
+    value: dict[str, int] = {}
+    for token in set(chain.from_iterable(rows)):
+        with suppress(ValueError):
+            value[token] = int(token)
     maps = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        maps.append(np.asarray([int(tok) for tok in raw.split()], dtype=np.int64))
+    for lineno, tokens in enumerate(rows, 1):
+        try:
+            maps.append(np.fromiter(map(value.__getitem__, tokens), np.int64, count=len(tokens)))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: depth must be an integer, got {exc.args[0]!r}") from None
     return maps
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import Corpus, Vocab
 from .encoder import HEAD_MLM, AdaptiveEncoder, EncoderConfig
-from .train import fit, length_buckets
+from .train import DEFAULT_CLIP, fit, length_buckets
 
 DEFAULT_PENALTY = 0.1
 N_SPECIAL_TOKENS = 3  # <PAD>, <UNK>, <MASK> are never sampled as replacements
@@ -105,7 +105,7 @@ def train_mlm(
     batch_size: int = 16,
     seed: int = 0,
     mask_rate: float = 0.15,
-    clip: float = 5.0,
+    clip: float = DEFAULT_CLIP,
     warmup: int = 0,
     heldout_fraction: float = 0.1,
     eval_every: int = 0,

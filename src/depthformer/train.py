@@ -17,6 +17,8 @@ from .corpus import Corpus
 from .encoder import HEAD_CLASSIFIER, AdaptiveEncoder, EncoderConfig
 from .optim import adam_step
 
+DEFAULT_CLIP = 5.0
+
 
 def check_depth_alignment(corpus: Corpus, depth_maps: list[np.ndarray]) -> None:
     """Depth files must match the corpus sentence-for-sentence."""
@@ -31,10 +33,27 @@ def check_depth_alignment(corpus: Corpus, depth_maps: list[np.ndarray]) -> None:
             )
 
 
-def length_buckets(lengths: list[int], batch_size: int, rng: np.random.Generator | None = None) -> list[np.ndarray]:
-    """Index batches grouped by sentence length, optionally shuffled."""
+def check_batch_size(batch_size: int) -> None:
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+
+
+def check_fit_settings(steps: int, lr: float, batch_size: int, clip: float, warmup: int) -> None:
+    """Reject settings ``fit`` cannot train with, before any work is done."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not lr > 0:  # also rejects NaN
+        raise ValueError(f"lr must be > 0, got {lr}")
+    check_batch_size(batch_size)
+    if not clip > 0:
+        raise ValueError(f"clip must be > 0, got {clip}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+
+
+def length_buckets(lengths: list[int], batch_size: int, rng: np.random.Generator | None = None) -> list[np.ndarray]:
+    """Index batches grouped by sentence length, optionally shuffled."""
+    check_batch_size(batch_size)
     groups: dict[int, list[int]] = defaultdict(list)
     for i, n in enumerate(lengths):
         groups[n].append(i)
@@ -72,7 +91,7 @@ def train_classifier(
     batch_size: int = 16,
     seed: int = 0,
     depth_maps: list[np.ndarray] | None = None,
-    clip: float = 5.0,
+    clip: float = DEFAULT_CLIP,
     warmup: int = 0,
 ) -> tuple[AdaptiveEncoder, list[tuple[int, float]]]:
     """Train the pooled softmax classifier; fixed depth when no maps given.
@@ -114,14 +133,7 @@ def fit(
     ``batch_loss(idx)`` over shuffled length buckets, with the learning
     rate ramped linearly over the first ``warmup`` steps. ``on_step(step)``
     runs after each step. Returns the (step, loss) log."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if not lr > 0:  # also rejects NaN
-        raise ValueError(f"lr must be > 0, got {lr}")
-    if not clip > 0:
-        raise ValueError(f"clip must be > 0, got {clip}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    check_fit_settings(steps, lr, batch_size, clip, warmup)
     log: list[tuple[int, float]] = []
     step = 0
     while step < steps:

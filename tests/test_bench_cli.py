@@ -298,6 +298,21 @@ class TestTrainAndEval:
         assert code == 2
         assert "depth file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_integer_depth_file_names_file_and_line(self, workdir, tmp_path, capsys, command):
+        lines = (workdir / "mi" / "test.depths").read_text().splitlines()
+        lines[2] = lines[2].replace(" ", " 2.5 ", 1)
+        bad = tmp_path / "bad.depths"
+        bad.write_text("\n".join(lines) + "\n")
+        if command == "train":
+            args = ["train", "--task", "cls", "--train-tsv", str(workdir / "data" / "test.tsv"),
+                    "--out", str(tmp_path / "x.ckpt"), "--steps", "1", *TINY_MODEL]
+        else:
+            args = ["eval", "--ckpt", str(workdir / "cls.ckpt"), "--data-tsv", str(workdir / "data" / "test.tsv"),
+                    "--reps", "1"]
+        assert main([*args, "--depths", str(bad)]) == 2
+        assert f"error: {bad}:3: depth must be an integer, got '2.5'" in capsys.readouterr().err
+
     def test_constant_full_depth_training_equals_fixed_baseline(self, workdir):
         # an all-max depth file never takes the copy branch, so training
         # reduces to the fixed-depth baseline bit for bit
@@ -423,9 +438,12 @@ class TestSweepLambda:
         [
             pytest.param("--lr", "0", "lr must be > 0, got 0.0", id="lr-0"),
             pytest.param("--warmup", "-1", "warmup must be >= 0, got -1", id="warmup-neg"),
+            pytest.param("--batch-size", "0", "batch_size must be >= 1, got 0", id="batch-size-0"),
         ],
     )
-    def test_invalid_classifier_setting_is_an_error(self, workdir, tmp_path, capsys, flag, value, message):
+    def test_invalid_classifier_setting_is_an_error(self, workdir, tmp_path, capsys, monkeypatch, flag, value, message):
+        # a bad classifier setting fails before either split is profiled
+        monkeypatch.setattr(recon, "corpus_profiles", never_called)
         code = main([
             "sweep-lambda", "--mlm-ckpt", str(workdir / "mlm.ckpt"),
             "--train-tsv", str(workdir / "data" / "train.tsv"),
@@ -502,6 +520,19 @@ class TestExportHist:
                                 vocab=__import__("depthformer.corpus", fromlist=["Vocab"]).Vocab.read(workdir / "mi" / "vocab.tsv"),
                                 n_bins=2)
         assert sum(int(r[2]) for r in rows) == table.mi_log.size
+
+
+    def test_table_from_another_vocabulary_is_an_error(self, workdir, tmp_path, capsys):
+        other = tmp_path / "vocab.tsv"
+        other.write_text("<PAD>\t0\t0\n<UNK>\t1\t0\n<MASK>\t2\t0\nelsewhere\t3\t1\n")
+        code = main([
+            "export-hist", "--mi-table", str(workdir / "mi" / "mi_table.tsv"),
+            "--vocab", str(other), "--out", str(tmp_path / "hist.tsv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {workdir / 'mi' / 'mi_table.tsv'}:1: word ")
+        assert "is not in the vocabulary" in err
 
 
 class TestBenchHelpers:

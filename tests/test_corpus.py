@@ -1,9 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthformer import synth
 from depthformer.corpus import (
+    _TOKEN_RE,
+    SPECIAL_TOKENS,
+    UNK_TOKEN,
     CorpusError,
     TokenizerConfig,
     Vocab,
@@ -32,6 +38,128 @@ class TestTokenize:
 
     def test_no_lowercase_flag(self):
         assert tokenize("Ab", lowercase=False) == ["Ab"]
+
+
+# characters on which the regex and a whitespace split could part: Unicode
+# spaces, '_', digits of several scripts, punctuation, combining marks and
+# a capital whose lowercase form is two code points
+TRICKY_CHARS = [*"aZq9_ \t.,!?'-", "\u00a0", "\u2003", "\x1c", "\u0301", "\u0307", "İ", "É", "ß", "٣", "²", "中"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet=st.one_of(st.sampled_from(TRICKY_CHARS), st.characters()), max_size=40),
+    st.booleans(),
+)
+def test_tokenize_matches_the_token_regex(text, lowercase):
+    assert tokenize(text, lowercase=lowercase) == _TOKEN_RE.findall(text.lower() if lowercase else text)
+
+
+def test_word_and_space_classes_agree_with_str_methods_on_every_code_point():
+    # tokenize returns text.split() when every non-space character is
+    # alphanumeric or '_'. That equals the regex's matches because re's \w
+    # is isalnum() or '_', and its \s is isspace(), which split() splits on.
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\w", every) == [c for c in every if c.isalnum() or c == "_"]
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+def reference_split(path, config, words=None, labels=None):
+    """The per-token loader the vectorized one replaced: regex tokens, a
+    presence dict per word, one vocabulary lookup per token and one
+    ``np.unique`` per document. Returns (words, doc_freq, labels, ids,
+    doc_labels, joint); ``joint`` only for a training split."""
+    rows = []
+    for raw in path.read_text(encoding="utf-8").splitlines():
+        label, text = raw.split("\t", 1)
+        tokens = _TOKEN_RE.findall(text.lower() if config.lowercase else text)
+        rows.append((label.strip(), tokens[: config.max_len]))
+    is_train = words is None
+    doc_freq = None
+    if is_train:
+        presence: dict[str, int] = {}
+        for _, tokens in rows:
+            for w in set(tokens):
+                presence[w] = presence.get(w, 0) + 1
+        kept = sorted(((w, c) for w, c in presence.items() if c >= config.min_freq), key=lambda wc: (-wc[1], wc[0]))
+        words = [*SPECIAL_TOKENS, *(w for w, _ in kept)]
+        doc_freq = [0, 0, 0, *(c for _, c in kept)]
+        labels = sorted({label for label, _ in rows})
+    word_to_id = {w: i for i, w in enumerate(words)}
+    ids = [np.asarray([word_to_id.get(w, word_to_id[UNK_TOKEN]) for w in tokens], dtype=np.int64) for _, tokens in rows]
+    doc_labels = [labels.index(label) for label, _ in rows]
+    joint = None
+    if is_train:
+        joint = np.zeros((len(words), len(labels)), dtype=np.int64)
+        for tokens, y in zip(ids, doc_labels):
+            joint[np.unique(tokens), y] += 1
+    return words, doc_freq, labels, ids, doc_labels, joint
+
+
+def assert_matches_reference(train_path, test_path, config):
+    train = load_tsv(train_path, config)
+    test = load_tsv(test_path, config, vocab=train.vocab, labels=train.labels)
+    words, doc_freq, labels, ids, doc_labels, joint = reference_split(train_path, config)
+    assert train.vocab.id_to_word == words
+    assert train.vocab.doc_freq.tolist() == doc_freq
+    assert train.labels == labels
+    for corpus, (ref_ids, ref_labels) in (
+        (train, (ids, doc_labels)),
+        (test, reference_split(test_path, config, words, labels)[3:5]),
+    ):
+        assert [d.label for d in corpus.documents] == ref_labels
+        assert len(corpus.documents) == len(ref_ids)
+        for doc, ref in zip(corpus.documents, ref_ids):
+            assert doc.tokens.dtype == np.int64
+            assert np.array_equal(doc.tokens, ref)
+    stats = collect_stats(train)
+    assert np.array_equal(stats.joint, joint)
+    assert stats.label_counts.tolist() == np.bincount(doc_labels, minlength=len(labels)).tolist()
+    assert stats.n_docs == len(ids)
+    return train, test
+
+
+class TestLoaderMatchesReference:
+    @pytest.mark.parametrize("doc_len", [12, 64, 128])
+    @pytest.mark.parametrize(
+        "config",
+        [TokenizerConfig(), TokenizerConfig(max_len=20, min_freq=3)],
+        ids=["default", "clipped-min-freq"],
+    )
+    def test_synthetic_corpora(self, tmp_path, doc_len, config):
+        train_path, test_path = synth.make_dataset(tmp_path, n_train=60, n_test=20, seed=doc_len, doc_len=doc_len)
+        assert_matches_reference(train_path, test_path, config)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TokenizerConfig(),
+            TokenizerConfig(lowercase=False),
+            TokenizerConfig(max_len=3),
+            TokenizerConfig(min_freq=2),
+            TokenizerConfig(max_len=4, lowercase=False, min_freq=2),
+        ],
+        ids=["default", "no-lowercase", "max-len-3", "min-freq-2", "all"],
+    )
+    def test_adversarial_lines(self, tmp_path, config):
+        train_lines = [
+            "pos\tGood good GOOD movie!!",
+            "neg\tBad_plot, bad\u00a0acting\u2003and dull",
+            "pos \tİstanbul café naïve cafe\u0301 ok",
+            "neg\t٣ 42 x² snake_case under_ 中文 ...",
+            "pos\tgood--movie 'quoted' (paren) a_b_c",
+            "neg\t  leading and trailing spaces  ",
+            "pos\tGood movie",
+        ]
+        test_lines = [
+            "neg\tunseen words only",
+            "pos\tGOOD Movie zzz_oov!",
+            "neg\tİ bad\u00a0plot",
+        ]
+        train_path = write(tmp_path, "train.tsv", train_lines)
+        test_path = write(tmp_path, "test.tsv", test_lines)
+        train, test = assert_matches_reference(train_path, test_path, config)
+        assert test.documents[0].tokens.tolist() == [train.vocab.unk_id] * 3
 
 
 class TestLoadTsv:

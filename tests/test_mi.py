@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthformer import mi
+from depthformer import mi, synth
 from depthformer.corpus import collect_stats, load_tsv
 
 from oracles import oracle_mi
@@ -184,6 +185,15 @@ class TestMiTable:
         assert np.array_equal(loaded.depth, table.depth)
         assert np.allclose(loaded.mi, table.mi, rtol=0, atol=0)
 
+    def test_word_missing_from_vocabulary_names_file_line_and_word(self, tmp_path, synth_train):
+        path = tmp_path / "mi.tsv"
+        mi.build_mi_table(collect_stats(synth_train), synth_train.vocab, 12).write(path, synth_train.vocab)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = "\t".join(["not_a_word", *lines[1].split("\t")[1:]])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"mi\.tsv:2: word 'not_a_word' is not in the vocabulary"):
+            mi.MiTable.read(path, synth_train.vocab, n_bins=12)
+
 
 class TestSentenceDepths:
     def test_lookup(self, synth_train):
@@ -212,6 +222,20 @@ class TestSentenceDepths:
                 assert table.depth[idx[wid]] < median
 
 
+def assert_written_as_reference(tmp_path, maps):
+    """``write_depth_file`` writes what the per-depth loop it replaced
+    wrote, and ``read_depth_file`` reads the maps back."""
+    path = tmp_path / "d.depths"
+    mi.write_depth_file(path, maps)
+    reference = "".join(" ".join(str(int(d)) for d in depths) + "\n" for depths in maps)
+    assert path.read_bytes() == reference.encode("utf-8")
+    loaded = mi.read_depth_file(path)
+    assert len(loaded) == len(maps)
+    for depths, back in zip(maps, loaded):
+        assert back.dtype == np.int64
+        assert back.tolist() == [int(d) for d in depths]
+
+
 class TestDepthFileIO:
     def test_roundtrip(self, tmp_path):
         maps = [np.array([1, 2, 3]), np.array([12]), np.array([4, 4])]
@@ -220,6 +244,36 @@ class TestDepthFileIO:
         loaded = mi.read_depth_file(path)
         assert len(loaded) == 3
         assert all(np.array_equal(a, b) for a, b in zip(maps, loaded))
+
+    @pytest.mark.parametrize("bad", ["2.5", "x", "1e3"])
+    def test_non_integer_depth_names_file_line_and_token(self, tmp_path, bad):
+        path = tmp_path / "d.depths"
+        path.write_text(f"1 2 3\n4 {bad} 5\n6\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"d\.depths:2: depth must be an integer, got '{re.escape(bad)}'"):
+            mi.read_depth_file(path)
+
+    @pytest.mark.parametrize("doc_len", [12, 64, 128])
+    def test_mi_depth_files_match_the_per_depth_writer(self, tmp_path, doc_len):
+        train_path, test_path = synth.make_dataset(tmp_path, n_train=60, n_test=20, seed=doc_len, doc_len=doc_len)
+        train = load_tsv(train_path)
+        test = load_tsv(test_path, vocab=train.vocab, labels=train.labels)
+        table = mi.build_mi_table(collect_stats(train), train.vocab, 12)
+        for corpus in (train, test):
+            maps = mi.corpus_depth_maps(table, corpus)
+            assert_written_as_reference(tmp_path, maps)
+
+    @pytest.mark.parametrize(
+        "maps",
+        [
+            [],
+            [np.array([], dtype=np.int64)],
+            [np.array([0, -3, 12]), np.array([], dtype=np.int64), np.array([10**12, 7])],
+            [[1, 2], (3,), np.array([4.0, 5.0])],
+        ],
+        ids=["no-rows", "empty-row", "wide-values", "lists-and-floats"],
+    )
+    def test_edge_maps_match_the_per_depth_writer(self, tmp_path, maps):
+        assert_written_as_reference(tmp_path, maps)
 
     def test_histogram_export(self, tmp_path):
         path = tmp_path / "h.tsv"
