@@ -4,7 +4,8 @@ A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar loss walks the graph once in reverse topological
 order and accumulates gradients into every tensor that requires them.
 Only the operations the encoder actually needs are implemented, each with
-a hand-written vector-Jacobian product.
+a hand-written vector-Jacobian product; ``op`` adds a node whose product is
+written elsewhere, as the encoder does for each layer.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
 
-def _result(data, parents, vjp) -> Tensor:
+def op(data, parents, vjp) -> Tensor:
+    """The graph node for ``data`` computed from ``parents``: ``vjp(g)``
+    returns one gradient (or None) per parent, in order."""
     requires = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=requires, parents=tuple(parents), vjp=vjp if requires else None)
 
@@ -117,7 +120,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _result(out, (a, b), vjp)
+    return op(out, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -129,19 +132,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
-    return _result(out, (a, b), vjp)
+    return op(out, (a, b), vjp)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    return _result(a.data * s, (a,), lambda g: (g * s,))
+    return op(a.data * s, (a,), lambda g: (g * s,))
 
 
 def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, (a,), lambda g: (-g,))
+    return op(-a.data, (a,), lambda g: (-g,))
 
 
 def log(a: Tensor) -> Tensor:
-    return _result(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -150,16 +153,16 @@ def relu(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _result(np.where(mask, a.data, 0.0), (a,), vjp)
+    return op(np.where(mask, a.data, 0.0), (a,), vjp)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
+    return op(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(int(i) for i in np.argsort(axes))
-    return _result(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
+    return op(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
@@ -170,7 +173,7 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _result(out, tuple(tensors), vjp)
+    return op(out, tuple(tensors), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +191,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
-    return _result(out, (a, b), vjp)
+    return op(out, (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         inner = (g * s).sum(axis=axis, keepdims=True)
         return (s * (g - inner),)
 
-    return _result(s, (a,), vjp)
+    return op(s, (a,), vjp)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -215,7 +218,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     def vjp(g):
         return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
-    return _result(out, (a,), vjp)
+    return op(out, (a,), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -238,7 +241,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
         return gx, g_gamma, g_beta
 
-    return _result(out, (x, gamma, beta), vjp)
+    return op(out, (x, gamma, beta), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +262,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
         return (gt,)
 
-    return _result(out, (table,), vjp)
+    return op(out, (table,), vjp)
 
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -272,7 +275,7 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         np.add.at(gx, idx, g)
         return (gx,)
 
-    return _result(out, (x,), vjp)
+    return op(out, (x,), vjp)
 
 
 def pick(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -286,7 +289,7 @@ def pick(x: Tensor, idx: np.ndarray) -> Tensor:
         gx[rows, idx] = g
         return (gx,)
 
-    return _result(out, (x,), vjp)
+    return op(out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +302,7 @@ def mean_pool(x: Tensor, axis: int) -> Tensor:
     def vjp(g):
         return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
 
-    return _result(x.data.mean(axis=axis), (x,), vjp)
+    return op(x.data.mean(axis=axis), (x,), vjp)
 
 
 def max_pool(x: Tensor, axis: int) -> Tensor:
@@ -311,7 +314,7 @@ def max_pool(x: Tensor, axis: int) -> Tensor:
         np.put_along_axis(gx, np.expand_dims(am, axis), np.expand_dims(g, axis), axis=axis)
         return (gx,)
 
-    return _result(out, (x,), vjp)
+    return op(out, (x,), vjp)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -320,18 +323,26 @@ def mean_all(x: Tensor) -> Tensor:
     def vjp(g):
         return (np.full_like(x.data, float(g) / n),)
 
-    return _result(x.data.mean(), (x,), vjp)
+    return op(x.data.mean(), (x,), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
     def vjp(g):
         return (np.full_like(x.data, float(g)),)
 
-    return _result(x.data.sum(), (x,), vjp)
+    return op(x.data.sum(), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
-# regularization / routing
+# regularization
+
+
+def dropout_mask(shape: tuple[int, ...], dtype, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 with probability ``rate``, else 1/(1 - rate)."""
+    mask = rng.random(shape, dtype=dtype)
+    dtype = mask.dtype.type
+    np.multiply(mask >= rate, dtype(1.0) / dtype(1.0 - rate), out=mask)
+    return mask
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
@@ -340,41 +351,9 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Te
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
-    keep = 1.0 - rate
-    mask = (rng.random(x.data.shape, dtype=x.data.dtype) >= rate).astype(x.data.dtype) / keep
+    mask = dropout_mask(x.data.shape, x.data.dtype, rate, rng)
 
     def vjp(g):
         return (g * mask,)
 
-    return _result(x.data * mask, (x,), vjp)
-
-
-def corner(x: Tensor, b: int, m: int) -> Tensor:
-    """The leading ``x[:b, :m]`` block, a view; its gradient is zero-padded."""
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[:b, :m] = g
-        return (gx,)
-
-    return _result(x.data[:b, :m], (x,), vjp)
-
-
-def put_corner(old: Tensor, new: Tensor, where: np.ndarray | None = None) -> Tensor:
-    """``old`` with its leading ``[:b, :m]`` corner, (b, m) being ``new``'s
-    first two dimensions, taken from ``new`` wherever the corner mask
-    ``where`` is true (everywhere when None); every other row is copied
-    exactly. Gradients split the same way."""
-    b, m = new.data.shape[:2]
-    keep = True if where is None else where[..., None]
-    out = old.data.copy()
-    np.copyto(out[:b, :m], new.data, where=keep)
-
-    def vjp(g):
-        g_old = g.copy()
-        g_new = np.zeros_like(new.data)
-        np.copyto(g_new, g[:b, :m], where=keep)
-        np.copyto(g_old[:b, :m], 0.0, where=keep)
-        return g_old, g_new
-
-    return _result(out, (old, new), vjp)
+    return op(x.data * mask, (x,), vjp)

@@ -13,7 +13,7 @@ from . import bench, mi, recon, synth
 from .corpus import TokenizerConfig, Vocab, collect_stats, load_tsv, read_kv_config
 from .encoder import AdaptiveEncoder, EncoderConfig
 from .recon import estimate_corpus_depths, train_mlm
-from .train import DEFAULT_CLIP, check_fit_settings, train_classifier, write_train_log
+from .train import DEFAULT_CLIP, StepRecord, check_fit_settings, train_classifier, write_trace, write_train_log
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -150,6 +150,7 @@ def cmd_train(args) -> int:
     corpus = load_tsv(args.train_tsv, config)
     enc_config = _encoder_config(args, len(corpus.vocab), corpus.n_labels, args.max_len)
 
+    trace: list[StepRecord] = []
     if args.task == "cls":
         depth_maps = mi.read_depth_file(args.depths) if args.depths else None
         encoder, log = train_classifier(
@@ -162,6 +163,7 @@ def cmd_train(args) -> int:
             depth_maps=depth_maps,
             clip=args.clip,
             warmup=args.warmup,
+            on_step=trace.append,
         )
     else:
         result = train_mlm(
@@ -176,6 +178,7 @@ def cmd_train(args) -> int:
             warmup=args.warmup,
             heldout_fraction=args.heldout_fraction,
             eval_every=args.eval_every,
+            on_step=trace.append,
         )
         encoder, log = result.encoder, result.log
         print(f"heldout_anytime_loss\tinitial\t{result.heldout_initial:.4f}\tfinal\t{result.heldout_final:.4f}")
@@ -183,6 +186,7 @@ def cmd_train(args) -> int:
     encoder.save(args.out, extra_meta=_corpus_meta(corpus))
     corpus.vocab.write(_vocab_path(args.out))
     write_train_log(str(args.out) + ".log", log)
+    write_trace(str(args.out) + ".trace.jsonl", trace)
     if log:
         print(f"trained {args.task} for {len(log)} steps; final loss {log[-1][1]:.4f}")
     print(f"saved checkpoint to {args.out}")

@@ -32,6 +32,28 @@ class CorpusError(ValueError):
     """Malformed input data (bad line, unknown label, empty split)."""
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file, split at "\\n" only and each without
+    one trailing "\\r"; a final newline ends the last line, not a new one.
+
+    ``str.splitlines`` would also split at U+0085, U+2028, U+2029 and
+    \\x1c-\\x1e, which a document's text may hold.
+    """
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
+def parse_field(text: str, kind: type, name: str, where: str):
+    """``kind(text)`` for a field of an input file; a malformed one raises
+    a ``CorpusError`` naming ``where`` (``path:line``) and the field."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise CorpusError(f"{where}: {name} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
+
+
 def read_kv_config(path: str | Path) -> dict[str, str]:
     """Parse a plain ``key = value`` config file; '#' starts a comment."""
     out: dict[str, str] = {}
@@ -142,15 +164,16 @@ class Vocab:
     def read(cls, path: str | Path) -> "Vocab":
         words: list[str] = []
         freqs: list[int] = []
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(read_lines(path), 1):
             parts = raw.split("\t")
             if len(parts) != 3:
                 raise CorpusError(f"{path}:{lineno}: expected word<TAB>id<TAB>doc_freq")
             word, idx, freq = parts
-            if int(idx) != len(words):
-                raise CorpusError(f"{path}:{lineno}: ids must be contiguous from 0")
+            where = f"{path}:{lineno}"
+            if parse_field(idx, int, "id", where) != len(words):
+                raise CorpusError(f"{where}: ids must be contiguous from 0")
             words.append(word)
-            freqs.append(int(freq))
+            freqs.append(parse_field(freq, int, "doc_freq", where))
         return cls(words, np.asarray(freqs, dtype=np.int64))
 
 
@@ -192,7 +215,7 @@ def load_tsv(
         raise ValueError("test split needs the training label set")
 
     rows: list[tuple[str, list[str]]] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_lines(path), 1):
         if "\t" not in raw:
             raise CorpusError(f"{path}:{lineno}: expected label<TAB>text")
         label, text = raw.split("\t", 1)

@@ -6,12 +6,14 @@ unchanged but keep supplying keys and values, so active tokens always
 attend over the full sentence. The layer loop stops at the largest depth
 present in the batch.
 
-Two forward implementations share the same parameters: a graph-building
-path used for training (gradients flow through the copy routing) and a
-plain-numpy inference path, which is what the speed benchmarks measure.
-Both run on one routing plan, made once per batch by ``_route``: each
+The layer math is written once, in the plain-numpy kernel ``_layer_infer``.
+Both paths run on one routing plan, made once per batch by ``_route``: each
 layer's active rows lie in one leading corner of the depth-sorted batch,
 on which everything but the keys and values runs as a single block.
+Inference calls the kernel directly; the speed benchmarks measure that
+path. Training wraps each call in one graph node, with the layer's dropout
+masks and a tape of the intermediates that its hand-written backward,
+``_layer_backward``, reads, so gradients flow through the copy routing.
 """
 
 from __future__ import annotations
@@ -171,11 +173,15 @@ def _route(depths: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, li
     return order, np.argsort(order), plan, counts
 
 
-def _layer_norm_np(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def _layer_norm_np(
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, saved: list | None = None, eps: float = 1e-5
+) -> np.ndarray:
     """Layer norm written into ``x``, which the caller must own; returns ``x``.
 
     The variance is ``np.var``'s own arithmetic (mean of squared deviations),
     so the result is bit-identical to ``(x - mean) / sqrt(var + eps) * gamma + beta``.
+    When ``saved`` is a list, a copy of the normalized rows and their
+    standard deviations are appended to it for the backward pass.
     """
     x -= x.mean(axis=-1, keepdims=True)
     var = np.square(x).sum(axis=-1, keepdims=True)
@@ -183,9 +189,102 @@ def _layer_norm_np(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: floa
     var += eps
     np.sqrt(var, out=var)
     x /= var
+    if saved is not None:
+        saved += (x.copy(), var)
     x *= gamma
     x += beta
     return x
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the weight in ``x @ w`` over (batch, time) rows."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def _layer_norm_backward(
+    g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, std: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of gamma, beta and the input of ``xhat * gamma + beta``,
+    ``xhat`` being the input normalized by ``std``. ``g`` is not written."""
+    row_mean = np.full((g.shape[-1], 1), 1.0 / g.shape[-1], dtype=g.dtype)  # a matvec beats a short-axis mean
+    g_xhat = g * gamma
+    gx = xhat * ((g_xhat * xhat) @ row_mean)
+    np.subtract(g_xhat, gx, out=gx)
+    gx -= g_xhat @ row_mean
+    gx /= std
+    return (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1)), gx
+
+
+def _layer_backward(
+    h: np.ndarray, block: tuple[int, int], active: np.ndarray | None, tape: dict, g: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The VJP of one ``_layer_infer`` call on ``h`` that filled ``tape``:
+    from the gradient ``g`` of its output, the gradients of ``h`` and of the
+    layer's weights in ``_LAYER_PARAMS`` order. Attention is key-major, as
+    in the forward. Keys and values take gradient only in the first ``b``
+    sentences, the ones they were read in; stopped rows pass ``g`` straight
+    through, and active corner rows take only what flows back through the
+    block. Nothing on the tape is written, and neither is ``g``."""
+    wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = tape["w"]
+    qh, kh, vh, ctx, hr, hid = tape["qh"], tape["kh"], tape["vh"], tape["ctx"], tape["hr"], tape["hid"]
+    xhat1, std1, xhat2, std2 = tape["ln"]
+    drop = tape["drop"]
+    batch, time, d = h.shape
+    b, m = block
+    _, heads, d_head, _ = qh.shape
+
+    g_out = g[:b, :m] if active is None else g[:b, :m] * active[..., None]
+    g_ln2_g, g_ln2_b, g_hr = _layer_norm_backward(g_out, ln2_g, xhat2, std2)
+    g_ff = g_hr if drop is None else g_hr * drop[2]
+    g_w2, g_b2 = _weight_grad(hid, g_ff), g_ff.sum(axis=(0, 1))
+    g_hid = g_ff @ w2.T
+    g_hid *= hid > 0
+    g_w1, g_b1 = _weight_grad(hr, g_hid), g_hid.sum(axis=(0, 1))
+    g_hr += g_hid @ w1.T
+    g_ln1_g, g_ln1_b, g_hq = _layer_norm_backward(g_hr, ln1_g, xhat1, std1)
+    g_attn = g_hq if drop is None else g_hq * drop[1]
+    g_wo, g_bo = _weight_grad(tape["ctx_rows"], g_attn), g_attn.sum(axis=(0, 1))
+    g_ctx = (g_attn @ wo.T).reshape(b, m, heads, d_head).transpose(0, 2, 3, 1)
+
+    # ctx = V·(E⊙M)/s, E the exponentiated scores, M the probabilities'
+    # dropout mask and s the key sums of E. The softmax VJP over keys is
+    # dS = P⊙(dP − Σ_k P·dP), with Σ_k P·dP = Σ_j ctx·dctx; both it and
+    # dctx are divided by s here, on (b, H, ·, m) blocks, not on P.
+    key_sums = tape["key_sums"]
+    inner = (g_ctx * ctx).sum(axis=-2, keepdims=True)
+    inner /= key_sums
+    g_ctx = g_ctx / key_sums
+    # the head gradients are written straight into (b, rows, H, d_head)
+    g_q, g_k, g_v = (np.empty((b, rows, heads, d_head), dtype=h.dtype) for rows in (m, time, time))
+    np.matmul(g_ctx, tape["kept"].transpose(0, 1, 3, 2), out=g_v.transpose(0, 2, 3, 1))
+    g_scores = np.matmul(vh.transpose(0, 1, 3, 2), g_ctx)
+    if drop is not None:
+        g_scores *= drop[0]
+    g_scores -= inner
+    g_scores *= tape["scores"]
+    np.matmul(g_scores, qh.transpose(0, 1, 3, 2), out=g_k.transpose(0, 2, 1, 3))
+    np.matmul(kh.transpose(0, 1, 3, 2), g_scores, out=g_q.transpose(0, 2, 3, 1))
+
+    hq, hk = h[:b, :m], h[:b]
+    g_q, g_k, g_v = g_q.reshape(b, m, d), g_k.reshape(b, time, d), g_v.reshape(b, time, d)
+    g_q *= 1.0 / math.sqrt(d_head)
+    g_wq, g_bq = _weight_grad(hq, g_q), g_q.sum(axis=(0, 1))
+    g_wk, g_bk = _weight_grad(hk, g_k), g_k.sum(axis=(0, 1))
+    g_wv, g_bv = _weight_grad(hk, g_v), g_v.sum(axis=(0, 1))
+    g_hq += g_q @ wq.T
+    g_kv = g_k @ wk.T
+    g_kv += g_v @ wv.T
+    if active is None and (b, m) == (batch, time):
+        g_h = g_hq
+        g_h += g_kv
+    else:
+        g_h = g.copy()
+        np.copyto(g_h[:b, :m], g_hq, where=True if active is None else active[..., None])
+        g_h[:b] += g_kv
+    return (
+        g_h, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo,
+        g_ln1_g, g_ln1_b, g_w1, g_b1, g_w2, g_b2, g_ln2_g, g_ln2_b,
+    )
 
 
 class AdaptiveEncoder:
@@ -276,45 +375,24 @@ class AdaptiveEncoder:
         pe = Tensor(self._pe[: ids.shape[1]])
         return ad.dropout(ad.add(e, pe), self.config.dropout, self._dropout_rng, train)
 
-    def _split_heads(self, x: Tensor, batch: int, time: int) -> Tensor:
-        cfg = self.config
-        return ad.transpose(ad.reshape(x, (batch, time, cfg.n_heads, cfg.d_head)), (0, 2, 1, 3))
-
-    def _layer_graph(
+    def _layer_node(
         self, h: Tensor, i: int, block: tuple[int, int], active: np.ndarray | None, train: bool
     ) -> Tensor:
-        """One layer on the graph, on the routing ``_layer_infer`` takes: keys
-        and values come from every row, the rest of the layer runs on the
-        leading ``block`` = (b, m) corner of ``h``, and ``active`` is that
-        corner's mask, or None when every corner row is active. Stopped rows
-        are copied exactly. When the corner is all of ``h`` and fully active,
-        nothing is sliced or written back."""
+        """One layer as one graph node: ``_layer_infer`` runs the forward,
+        with the layer's dropout masks when training, and keeps on a tape
+        what ``_layer_backward``, the node's VJP, reads."""
         cfg = self.config
-        batch, time, d = h.shape
-        b, m = block
-        rate, rng = cfg.dropout, self._dropout_rng
-        wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = self._layer_tensors[i]
-
-        k = ad.add(ad.matmul(h, wk), bk)
-        v = ad.add(ad.matmul(h, wv), bv)
-        hq = h if (b, m) == (batch, time) else ad.corner(h, b, m)
-        if b < batch:
-            k, v = ad.corner(k, b, time), ad.corner(v, b, time)
-        q = ad.add(ad.matmul(hq, wq), bq)
-        qh = self._split_heads(q, b, m)
-        kh = self._split_heads(k, b, time)
-        vh = self._split_heads(v, b, time)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
-        probs = ad.dropout(ad.softmax(scores, -1), rate, rng, train)
-        ctx = ad.reshape(ad.transpose(ad.matmul(probs, vh), (0, 2, 1, 3)), (b, m, d))
-        attn = ad.add(ad.matmul(ctx, wo), bo)
-        hr = ad.layer_norm(ad.add(hq, ad.dropout(attn, rate, rng, train)), ln1_g, ln1_b)
-        hidden = ad.relu(ad.add(ad.matmul(hr, w1), b1))
-        ff = ad.add(ad.matmul(hidden, w2), b2)
-        out = ad.layer_norm(ad.add(hr, ad.dropout(ff, rate, rng, train)), ln2_g, ln2_b)
-        if hq is h and active is None:
-            return out
-        return ad.put_corner(h, out, active)
+        drop = None
+        if train and cfg.dropout > 0.0:
+            # drawn in forward order, the attention probabilities query-major
+            # as (b, H, m, T), then laid out key-major like the scores
+            b, m = block
+            shapes = ((b, cfg.n_heads, m, h.shape[1]), (b, m, cfg.d_model), (b, m, cfg.d_model))
+            probs, attn, ffn = (ad.dropout_mask(s, cfg.dtype, cfg.dropout, self._dropout_rng) for s in shapes)
+            drop = (np.ascontiguousarray(probs.transpose(0, 1, 3, 2)), attn, ffn)
+        tape = {"drop": drop, "ln": []}
+        out = self._layer_infer(h.data, i, block, active, tape)
+        return ad.op(out, (h, *self._layer_tensors[i]), lambda g: _layer_backward(h.data, block, active, tape, g))
 
     def forward_graph(
         self, ids: np.ndarray, depths: np.ndarray | None = None, train: bool = False
@@ -329,7 +407,7 @@ class AdaptiveEncoder:
             h = ad.reshape(ad.take_rows(ad.reshape(h, flat), order), shape)
         layers: list[Tensor] = []
         for i, (block, active) in enumerate(plan):
-            h = self._layer_graph(h, i, block, active, train)
+            h = self._layer_node(h, i, block, active, train)
             layers.append(h)
         if order is not None:
             layers = [ad.reshape(ad.take_rows(ad.reshape(x, flat), inverse), shape) for x in layers]
@@ -391,7 +469,7 @@ class AdaptiveEncoder:
         return table[ids] * self.config.dtype.type(math.sqrt(self.config.d_model)) + self._pe[: ids.shape[1]]
 
     def _layer_infer(
-        self, h: np.ndarray, i: int, block: tuple[int, int], active: np.ndarray | None
+        self, h: np.ndarray, i: int, block: tuple[int, int], active: np.ndarray | None, tape: dict | None = None
     ) -> np.ndarray:
         """One layer whose active rows all lie in the leading ``block`` =
         (b, m) corner of ``h``. Keys and values come from every row; the rest
@@ -404,14 +482,22 @@ class AdaptiveEncoder:
         times faster than a reduction over a short last axis once the block
         holds a few dozen queries. ``q`` carries the 1/√d_head scale and the
         context is normalized after the ``P·V`` product.
+
+        This is the layer's only forward. The graph path passes ``tape``, a
+        dict whose "drop" entry holds the layer's dropout masks (attention
+        probabilities key-major as (b, H, T, m), attention output, FFN
+        output) or None, and whose "ln" entry is an empty list; the
+        intermediates ``_layer_backward`` reads are stored in it. Without a
+        tape nothing extra is computed or kept.
         """
         cfg = self.config
         batch, time, d = h.shape
         b, m = block
         heads, d_head = cfg.n_heads, cfg.d_head
-        wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = (
-            t.data for t in self._layer_tensors[i]
-        )
+        weights = tuple(t.data for t in self._layer_tensors[i])
+        wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = weights
+        drop = None if tape is None else tape["drop"]
+        saved = () if tape is None else (tape["ln"],)
         k = h @ wk
         k += bk
         v = h @ wv
@@ -427,19 +513,31 @@ class AdaptiveEncoder:
         scores = np.matmul(kh, qh)
         scores -= scores.max(axis=-2, keepdims=True)
         np.exp(scores, out=scores)
-        ctx = np.matmul(vh, scores)
-        ctx /= scores.sum(axis=-2, keepdims=True)
-        attn = ctx.transpose(0, 3, 1, 2).reshape(b, m, d) @ wo
+        kept = scores if drop is None else scores * drop[0]
+        ctx = np.matmul(vh, kept)
+        key_sums = scores.sum(axis=-2, keepdims=True)
+        ctx /= key_sums
+        ctx_rows = ctx.transpose(0, 3, 1, 2).reshape(b, m, d)
+        attn = ctx_rows @ wo
         attn += bo
+        if drop is not None:
+            attn *= drop[1]
         attn += hq
-        hr = _layer_norm_np(attn, ln1_g, ln1_b)
+        hr = _layer_norm_np(attn, ln1_g, ln1_b, *saved)
         hid = hr @ w1
         hid += b1
         np.maximum(hid, 0, out=hid)
         out = hid @ w2
         out += b2
+        if drop is not None:
+            out *= drop[2]
         out += hr
-        _layer_norm_np(out, ln2_g, ln2_b)
+        _layer_norm_np(out, ln2_g, ln2_b, *saved)
+        if tape is not None:
+            tape.update(
+                w=weights, qh=qh, kh=kh, vh=vh, scores=scores, kept=kept, key_sums=key_sums,
+                ctx=ctx, ctx_rows=ctx_rows, hr=hr, hid=hid,
+            )
         if active is None and (b, m) == (batch, time):
             return out
         new = h.copy()

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusStats, Vocab
+from .corpus import Corpus, CorpusStats, Vocab, parse_field, read_lines
 
 DEFAULT_SMOOTHING = 0.1
 
@@ -111,17 +111,18 @@ class MiTable:
     @classmethod
     def read(cls, path: str | Path, vocab: Vocab, n_bins: int) -> "MiTable":
         wids, mi, mi_log, depth = [], [], [], []
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(read_lines(path), 1):
             parts = raw.split("\t")
+            where = f"{path}:{lineno}"
             if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected word<TAB>mi<TAB>mi_log<TAB>depth")
+                raise ValueError(f"{where}: expected word<TAB>mi<TAB>mi_log<TAB>depth")
             wid = vocab.word_to_id.get(parts[0])
             if wid is None:
-                raise ValueError(f"{path}:{lineno}: word {parts[0]!r} is not in the vocabulary")
+                raise ValueError(f"{where}: word {parts[0]!r} is not in the vocabulary")
             wids.append(wid)
-            mi.append(float(parts[1]))
-            mi_log.append(float(parts[2]))
-            depth.append(int(parts[3]))
+            mi.append(parse_field(parts[1], float, "MI", where))
+            mi_log.append(parse_field(parts[2], float, "mi_log", where))
+            depth.append(parse_field(parts[3], int, "depth", where))
         return cls(
             word_ids=np.asarray(wids, dtype=np.int64),
             mi=np.asarray(mi, dtype=np.float64),
@@ -183,7 +184,7 @@ def write_depth_file(path: str | Path, depth_maps: list[np.ndarray]) -> None:
 
 def read_depth_file(path: str | Path) -> list[np.ndarray]:
     """The depth maps of a ``write_depth_file`` file, one per line."""
-    rows = [raw.split() for raw in Path(path).read_text(encoding="utf-8").splitlines()]
+    rows = [raw.split() for raw in read_lines(path)]
     # as in writing, each distinct value is parsed once
     value: dict[str, int] = {}
     for token in set(chain.from_iterable(rows)):

@@ -12,6 +12,7 @@ covers the test split and unlabeled text.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import Corpus, Vocab
 from .encoder import HEAD_MLM, AdaptiveEncoder, EncoderConfig
-from .train import DEFAULT_CLIP, fit, length_buckets
+from .train import DEFAULT_CLIP, StepRecord, fit, length_buckets
 
 DEFAULT_PENALTY = 0.1
 N_SPECIAL_TOKENS = 3  # <PAD>, <UNK>, <MASK> are never sampled as replacements
@@ -109,12 +110,14 @@ def train_mlm(
     warmup: int = 0,
     heldout_fraction: float = 0.1,
     eval_every: int = 0,
+    on_step: Callable[[StepRecord], None] | None = None,
 ) -> MlmTrainResult:
     """Train the anytime MLM from scratch at full depth.
 
     A trailing slice of the corpus is held out from the sampled batches
     and scored before and after training; with ``steps=0`` the returned
-    checkpoint is exactly the initialization.
+    checkpoint is exactly the initialization. ``on_step`` gets each step's
+    record.
     """
     model_seed, data_seed, eval_seed = np.random.SeedSequence(seed).spawn(3)
     encoder = AdaptiveEncoder(config, HEAD_MLM, seed=int(model_seed.generate_state(1)[0]))
@@ -141,12 +144,14 @@ def train_mlm(
         loss, _ = encoder.mlm_anytime_loss_graph(corrupted, flat_idx, true_ids, train=True)
         return loss
 
-    def on_step(step: int) -> None:
-        if eval_every and step % eval_every == 0:
-            heldout_log.append((step, heldout_loss()))
+    def after_step(record: StepRecord) -> None:
+        if on_step is not None:
+            on_step(record)
+        if eval_every and record.step % eval_every == 0:
+            heldout_log.append((record.step, heldout_loss()))
 
     lengths = [len(t) for t in train_docs]
-    log = fit(encoder, batch_loss, lengths, steps, lr, batch_size, data_rng, clip, warmup, on_step)
+    log = fit(encoder, batch_loss, lengths, steps, lr, batch_size, data_rng, clip, warmup, after_step)
     step = len(log)
     if heldout_log[-1][0] == step:
         final = heldout_log[-1][1]

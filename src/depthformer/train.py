@@ -7,8 +7,11 @@ token count), so no padding or masking is needed anywhere in the model.
 
 from __future__ import annotations
 
+import json
+import time
 from collections import defaultdict
 from collections.abc import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,6 +21,17 @@ from .encoder import HEAD_CLASSIFIER, AdaptiveEncoder, EncoderConfig
 from .optim import adam_step
 
 DEFAULT_CLIP = 5.0
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """What one ``fit`` step did; ``write_trace`` writes one per line."""
+
+    step: int
+    loss: float
+    grad_norm: float  # before clipping
+    lr: float
+    cpu_ms: float  # process CPU time of the loss, backward and update
 
 
 def check_depth_alignment(corpus: Corpus, depth_maps: list[np.ndarray]) -> None:
@@ -93,13 +107,14 @@ def train_classifier(
     depth_maps: list[np.ndarray] | None = None,
     clip: float = DEFAULT_CLIP,
     warmup: int = 0,
+    on_step: Callable[[StepRecord], None] | None = None,
 ) -> tuple[AdaptiveEncoder, list[tuple[int, float]]]:
     """Train the pooled softmax classifier; fixed depth when no maps given.
 
     ``warmup`` linearly ramps the learning rate over the first steps,
     which deep post-norm stacks need when trained from scratch.
     Reproducible for a given seed: model init, dropout, shuffling and the
-    step schedule all derive from it.
+    step schedule all derive from it. ``on_step`` gets each step's record.
     """
     if depth_maps is not None:
         check_depth_alignment(corpus, depth_maps)
@@ -113,7 +128,7 @@ def train_classifier(
         return encoder.task_loss_graph(encoder.classify_graph(layers[-1]), gold)
 
     lengths = [len(d.tokens) for d in corpus.documents]
-    log = fit(encoder, batch_loss, lengths, steps, lr, batch_size, data_rng, clip, warmup)
+    log = fit(encoder, batch_loss, lengths, steps, lr, batch_size, data_rng, clip, warmup, on_step)
     return encoder, log
 
 
@@ -127,11 +142,11 @@ def fit(
     data_rng: np.random.Generator,
     clip: float,
     warmup: int,
-    on_step: Callable[[int], None] | None = None,
+    on_step: Callable[[StepRecord], None] | None = None,
 ) -> list[tuple[int, float]]:
     """The training step loop shared by both tasks: ``steps`` Adam steps on
     ``batch_loss(idx)`` over shuffled length buckets, with the learning
-    rate ramped linearly over the first ``warmup`` steps. ``on_step(step)``
+    rate ramped linearly over the first ``warmup`` steps. ``on_step(record)``
     runs after each step. Returns the (step, loss) log."""
     check_fit_settings(steps, lr, batch_size, clip, warmup)
     log: list[tuple[int, float]] = []
@@ -140,17 +155,20 @@ def fit(
         for idx in length_buckets(lengths, batch_size, data_rng):
             if step >= steps:
                 break
+            started = time.process_time_ns()
             loss = batch_loss(idx)
             if not np.isfinite(loss.data):
                 raise FloatingPointError(f"training diverged at step {step}: loss={loss.data}")
             encoder.store.zero_grad()
             ad.backward(loss)
             cur_lr = lr * min(1.0, (step + 1) / warmup) if warmup else lr
-            adam_step(encoder.store, lr=cur_lr, clip=clip)
+            grad_norm = adam_step(encoder.store, lr=cur_lr, clip=clip)
+            cpu_ms = (time.process_time_ns() - started) / 1e6
             step += 1
-            log.append((step, float(loss.data)))
+            value = float(loss.data)
+            log.append((step, value))
             if on_step is not None:
-                on_step(step)
+                on_step(StepRecord(step, value, grad_norm, cur_lr, cpu_ms))
     return log
 
 
@@ -158,3 +176,11 @@ def write_train_log(path, log: list[tuple[int, float]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for step, loss in log:
             fh.write(f"{step}\t{loss:.8f}\n")
+
+
+def write_trace(path, records: list[StepRecord]) -> None:
+    """One JSON line per step: step, loss, pre-clip gradient norm, lr and
+    process CPU ms."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(asdict(record)) + "\n")

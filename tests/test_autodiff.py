@@ -158,34 +158,6 @@ class TestPooling:
 
 
 class TestRoutingOps:
-    def test_corner_gradient(self):
-        check_op(lambda x: ad.corner(x, 2, 3), [rng().normal(size=(3, 5, 2))])
-
-    def test_corner_is_the_leading_block(self):
-        x = Tensor(rng().normal(size=(3, 5, 2)))
-        assert np.array_equal(ad.corner(x, 2, 3).data, x.data[:2, :3])
-
-    # rows (0, 2) and (1, 0) of the (2, 3) corner are stopped
-    WHERE = np.array([[True, True, False], [False, True, True]])
-
-    @pytest.mark.parametrize("where", [None, WHERE], ids=["no-mask", "mask"])
-    def test_put_corner_gradient(self, where):
-        check_op(
-            lambda old, new: ad.put_corner(old, new, where),
-            [rng().normal(size=(3, 5, 2)), np.random.default_rng(1).normal(size=(2, 3, 2))],
-        )
-
-    @pytest.mark.parametrize("where", [None, WHERE], ids=["no-mask", "mask"])
-    def test_put_corner_copies_other_rows_exactly(self, where):
-        old = Tensor(rng().normal(size=(3, 5, 2)))
-        new = Tensor(np.random.default_rng(1).normal(size=(2, 3, 2)))
-        out = ad.put_corner(old, new, where)
-        taken = np.zeros((3, 5), dtype=bool)
-        taken[:2, :3] = True if where is None else where
-        assert np.array_equal(out.data[taken], new.data[taken[:2, :3]])
-        assert np.array_equal(out.data[~taken], old.data[~taken])
-        assert not np.shares_memory(out.data, old.data)
-
     def test_reshape_transpose_roundtrip_gradient(self):
         check_op(
             lambda a: ad.reshape(ad.transpose(ad.reshape(a, (2, 3, 2, 2)), (0, 2, 1, 3)), (2, 2, 6)),

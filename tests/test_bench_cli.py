@@ -1,5 +1,7 @@
 """End-to-end CLI runs on a tiny synthetic dataset, plus bench helpers."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,42 @@ class TestTrainAndEval:
         assert len(log) == 4
         step, loss = log[0].split("\t")
         assert step == "1" and float(loss) > 0
+
+    @pytest.mark.parametrize("task", ["cls", "mlm"])
+    def test_trace_has_one_json_line_per_step(self, workdir, task):
+        import json
+
+        log = [line.split("\t") for line in (workdir / f"{task}.ckpt.log").read_text().splitlines()]
+        trace = [json.loads(line) for line in (workdir / f"{task}.ckpt.trace.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in trace] == [int(step) for step, _ in log] == [1, 2, 3, 4]
+        for record, (_, loss) in zip(trace, log):
+            assert set(record) == {"step", "loss", "grad_norm", "lr", "cpu_ms"}
+            assert f"{record['loss']:.8f}" == loss
+            assert record["lr"] == 1e-3
+            assert np.isfinite(record["grad_norm"]) and record["grad_norm"] > 0
+            assert record["cpu_ms"] > 0
+
+    def test_trace_keeps_the_pre_clip_norm_and_warmup_lr(self, workdir, monkeypatch):
+        from depthformer import train
+        from depthformer.encoder import EncoderConfig
+
+        norms = []
+        adam_step = train.adam_step
+
+        def recording(store, lr, clip):
+            norms.append(adam_step(store, lr=lr, clip=clip))
+            return norms[-1]
+
+        monkeypatch.setattr(train, "adam_step", recording)
+        corpus = load_tsv(workdir / "data" / "train.tsv")
+        config = EncoderConfig(
+            vocab_size=len(corpus.vocab), n_labels=2, n_layers=2, d_model=16, n_heads=2, d_ff=32, max_len=32,
+        )
+        records = []
+        # a clip below every norm, so clipping changes the gradients the norm was taken from
+        train.train_classifier(corpus, config, steps=3, batch_size=8, clip=1e-3, warmup=2, on_step=records.append)
+        assert [r.grad_norm for r in records] == norms and min(norms) > 1e-3
+        assert [r.lr for r in records] == [5e-4, 1e-3, 1e-3]
 
     def test_eval_reports_counts(self, workdir, capsys):
         assert main([
@@ -533,6 +571,63 @@ class TestExportHist:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {workdir / 'mi' / 'mi_table.tsv'}:1: word ")
         assert "is not in the vocabulary" in err
+
+
+class TestMalformedTableFields:
+    """A non-numeric field of a vocabulary or MI table fails with the file
+    and line that hold it, and exit code 2."""
+
+    @staticmethod
+    def with_bad_vocab(ckpt, tmp_path, field, value):
+        import shutil
+
+        out = tmp_path / ckpt.name
+        for suffix in ("", ".meta"):
+            shutil.copy(str(ckpt) + suffix, str(out) + suffix)
+        lines = Path(str(ckpt) + ".vocab.tsv").read_text(encoding="utf-8").splitlines()
+        fields = lines[4].split("\t")
+        fields[field] = value
+        lines[4] = "\t".join(fields)
+        vocab = Path(str(out) + ".vocab.tsv")
+        vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return out, vocab
+
+    def test_eval(self, workdir, tmp_path, capsys):
+        ckpt, vocab = self.with_bad_vocab(workdir / "cls.ckpt", tmp_path, 1, "x")
+        code = main(["eval", "--ckpt", str(ckpt), "--data-tsv", str(workdir / "data" / "test.tsv"), "--reps", "1"])
+        assert code == 2
+        assert f"error: {vocab}:5: id must be an integer, got 'x'" in capsys.readouterr().err
+
+    def test_depths_recon(self, workdir, tmp_path, capsys):
+        ckpt, vocab = self.with_bad_vocab(workdir / "mlm.ckpt", tmp_path, 2, "many")
+        code = main([
+            "depths", "--mode", "recon", "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--test-tsv", str(workdir / "data" / "test.tsv"),
+            "--out-dir", str(tmp_path / "recon"), "--mlm-ckpt", str(ckpt),
+        ])
+        assert code == 2
+        assert f"error: {vocab}:5: doc_freq must be an integer, got 'many'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param(1, "abc", "MI must be a number, got 'abc'", id="mi"),
+            pytest.param(3, "deep", "depth must be an integer, got 'deep'", id="depth"),
+        ],
+    )
+    def test_export_hist(self, workdir, tmp_path, capsys, field, value, message):
+        lines = (workdir / "mi" / "mi_table.tsv").read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split("\t")
+        fields[field] = value
+        lines[2] = "\t".join(fields)
+        table = tmp_path / "mi_table.tsv"
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main([
+            "export-hist", "--mi-table", str(table), "--vocab", str(workdir / "mi" / "vocab.tsv"),
+            "--out", str(tmp_path / "hist.tsv"),
+        ])
+        assert code == 2
+        assert f"error: {table}:3: {message}" in capsys.readouterr().err
 
 
 class TestBenchHelpers:

@@ -202,6 +202,27 @@ class TestLoadTsv:
         assert len(train.vocab) == size_before
         assert test.documents[0].tokens[1] == train.vocab.unk_id
 
+    @pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029", "\x1c", "\x1d", "\x1e"])
+    def test_lines_split_at_newline_only(self, tmp_path, separator):
+        # splitlines() broke this two-line file into three lines, the middle
+        # one "neg<TAB>bad plot"; the separator is whitespace inside the text
+        path = tmp_path / "t.tsv"
+        path.write_text(f"pos\tgood{separator}neg\tbad plot\nneg\tdull\n", encoding="utf-8")
+        corpus = load_tsv(path)
+        assert len(corpus.documents) == 2
+        assert [corpus.labels[d.label] for d in corpus.documents] == ["pos", "neg"]
+        words = [corpus.vocab.id_to_word[i] for i in corpus.documents[0].tokens]
+        assert words == ["good", "neg", "bad", "plot"]
+
+    def test_crlf_file_loads_as_lf(self, tmp_path):
+        lines = ["pos\tgreat movie", "neg\tbad plot", "pos\tgreat fun"]
+        lf = load_tsv(write(tmp_path, "lf.tsv", lines))
+        crlf_path = tmp_path / "crlf.tsv"
+        crlf_path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+        crlf = load_tsv(crlf_path)
+        assert crlf.labels == lf.labels and crlf.vocab.id_to_word == lf.vocab.id_to_word
+        assert [d.tokens.tolist() for d in crlf.documents] == [d.tokens.tolist() for d in lf.documents]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "e.tsv"
         path.write_text("", encoding="utf-8")
@@ -229,6 +250,18 @@ class TestVocab:
         assert "b" not in corpus.vocab.word_to_id
         # dropped train words fall back to <UNK>
         assert corpus.documents[0].tokens[1] == corpus.vocab.unk_id
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param("<UNK>\tx\t0", "id must be an integer, got 'x'", id="id"),
+            pytest.param("<UNK>\t1\tmany", "doc_freq must be an integer, got 'many'", id="doc-freq"),
+        ],
+    )
+    def test_non_numeric_field_names_file_and_line(self, tmp_path, line, message):
+        path = write(tmp_path, "vocab.tsv", ["<PAD>\t0\t0", line, "<MASK>\t2\t0"])
+        with pytest.raises(CorpusError, match=rf"vocab\.tsv:2: {message}"):
+            Vocab.read(path)
 
     def test_roundtrip(self, tmp_path, synth_train):
         path = tmp_path / "vocab.tsv"

@@ -329,6 +329,18 @@ class TestInPlaceKernel:
             assert np.array_equal(h, before), f"layer {n} wrote into its input"
             h = out
 
+    @pytest.mark.parametrize("mixed", [False, True], ids=["full", "mixed"])
+    def test_graph_states_are_the_kernel_states(self, perturbed, mixed):
+        # both paths run the one layer function, so outside training their
+        # states agree bit for bit
+        ids = token_batch((4, 9), seed=31)
+        depths = self.unsorted_depths(4, 32) if mixed else None
+        layers, _ = perturbed.forward_graph(ids, depths, train=False)
+        want, _ = perturbed.forward_infer(ids, depths, collect_layers=True)
+        assert len(layers) == len(want) == 4
+        for n, (got, ref) in enumerate(zip(layers, want), start=1):
+            assert np.array_equal(got.data, ref), f"layer {n}"
+
     def test_each_layer_runs_on_its_corner_block(self, encoder, monkeypatch):
         # the layer norms see the (b_n, m_n) corner: sentence 0 stops at
         # layer 1, and at most 4 then 2 tokens of a sentence stay active
@@ -399,6 +411,74 @@ def reference_graph_layers(enc, ids, depths):
     return layers
 
 
+def _corner(x, b, m):
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        gx[:b, :m] = g
+        return (gx,)
+
+    return ad.op(x.data[:b, :m], (x,), vjp)
+
+
+def _put_corner(old, new, where):
+    b, m = new.data.shape[:2]
+    keep = True if where is None else where[..., None]
+    out = old.data.copy()
+    np.copyto(out[:b, :m], new.data, where=keep)
+
+    def vjp(g):
+        g_old = g.copy()
+        g_new = np.zeros_like(new.data)
+        np.copyto(g_new, g[:b, :m], where=keep)
+        np.copyto(g_old[:b, :m], 0.0, where=keep)
+        return g_old, g_new
+
+    return ad.op(out, (old, new), vjp)
+
+
+def per_op_graph_layers(enc, ids, depths, train):
+    """The graph path as it was built from about 40 small autodiff ops per
+    layer, query-major, on the routing plan of ``encoder._route``; dropout
+    masks are drawn in forward order from the encoder's generator: the
+    embedding, then per layer the attention probabilities, the attention
+    output and the FFN output."""
+    cfg = enc.config
+    rate, rng = cfg.dropout, enc._dropout_rng
+    ids, depths = enc._check_inputs(ids, depths)
+    order, inverse, plan, _ = enc_module._route(depths)
+    h = enc.embed(ids, train)
+    shape, flat = h.shape, (ids.size, cfg.d_model)
+
+    def heads(x, rows, cols):
+        return ad.transpose(ad.reshape(x, (rows, cols, cfg.n_heads, cfg.d_head)), (0, 2, 1, 3))
+
+    if order is not None:
+        h = ad.reshape(ad.take_rows(ad.reshape(h, flat), order), shape)
+    layers = []
+    for i, ((b, m), active) in enumerate(plan):
+        batch, time, d = h.shape
+        wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = enc._layer_tensors[i]
+        k = ad.add(ad.matmul(h, wk), bk)
+        v = ad.add(ad.matmul(h, wv), bv)
+        hq = h if (b, m) == (batch, time) else _corner(h, b, m)
+        if b < batch:
+            k, v = _corner(k, b, time), _corner(v, b, time)
+        q = ad.add(ad.matmul(hq, wq), bq)
+        qh, kh, vh = heads(q, b, m), heads(k, b, time), heads(v, b, time)
+        scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
+        probs = ad.dropout(ad.softmax(scores, -1), rate, rng, train)
+        ctx = ad.reshape(ad.transpose(ad.matmul(probs, vh), (0, 2, 1, 3)), (b, m, d))
+        attn = ad.add(ad.matmul(ctx, wo), bo)
+        hr = ad.layer_norm(ad.add(hq, ad.dropout(attn, rate, rng, train)), ln1_g, ln1_b)
+        ff = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(hr, w1), b1)), w2), b2)
+        out = ad.layer_norm(ad.add(hr, ad.dropout(ff, rate, rng, train)), ln2_g, ln2_b)
+        h = out if hq is h and active is None else _put_corner(h, out, active)
+        layers.append(h)
+    if order is not None:
+        layers = [ad.reshape(ad.take_rows(ad.reshape(x, flat), inverse), shape) for x in layers]
+    return layers
+
+
 class TestGatheredGraphLayer:
     """The training path runs Q, attention, ``wo``, the layer norms and the
     FFN on the corner block of active rows only; it must give the same loss
@@ -444,6 +524,52 @@ class TestGatheredGraphLayer:
         for name, g in ref.items():
             np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-10, err_msg=name)
 
+    @pytest.mark.parametrize(
+        "depths",
+        [
+            pytest.param(None, id="full-mlm"),
+            pytest.param([[3, 3, 3, 3, 3], [3, 3, 3, 3, 3], [3, 3, 3, 3, 3]], id="all-active"),
+            pytest.param([[1, 1, 1, 1, 1], [2, 3, 1, 3, 2], [3, 1, 2, 2, 3]], id="empty-sentence"),
+            pytest.param([[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]], id="uneven"),
+        ],
+    )
+    def test_dropout_training_matches_per_op_graph(self, depths, monkeypatch):
+        # one graph node per layer with a hand-written backward, against the
+        # per-op graph: both draw the same dropout masks from generators in
+        # the same state, pass after pass
+        head = "mlm" if depths is None else "cls"
+        cfg = small_config(d_model=12, d_ff=24, dropout=0.1)
+        fused, per_op = (AdaptiveEncoder(cfg, head=head, seed=5) for _ in range(2))
+        gen = np.random.default_rng(14)
+        for name, p in fused.store.params.items():
+            if p.data.ndim == 1:
+                p.data[:] = (1.0 if "gamma" in name else 0.0) + gen.normal(0.0, 0.3, p.data.shape)
+        per_op.store.load_arrays({k: v.copy() for k, v in fused.store.state_arrays().items()})
+        monkeypatch.setattr(
+            per_op, "forward_graph", lambda ids, depths, train: (per_op_graph_layers(per_op, ids, depths, train), None)
+        )
+        ids = token_batch((3, 5), seed=28)
+        batch_depths = None if depths is None else np.array(depths)
+
+        def run(enc):
+            if depths is None:
+                loss, _ = enc.mlm_anytime_loss_graph(ids, np.array([1, 7, 13]), np.array([4, 9, 5]), train=True)
+            else:
+                layers, _ = enc.forward_graph(ids, batch_depths, train=True)
+                loss = enc.task_loss_graph(enc.classify_graph(layers[-1]), np.array([0, 1, 1]))
+            enc.store.zero_grad()
+            ad.backward(loss)
+            return float(loss.data), {name: p.grad.copy() for name, p in enc.store.params.items()}
+
+        for n in range(3):
+            got_loss, got = run(fused)
+            ref_loss, ref = run(per_op)
+            assert abs(got_loss - ref_loss) <= 1e-10, f"pass {n}"
+            for name, g in ref.items():
+                np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-10, err_msg=f"pass {n}: {name}")
+        # both sides drew the same numbers
+        assert fused._dropout_rng.bit_generator.state == per_op._dropout_rng.bit_generator.state
+
     def test_stopped_rows_copied_exactly(self, perturbed):
         ids = token_batch((3, 5), seed=22)
         depths = np.array([[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]])
@@ -457,16 +583,15 @@ class TestGatheredGraphLayer:
         # the graph-path counterpart of ffn_applications == sum of depths:
         # once a row has stopped, the FFN sees the b*m rows of the corner
         # (b sentences with an active row, m their largest active count)
-        w1 = {id(encoder.store[f"layer{i}.ffn.w1"]): i for i in range(3)}
         rows: list[tuple[int, int]] = []
-        matmul = ad.matmul
+        layer = encoder._layer_infer
 
-        def counting(a, b):
-            if id(b) in w1:
-                rows.append((w1[id(b)], a.data.size // a.data.shape[-1]))
-            return matmul(a, b)
+        def recording(h, i, block, active, tape=None):
+            out = layer(h, i, block, active, tape)
+            rows.append((i, tape["hid"].size // tape["hid"].shape[-1]))
+            return out
 
-        monkeypatch.setattr(ad, "matmul", counting)
+        monkeypatch.setattr(encoder, "_layer_infer", recording)
         ids = token_batch((3, 5), seed=23)
         depths = np.array([[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]])
         encoder.forward_graph(ids, depths, train=True)
@@ -476,23 +601,19 @@ class TestGatheredGraphLayer:
         assert rows == [(0, 3 * 5), (1, 2 * 1), (2, 1 * 1)]
 
     def test_both_paths_run_the_same_corner_blocks(self, encoder, monkeypatch):
-        # one routing plan: both paths' layer norms see the (b_n, m_n)
-        # corner at every layer. Depths are unsorted across sentences (the
-        # deepest is last) and within them; sentence 1 has no active row
-        # after layer 1, sentence 0 none after layer 2.
+        # one routing plan and one layer function: both paths' layer norms
+        # see the (b_n, m_n) corner at every layer; only the graph path keeps
+        # the normalized rows for its backward. Depths are unsorted across
+        # sentences (the deepest is last) and within them; sentence 1 has no
+        # active row after layer 1, sentence 0 none after layer 2.
         shapes = {"graph": [], "infer": []}
-        graph_norm, infer_norm = ad.layer_norm, enc_module._layer_norm_np
+        layer_norm = enc_module._layer_norm_np
 
-        def graph_recording(x, gamma, beta):
-            shapes["graph"].append(x.shape[:-1])
-            return graph_norm(x, gamma, beta)
+        def recording(x, gamma, beta, *saved):
+            shapes["graph" if saved else "infer"].append(x.shape[:-1])
+            return layer_norm(x, gamma, beta, *saved)
 
-        def infer_recording(x, gamma, beta):
-            shapes["infer"].append(x.shape[:-1])
-            return infer_norm(x, gamma, beta)
-
-        monkeypatch.setattr(ad, "layer_norm", graph_recording)
-        monkeypatch.setattr(enc_module, "_layer_norm_np", infer_recording)
+        monkeypatch.setattr(enc_module, "_layer_norm_np", recording)
         ids = token_batch((3, 6), seed=27)
         depths = np.array([[1, 2, 1, 2, 1, 2], [1, 1, 1, 1, 1, 1], [2, 3, 3, 1, 2, 1]])
         encoder.forward_graph(ids, depths, train=True)

@@ -195,6 +195,26 @@ class TestMiTable:
             mi.MiTable.read(path, synth_train.vocab, n_bins=12)
 
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            pytest.param(1, "abc", "MI must be a number, got 'abc'", id="mi"),
+            pytest.param(2, "", "mi_log must be a number, got ''", id="mi-log"),
+            pytest.param(3, "deep", "depth must be an integer, got 'deep'", id="depth"),
+        ],
+    )
+    def test_non_numeric_field_names_file_and_line(self, tmp_path, synth_train, column, value, message):
+        path = tmp_path / "mi.tsv"
+        mi.build_mi_table(collect_stats(synth_train), synth_train.vocab, 12).write(path, synth_train.vocab)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split("\t")
+        fields[column] = value
+        lines[2] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"mi\.tsv:3: {message}"):
+            mi.MiTable.read(path, synth_train.vocab, n_bins=12)
+
+
 class TestSentenceDepths:
     def test_lookup(self, synth_train):
         table = mi.build_mi_table(collect_stats(synth_train), synth_train.vocab, 12)
@@ -251,6 +271,11 @@ class TestDepthFileIO:
         path.write_text(f"1 2 3\n4 {bad} 5\n6\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"d\.depths:2: depth must be an integer, got '{re.escape(bad)}'"):
             mi.read_depth_file(path)
+
+    def test_lines_split_at_newline_only(self, tmp_path):
+        path = tmp_path / "d.depths"
+        path.write_bytes("1 2\u20283\r\n4\x1c5\n".encode("utf-8"))
+        assert [d.tolist() for d in mi.read_depth_file(path)] == [[1, 2, 3], [4, 5]]
 
     @pytest.mark.parametrize("doc_len", [12, 64, 128])
     def test_mi_depth_files_match_the_per_depth_writer(self, tmp_path, doc_len):
