@@ -12,12 +12,13 @@ import numpy as np
 from . import bench, mi, recon, synth
 from .corpus import TokenizerConfig, Vocab, collect_stats, load_tsv, read_kv_config
 from .encoder import AdaptiveEncoder, EncoderConfig
-from .recon import estimate_corpus_depths, train_mlm
+from .recon import train_mlm
 from .train import DEFAULT_CLIP, StepRecord, check_fit_settings, train_classifier, write_trace, write_train_log
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-layers", type=int, default=12)
+def _add_model_flags(p: argparse.ArgumentParser, n_layers: bool = True) -> None:
+    if n_layers:
+        p.add_argument("--n-layers", type=int, default=12)
     p.add_argument("--d-model", type=int, default=128)
     p.add_argument("--n-heads", type=int, default=4)
     p.add_argument("--d-ff", type=int, default=512)
@@ -105,6 +106,7 @@ def cmd_gen_data(args) -> int:
 def cmd_depths(args) -> int:
     if args.mode == "recon":
         recon.check_penalty(args.penalty)
+        recon.check_chunk_rows(args.chunk_rows)
         if not args.mlm_ckpt or not Path(args.mlm_ckpt).exists():
             raise FileNotFoundError(f"reconstruction mode needs a trained MLM checkpoint, got {args.mlm_ckpt!r}")
     out_dir = Path(args.out_dir)
@@ -130,7 +132,9 @@ def cmd_depths(args) -> int:
     summaries = []
     for split, path in (("train", args.train_tsv), ("test", args.test_tsv)):
         corpus = _load_eval_corpus(args.mlm_ckpt, path, meta)
-        maps, avg = estimate_corpus_depths(encoder, corpus, penalty=args.penalty, chunk_rows=args.chunk_rows)
+        profiles = recon.corpus_profiles(encoder, corpus, chunk_rows=args.chunk_rows)
+        maps = recon.depths_from_profiles(profiles, args.penalty)
+        avg = recon.average_depth(maps)
         mi.write_depth_file(out_dir / f"{split}.depths", maps)
         mi.write_histogram(
             out_dir / f"depth_hist_{split}.tsv",
@@ -232,6 +236,7 @@ def cmd_sweep_lambda(args) -> int:
     penalties = [float(x) for x in args.lambdas.split(",")]
     for penalty in penalties:
         recon.check_penalty(penalty)
+    recon.check_chunk_rows(args.chunk_rows)
     if args.cls_steps > 0:
         check_fit_settings(args.cls_steps, args.lr, args.batch_size, DEFAULT_CLIP, args.warmup)
     encoder, meta = AdaptiveEncoder.load(args.mlm_ckpt)
@@ -366,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=None)
-    _add_model_flags(p)
+    _add_model_flags(p, n_layers=False)  # the classifiers take the MLM's depth
     p.set_defaults(func=cmd_sweep_lambda)
 
     p = sub.add_parser("bench", help="fixed vs adaptive wall clock on synthetic input")

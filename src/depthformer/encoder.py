@@ -52,14 +52,15 @@ class EncoderConfig:
     precision: str = "f32"
 
     def __post_init__(self) -> None:
-        if self.n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+        for name in ("vocab_size", "n_layers", "d_model", "n_heads", "d_ff", "max_len", "n_labels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:  # also rejects NaN
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.precision not in _PRECISIONS:
             raise ValueError(f"precision must be one of {sorted(_PRECISIONS)}")
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be set")
 
     @property
     def dtype(self) -> np.dtype:
@@ -295,13 +296,11 @@ class AdaptiveEncoder:
             raise ValueError(f"unknown head {head!r}")
         self.config = config
         self.head = head
-        self.store = ParamStore(dtype=config.dtype)
+        self.store = ParamStore(self._param_shapes(), dtype=config.dtype)
         init_seed, dropout_seed = np.random.SeedSequence(seed).spawn(2)
         self._dropout_rng = np.random.default_rng(dropout_seed)
         self._init_params(np.random.default_rng(init_seed))
         self._pe = sinusoidal_encoding(config.max_len, config.d_model, config.dtype)
-        # adam_step and load_arrays replace .data on these same Tensor
-        # objects, so the tuples never go stale
         self._layer_tensors = [
             tuple(self.store[f"layer{i}.{name}"] for name in _LAYER_PARAMS) for i in range(config.n_layers)
         ]
@@ -309,34 +308,36 @@ class AdaptiveEncoder:
     # ------------------------------------------------------------------
     # parameters
 
-    def _glorot(self, rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    def _param_shapes(self) -> dict[str, tuple[int, ...]]:
+        cfg = self.config
+        d, ff, vocab = cfg.d_model, cfg.d_ff, cfg.vocab_size
+        layer = {
+            "attn.wq": (d, d), "attn.wk": (d, d), "attn.wv": (d, d), "attn.wo": (d, d),
+            "attn.bq": (d,), "attn.bk": (d,), "attn.bv": (d,), "attn.bo": (d,),
+            "ln1.gamma": (d,), "ln1.beta": (d,), "ffn.w1": (d, ff), "ffn.b1": (ff,),
+            "ffn.w2": (ff, d), "ffn.b2": (d,), "ln2.gamma": (d,), "ln2.beta": (d,),
+        }
+        shapes = {"embed.tokens": (vocab, d)}
+        for i in range(cfg.n_layers):
+            shapes.update({f"layer{i}.{name}": shape for name, shape in layer.items()})
+        if self.head == HEAD_CLASSIFIER:
+            shapes.update({"cls.w": (2 * d, cfg.n_labels), "cls.b": (cfg.n_labels,)})
+        else:
+            shapes.update({"mlm.w": (d, vocab), "mlm.b": (vocab,)})
+        return shapes
 
     def _init_params(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        d, ff = cfg.d_model, cfg.d_ff
-        self.store.add("embed.tokens", rng.normal(0.0, 0.02, size=(cfg.vocab_size, d)))
-        for i in range(cfg.n_layers):
-            p = f"layer{i}."
-            for name in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"):
-                self.store.add(p + name, self._glorot(rng, d, d))
-            for name in ("attn.bq", "attn.bk", "attn.bv", "attn.bo"):
-                self.store.add(p + name, np.zeros(d))
-            self.store.add(p + "ln1.gamma", np.ones(d))
-            self.store.add(p + "ln1.beta", np.zeros(d))
-            self.store.add(p + "ffn.w1", self._glorot(rng, d, ff))
-            self.store.add(p + "ffn.b1", np.zeros(ff))
-            self.store.add(p + "ffn.w2", self._glorot(rng, ff, d))
-            self.store.add(p + "ffn.b2", np.zeros(d))
-            self.store.add(p + "ln2.gamma", np.ones(d))
-            self.store.add(p + "ln2.beta", np.zeros(d))
-        if self.head == HEAD_CLASSIFIER:
-            self.store.add("cls.w", self._glorot(rng, 2 * d, cfg.n_labels))
-            self.store.add("cls.b", np.zeros(cfg.n_labels))
-        else:
-            self.store.add("mlm.w", self._glorot(rng, d, cfg.vocab_size))
-            self.store.add("mlm.b", np.zeros(cfg.vocab_size))
+        """Draw each value into its view of the store, in store order: token
+        embeddings from N(0, 0.02²), matrices Glorot-uniform, layer-norm
+        gains 1; biases and shifts keep the store's zeros."""
+        for name, p in self.store.params.items():
+            if name == "embed.tokens":
+                p.data[...] = rng.normal(0.0, 0.02, size=p.shape)
+            elif p.data.ndim == 2:
+                limit = math.sqrt(6.0 / sum(p.shape))
+                p.data[...] = rng.uniform(-limit, limit, size=p.shape)
+            elif name.endswith(".gamma"):
+                p.data.fill(1.0)
 
     # ------------------------------------------------------------------
     # shared input checks

@@ -2,48 +2,50 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor
 
 
 class ParamStore:
-    """Named trainable tensors plus the Adam moment buffers for each."""
+    """Named trainable tensors over four flat arrays, allocated once.
 
-    def __init__(self, dtype=np.float64):
+    ``data`` holds the values, ``grad`` the gradients and ``m``/``v`` the
+    Adam moments, each parameter at the same offset in all four. Every
+    tensor's ``.data`` and ``.grad`` are views of ``data`` and ``grad``,
+    bound here and never replaced: training and loading write in place.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype=np.float64):
         self.dtype = np.dtype(dtype)
+        total = sum(math.prod(shape) for shape in shapes.values())
+        self.data, self.grad, self.m, self.v = (np.zeros(total, dtype=self.dtype) for _ in range(4))
         self.params: dict[str, Tensor] = {}
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, shape in shapes.items():
+            span = slice(offset, offset + math.prod(shape))
+            self.params[name] = t = Tensor(self.data[span].reshape(shape), requires_grad=True)
+            t.grad = self.grad[span].reshape(shape)
+            offset = span.stop
         self.step_count = 0
-
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter {name!r}")
-        t = Tensor(np.asarray(data, dtype=self.dtype), requires_grad=True)
-        self.params[name] = t
-        self.m[name] = np.zeros_like(t.data)
-        self.v[name] = np.zeros_like(t.data)
-        return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = np.zeros_like(p.data)
+        self.grad.fill(0)
 
     def global_grad_norm(self) -> float:
+        # per-tensor float64 sums in tensor order: one flat sum rounds differently
         total = 0.0
         for p in self.params.values():
-            if p.grad is not None:
-                total += float(np.sum(p.grad.astype(np.float64) ** 2))
+            total += float(np.sum(p.grad.astype(np.float64) ** 2))
         return float(np.sqrt(total))
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """Live views of the parameter values; copy them for a snapshot."""
         return {name: p.data for name, p in self.params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
@@ -51,13 +53,13 @@ class ParamStore:
         if unknown:
             raise ValueError(f"checkpoint has unknown parameters: {', '.join(unknown)}")
         for name, data in arrays.items():
-            p = self.params[name]
-            if p.data.shape != data.shape:
-                raise ValueError(f"{name}: shape {data.shape} != expected {p.data.shape}")
-            p.data = np.asarray(data, dtype=self.dtype)
+            if data.shape != self.params[name].shape:
+                raise ValueError(f"{name}: shape {data.shape} != expected {self.params[name].shape}")
         missing = [name for name in self.params if name not in arrays]
         if missing:
             raise ValueError(f"checkpoint is missing parameters: {', '.join(missing)}")
+        for name, data in arrays.items():
+            self.params[name].data[...] = data
 
 
 def clip_gradients(store: ParamStore, max_norm: float) -> float:
@@ -70,10 +72,7 @@ def clip_gradients(store: ParamStore, max_norm: float) -> float:
     if not np.isfinite(norm):
         raise FloatingPointError(f"non-finite gradient norm: {norm}")
     if norm > max_norm:
-        factor = max_norm / norm
-        for p in store.params.values():
-            if p.grad is not None:
-                p.grad *= factor
+        store.grad *= max_norm / norm
     return norm
 
 
@@ -91,15 +90,18 @@ def adam_step(
     t = store.step_count
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, p in store.params.items():
-        g = p.grad
-        if g is None:
-            continue
-        m = store.m[name]
-        v = store.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    g, m, v = store.grad, store.m, store.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps), step by step in two
+    # temporaries: the one-line form makes more and is slower in f64
+    denom = v / bc2
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step = m / bc1
+    step *= lr
+    step /= denom
+    store.data -= step
     return norm

@@ -22,7 +22,6 @@ from .corpus import Corpus, Vocab
 from .encoder import HEAD_MLM, AdaptiveEncoder, EncoderConfig
 from .train import DEFAULT_CLIP, StepRecord, fit, length_buckets
 
-DEFAULT_PENALTY = 0.1
 N_SPECIAL_TOKENS = 3  # <PAD>, <UNK>, <MASK> are never sampled as replacements
 
 
@@ -179,8 +178,7 @@ def sentence_profiles(
     Each forward still masks exactly one position; the masked variants of
     the sentence are merely batched together for throughput.
     """
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
+    check_chunk_rows(chunk_rows)
     tokens = np.asarray(tokens, dtype=np.int64)
     time = len(tokens)
     profiles = np.empty((time, encoder.config.n_layers), dtype=np.float64)
@@ -195,6 +193,11 @@ def sentence_profiles(
             log_probs = encoder.mlm_log_probs_infer(masked_states)
             profiles[start:stop, n] = -log_probs[rows, tokens[start:stop]]
     return profiles
+
+
+def check_chunk_rows(chunk_rows: int) -> None:
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
 
 
 def check_penalty(penalty: float) -> None:
@@ -233,18 +236,6 @@ def corpus_profiles(
     return [
         sentence_profiles(encoder, doc.tokens, mask_id, chunk_rows) for doc in corpus.documents
     ]
-
-
-def estimate_corpus_depths(
-    encoder: AdaptiveEncoder,
-    corpus: Corpus,
-    penalty: float = DEFAULT_PENALTY,
-    chunk_rows: int = 32,
-) -> tuple[list[np.ndarray], float]:
-    """Depth maps for a whole split plus the token-average depth."""
-    profiles = corpus_profiles(encoder, corpus, chunk_rows)
-    depth_maps = depths_from_profiles(profiles, penalty)
-    return depth_maps, average_depth(depth_maps)
 
 
 def average_depth(depth_maps: list[np.ndarray]) -> float:

@@ -12,7 +12,8 @@ from depthformer.corpus import load_tsv
 from depthformer.encoder import AdaptiveEncoder
 
 
-TINY_NET = ["--n-layers", "2", "--d-model", "16", "--n-heads", "2", "--d-ff", "32"]
+TINY_WIDTH = ["--d-model", "16", "--n-heads", "2", "--d-ff", "32"]
+TINY_NET = ["--n-layers", "2", *TINY_WIDTH]
 TINY_MODEL = [*TINY_NET, "--max-len", "32"]
 
 
@@ -314,6 +315,13 @@ class TestTrainAndEval:
             pytest.param("--clip", "0", "clip must be > 0, got 0.0", id="clip-0"),
             # a negative warmup would make the learning rate negative
             pytest.param("--warmup", "-1", "warmup must be >= 0, got -1", id="warmup-neg"),
+            # encoder sizes: unchecked, a zero fails deep in a reshape or a division
+            pytest.param("--n-heads", "0", "n_heads must be >= 1, got 0", id="n-heads-0"),
+            pytest.param("--d-model", "0", "d_model must be >= 1, got 0", id="d-model-0"),
+            pytest.param("--d-ff", "0", "d_ff must be >= 1, got 0", id="d-ff-0"),
+            pytest.param("--max-len", "0", "max_len must be >= 1, got 0", id="max-len-0"),
+            pytest.param("--dropout", "1", "dropout must be in [0, 1), got 1.0", id="dropout-1"),
+            pytest.param("--dropout", "-0.1", "dropout must be in [0, 1), got -0.1", id="dropout-neg"),
         ],
     )
     def test_invalid_setting_is_an_error(self, workdir, tmp_path, capsys, task, flag, value, message):
@@ -417,9 +425,8 @@ class TestDepthsRecon:
         out = tmp_path / "recon"
         if flag == "--mlm-ckpt":
             value = str(tmp_path / value)
-        if flag in ("--penalty", "--mlm-ckpt"):
-            # these fail before the output directory or any profile
-            monkeypatch.setattr(recon, "sentence_profiles", never_called)
+        # every bad setting fails before the output directory or any profile
+        monkeypatch.setattr(recon, "sentence_profiles", never_called)
         code = main([
             "depths", "--mode", "recon", "--train-tsv", str(workdir / "data" / "train.tsv"),
             "--test-tsv", str(workdir / "data" / "test.tsv"),
@@ -427,9 +434,7 @@ class TestDepthsRecon:
         ])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
-        assert not (out / "train.depths").exists()
-        if flag in ("--penalty", "--mlm-ckpt"):
-            assert not out.exists()
+        assert not out.exists()
 
 
 class TestSweepLambda:
@@ -486,10 +491,23 @@ class TestSweepLambda:
             "sweep-lambda", "--mlm-ckpt", str(workdir / "mlm.ckpt"),
             "--train-tsv", str(workdir / "data" / "train.tsv"),
             "--test-tsv", str(workdir / "data" / "test.tsv"), "--lambdas", "0.1",
-            "--cls-steps", "1", *TINY_NET, flag, value, "--out", str(tmp_path / "sweep.tsv"),
+            "--cls-steps", "1", *TINY_WIDTH, flag, value, "--out", str(tmp_path / "sweep.tsv"),
         ])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.tsv").exists()
+
+    def test_n_layers_is_not_an_option(self, workdir, tmp_path, capsys):
+        # the classifiers must take the MLM's depth, which the depth maps index
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "sweep-lambda", "--mlm-ckpt", str(workdir / "mlm.ckpt"),
+                "--train-tsv", str(workdir / "data" / "train.tsv"),
+                "--test-tsv", str(workdir / "data" / "test.tsv"), "--lambdas", "0.1",
+                "--cls-steps", "2", "--n-layers", "7", "--out", str(tmp_path / "sweep.tsv"),
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --n-layers 7" in capsys.readouterr().err
         assert not (tmp_path / "sweep.tsv").exists()
 
 

@@ -5,7 +5,8 @@ import argparse
 
 from depthformer.cli import build_parser
 
-MODEL = ["--n-layers", "--d-model", "--n-heads", "--d-ff", "--dropout", "--precision"]
+WIDTH = ["--d-model", "--n-heads", "--d-ff", "--dropout", "--precision"]
+MODEL = ["--n-layers", *WIDTH]
 CORPUS = ["--max-len", "--min-freq", "--no-lowercase", "--corpus-config"]
 
 EXPECTED = {
@@ -21,7 +22,7 @@ EXPECTED = {
     "eval": ["--ckpt", "--data-tsv", "--depths", "--batch-size", "--reps", "--precision", "--report"],
     "sweep-lambda": [
         "--mlm-ckpt", "--train-tsv", "--test-tsv", "--lambdas", "--chunk-rows", "--cls-steps", "--lr",
-        "--warmup", "--batch-size", "--seed", "--out", *MODEL,
+        "--warmup", "--batch-size", "--seed", "--out", *WIDTH,
     ],
     "bench": [
         "--seq-len", "--n-sentences", "--batch-sizes", "--target-avg-depth", "--depths", "--vocab-size",

@@ -40,6 +40,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="divisible"):
             small_config(d_model=10, n_heads=3)
 
+    @pytest.mark.parametrize("field", ["vocab_size", "n_layers", "d_model", "n_heads", "d_ff", "max_len", "n_labels"])
+    def test_sizes_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            small_config(**{field: 0})
+
+    @pytest.mark.parametrize("dropout", [-0.1, 1.0, float("nan")])
+    def test_dropout_must_lie_in_unit_interval(self, dropout):
+        with pytest.raises(ValueError, match=r"dropout must be in \[0, 1\)"):
+            small_config(dropout=dropout)
+
     def test_meta_roundtrip(self):
         cfg = small_config()
         assert EncoderConfig.from_meta(cfg.to_meta()) == cfg

@@ -3,32 +3,30 @@ import pytest
 
 from depthformer import autodiff as ad
 from depthformer.autodiff import Tensor
+from depthformer.encoder import AdaptiveEncoder, EncoderConfig
 from depthformer.optim import ParamStore, adam_step, clip_gradients
 
 
 def make_store():
-    store = ParamStore(dtype=np.float64)
-    store.add("a", np.array([1.0, 2.0, 3.0]))
-    store.add("b", np.array([[0.5, -0.5]]))
+    store = ParamStore({"a": (3,), "b": (1, 2)}, dtype=np.float64)
+    store["a"].data[...] = [1.0, 2.0, 3.0]
+    store["b"].data[...] = [[0.5, -0.5]]
     return store
 
 
 class TestParamStore:
-    def test_duplicate_name_rejected(self):
-        store = make_store()
-        with pytest.raises(ValueError, match="duplicate"):
-            store.add("a", np.zeros(2))
-
     def test_zero_grad_fills_zeros(self):
         store = make_store()
+        store.grad[:] = 7.0
         store.zero_grad()
         assert all(np.all(p.grad == 0) for p in store.params.values())
 
     def test_moments_match_shapes(self):
         store = make_store()
-        for name, p in store.params.items():
-            assert store.m[name].shape == p.data.shape
-            assert store.v[name].shape == p.data.shape
+        for flat in (store.data, store.grad, store.m, store.v):
+            assert flat.shape == (5,) and flat.dtype == np.float64
+        assert [p.data.shape for p in store.params.values()] == [(3,), (1, 2)]
+        np.testing.assert_array_equal(store.data, [1.0, 2.0, 3.0, 0.5, -0.5])
 
     def test_load_arrays_validates_shape(self):
         store = make_store()
@@ -57,8 +55,7 @@ class TestClipping:
         np.testing.assert_allclose(store.params["a"].grad, [3.0, 0.0, 0.0])
 
     def test_global_norm_fifty_rescaled_to_five(self):
-        store = ParamStore(dtype=np.float64)
-        store.add("w", np.zeros(4))
+        store = ParamStore({"w": (4,)}, dtype=np.float64)
         store.zero_grad()
         store.params["w"].grad[:] = [30.0, 40.0, 0.0, 0.0]  # norm 50
         norm = clip_gradients(store, 5.0)
@@ -90,8 +87,8 @@ class TestAdam:
         assert store.step_count == 2
 
     def test_quadratic_loss_decreases_monotonically(self):
-        store = ParamStore(dtype=np.float64)
-        w = store.add("w", np.array([0.0]))
+        store = ParamStore({"w": (1,)}, dtype=np.float64)
+        w = store["w"]
         target = Tensor(np.array([-3.0]))
         losses = []
         for _ in range(100):
@@ -105,10 +102,101 @@ class TestAdam:
 
     def test_first_step_matches_hand_computation(self):
         # with bias correction the very first update is lr * g/(|g| + eps)
-        store = ParamStore(dtype=np.float64)
-        store.add("w", np.array([1.0, -1.0]))
+        store = ParamStore({"w": (2,)}, dtype=np.float64)
+        store["w"].data[...] = [1.0, -1.0]
         store.zero_grad()
         store.params["w"].grad[:] = [0.3, -0.2]
         adam_step(store, lr=0.01, clip=100.0)
         expected = np.array([1.0, -1.0]) - 0.01 * np.sign([0.3, -0.2])
         np.testing.assert_allclose(store.params["w"].data, expected, atol=1e-6)
+
+
+class PerParameterAdam:
+    """The store before the flat arrays: a fresh zeroed gradient per tensor
+    each step, and clipping and Adam run tensor by tensor."""
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self.data = {name: a.copy() for name, a in arrays.items()}
+        self.grad = {name: None for name in arrays}
+        self.m = {name: np.zeros_like(a) for name, a in arrays.items()}
+        self.v = {name: np.zeros_like(a) for name, a in arrays.items()}
+        self.step_count = 0
+
+    def zero_grad(self):
+        for name, a in self.data.items():
+            self.grad[name] = np.zeros_like(a)
+
+    def adam_step(self, lr, clip, beta1=0.9, beta2=0.999, eps=1e-8):
+        total = 0.0
+        for g in self.grad.values():
+            total += float(np.sum(g.astype(np.float64) ** 2))
+        norm = float(np.sqrt(total))
+        if norm > clip:
+            factor = clip / norm
+            for g in self.grad.values():
+                g *= factor
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for name, g in self.grad.items():
+            m, v = self.m[name], self.v[name]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            self.data[name] = self.data[name] - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        return norm
+
+
+def encoder_store(precision):
+    config = EncoderConfig(
+        vocab_size=30, n_labels=3, n_layers=3, d_model=16, n_heads=2, d_ff=24, max_len=8, precision=precision
+    )
+    return AdaptiveEncoder(config, head="cls", seed=5).store
+
+
+class TestFlatArena:
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_matches_the_per_parameter_loop_bit_for_bit(self, precision):
+        store = encoder_store(precision)
+        ref = PerParameterAdam(store.state_arrays())
+        gen = np.random.default_rng(7)
+        clipped = 0
+        for step in range(24):
+            store.zero_grad()
+            ref.zero_grad()
+            for name, p in store.params.items():
+                # gradients arrive as backward adds them: into the zeroed buffer
+                g = gen.normal(0.0, 0.5, size=p.data.shape).astype(store.dtype)
+                p.grad += g
+                ref.grad[name] += g
+            lr = 1e-3 * min(1.0, (step + 1) / 5)
+            norm = adam_step(store, lr=lr, clip=5.0)
+            assert norm == ref.adam_step(lr=lr, clip=5.0)
+            clipped += norm > 5.0
+        assert clipped >= 20
+        for name, p in store.params.items():
+            assert p.data.tobytes() == ref.data[name].tobytes(), name
+        assert store.m.tobytes() == np.concatenate([a.ravel() for a in ref.m.values()]).tobytes()
+        assert store.v.tobytes() == np.concatenate([a.ravel() for a in ref.v.values()]).tobytes()
+
+    def test_tensors_stay_views_of_the_flat_arrays(self):
+        store = encoder_store("f32")
+        bound = {name: (p.data, p.grad) for name, p in store.params.items()}
+
+        def assert_bound():
+            for name, p in store.params.items():
+                assert p.data is bound[name][0] and p.grad is bound[name][1], name
+                assert np.shares_memory(p.data, store.data) and np.shares_memory(p.grad, store.grad), name
+
+        assert_bound()
+        store.zero_grad()
+        for p in store.params.values():
+            p.grad += 1.0
+        adam_step(store, lr=1e-2)
+        assert_bound()
+        assert np.all(store.data != encoder_store("f32").data)
+        store.load_arrays({name: np.full(a.shape, 0.25) for name, a in store.state_arrays().items()})
+        assert_bound()
+        assert np.all(store.data == 0.25)

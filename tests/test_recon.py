@@ -9,7 +9,6 @@ from depthformer.encoder import EncoderConfig
 from depthformer.recon import (
     anytime_loss_on_docs,
     depths_from_profiles,
-    estimate_corpus_depths,
     mask_batch,
     select_depth,
     sentence_profiles,
@@ -218,9 +217,10 @@ class TestLayerLosses:
 class TestEstimateCorpusDepths:
     def test_depths_in_range_and_deterministic(self, toy_mlm):
         corpus, result = toy_mlm
-        maps_a, avg_a = estimate_corpus_depths(result.encoder, corpus, penalty=0.1)
-        maps_b, avg_b = estimate_corpus_depths(result.encoder, corpus, penalty=0.1)
-        assert avg_a == avg_b
+        maps_a, maps_b = (
+            depths_from_profiles(recon.corpus_profiles(result.encoder, corpus), 0.1) for _ in range(2)
+        )
+        assert recon.average_depth(maps_a) == recon.average_depth(maps_b)
         for a, b, doc in zip(maps_a, maps_b, corpus.documents):
             assert np.array_equal(a, b)
             assert len(a) == len(doc.tokens)
@@ -239,7 +239,7 @@ class TestEstimateCorpusDepths:
         # easy-to-reconstruct bulk words should need at most the typical
         # number of layers; checked as an aggregate tendency
         corpus, result = toy_mlm
-        maps, _ = estimate_corpus_depths(result.encoder, corpus, penalty=0.1)
+        maps = depths_from_profiles(recon.corpus_profiles(result.encoder, corpus), 0.1)
         df = corpus.vocab.doc_freq.copy()
         frequent = set(np.argsort(df)[-8:].tolist())
         all_depths, frequent_depths = [], []
