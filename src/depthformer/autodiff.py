@@ -338,11 +338,26 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def dropout_mask(shape: tuple[int, ...], dtype, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout multipliers: 0 with probability ``rate``, else 1/(1 - rate)."""
-    mask = rng.random(shape, dtype=dtype)
-    dtype = mask.dtype.type
-    np.multiply(mask >= rate, dtype(1.0) / dtype(1.0 - rate), out=mask)
-    return mask
+    """Boolean keep-mask for inverted dropout: False with probability ``rate``.
+    One ``rng.random(shape, dtype)`` draw, so the stream does not depend on
+    how the mask is stored."""
+    return rng.random(shape, dtype=dtype) >= rate
+
+
+def dropout_scale(dtype, rate: float):
+    """The ``1 / (1 - rate)`` that kept entries are multiplied by, in ``dtype``.
+    Applied after the keep-mask, as its own multiply: ``x·1·s`` rounds
+    exactly like ``x·s`` and ``x·0·s`` is ``x·0``, so the result is that of
+    one multiply by a mask of 0s and scales."""
+    dtype = np.dtype(dtype).type
+    return dtype(1.0) / dtype(1.0 - rate)
+
+
+def apply_dropout(x: np.ndarray, keep: np.ndarray, scale) -> np.ndarray:
+    """``x`` times the keep-mask, then the scale, as a new array."""
+    out = x * keep
+    out *= scale
+    return out
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
@@ -351,9 +366,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Te
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
-    mask = dropout_mask(x.data.shape, x.data.dtype, rate, rng)
+    keep = dropout_mask(x.data.shape, x.data.dtype, rate, rng)
+    scale = dropout_scale(x.data.dtype, rate)
 
     def vjp(g):
-        return (g * mask,)
+        return (apply_dropout(g, keep, scale),)
 
-    return op(x.data * mask, (x,), vjp)
+    return op(apply_dropout(x.data, keep, scale), (x,), vjp)

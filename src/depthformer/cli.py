@@ -150,6 +150,8 @@ def cmd_depths(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.depths and args.task != "cls":
+        raise ValueError("--depths applies only to --task cls")
     config = _tokenizer_config(args)
     corpus = load_tsv(args.train_tsv, config)
     enc_config = _encoder_config(args, len(corpus.vocab), corpus.n_labels, args.max_len)

@@ -216,6 +216,12 @@ def _layer_norm_backward(
     return (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1)), gx
 
 
+def _heads_to_rows(ctx: np.ndarray) -> np.ndarray:
+    """The (b, H, d_head, m) context as (b, m, H·d_head) rows."""
+    b, heads, d_head, m = ctx.shape
+    return ctx.transpose(0, 3, 1, 2).reshape(b, m, heads * d_head)
+
+
 def _layer_backward(
     h: np.ndarray, block: tuple[int, int], active: np.ndarray | None, tape: dict, g: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -225,44 +231,51 @@ def _layer_backward(
     in the forward. Keys and values take gradient only in the first ``b``
     sentences, the ones they were read in; stopped rows pass ``g`` straight
     through, and active corner rows take only what flows back through the
-    block. Nothing on the tape is written, and neither is ``g``."""
+    block. The dropped probabilities and the context rows are remade from
+    the tape with the forward's own operations. No array on the tape is
+    written, and neither is ``g``; the tape is emptied once read, so the
+    graph keeps no intermediates once its backward has run."""
     wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = tape["w"]
     qh, kh, vh, ctx, hr, hid = tape["qh"], tape["kh"], tape["vh"], tape["ctx"], tape["hr"], tape["hid"]
+    scores, key_sums = tape["scores"], tape["key_sums"]
     xhat1, std1, xhat2, std2 = tape["ln"]
     drop = tape["drop"]
+    tape.clear()
     batch, time, d = h.shape
     b, m = block
     _, heads, d_head, _ = qh.shape
 
     g_out = g[:b, :m] if active is None else g[:b, :m] * active[..., None]
     g_ln2_g, g_ln2_b, g_hr = _layer_norm_backward(g_out, ln2_g, xhat2, std2)
-    g_ff = g_hr if drop is None else g_hr * drop[2]
+    g_ff = g_hr if drop is None else ad.apply_dropout(g_hr, drop[2], drop[3])
     g_w2, g_b2 = _weight_grad(hid, g_ff), g_ff.sum(axis=(0, 1))
     g_hid = g_ff @ w2.T
     g_hid *= hid > 0
     g_w1, g_b1 = _weight_grad(hr, g_hid), g_hid.sum(axis=(0, 1))
     g_hr += g_hid @ w1.T
     g_ln1_g, g_ln1_b, g_hq = _layer_norm_backward(g_hr, ln1_g, xhat1, std1)
-    g_attn = g_hq if drop is None else g_hq * drop[1]
-    g_wo, g_bo = _weight_grad(tape["ctx_rows"], g_attn), g_attn.sum(axis=(0, 1))
+    g_attn = g_hq if drop is None else ad.apply_dropout(g_hq, drop[1], drop[3])
+    g_wo, g_bo = _weight_grad(_heads_to_rows(ctx), g_attn), g_attn.sum(axis=(0, 1))
     g_ctx = (g_attn @ wo.T).reshape(b, m, heads, d_head).transpose(0, 2, 3, 1)
 
     # ctx = V·(E⊙M)/s, E the exponentiated scores, M the probabilities'
     # dropout mask and s the key sums of E. The softmax VJP over keys is
     # dS = P⊙(dP − Σ_k P·dP), with Σ_k P·dP = Σ_j ctx·dctx; both it and
     # dctx are divided by s here, on (b, H, ·, m) blocks, not on P.
-    key_sums = tape["key_sums"]
     inner = (g_ctx * ctx).sum(axis=-2, keepdims=True)
     inner /= key_sums
     g_ctx = g_ctx / key_sums
     # the head gradients are written straight into (b, rows, H, d_head)
     g_q, g_k, g_v = (np.empty((b, rows, heads, d_head), dtype=h.dtype) for rows in (m, time, time))
-    np.matmul(g_ctx, tape["kept"].transpose(0, 1, 3, 2), out=g_v.transpose(0, 2, 3, 1))
+    kept = scores if drop is None else ad.apply_dropout(scores, drop[0], drop[3])
+    np.matmul(g_ctx, kept.transpose(0, 1, 3, 2), out=g_v.transpose(0, 2, 3, 1))
+    del kept  # before g_scores, an array of the same size, is made
     g_scores = np.matmul(vh.transpose(0, 1, 3, 2), g_ctx)
     if drop is not None:
         g_scores *= drop[0]
+        g_scores *= drop[3]
     g_scores -= inner
-    g_scores *= tape["scores"]
+    g_scores *= scores
     np.matmul(g_scores, qh.transpose(0, 1, 3, 2), out=g_k.transpose(0, 2, 1, 3))
     np.matmul(kh.transpose(0, 1, 3, 2), g_scores, out=g_q.transpose(0, 2, 3, 1))
 
@@ -380,8 +393,10 @@ class AdaptiveEncoder:
         self, h: Tensor, i: int, block: tuple[int, int], active: np.ndarray | None, train: bool
     ) -> Tensor:
         """One layer as one graph node: ``_layer_infer`` runs the forward,
-        with the layer's dropout masks when training, and keeps on a tape
-        what ``_layer_backward``, the node's VJP, reads."""
+        with the layer's dropout keep-masks when training, and keeps on a
+        tape what ``_layer_backward``, the node's VJP, reads and then
+        releases; after the backward the node holds only its output and
+        gradient."""
         cfg = self.config
         drop = None
         if train and cfg.dropout > 0.0:
@@ -390,7 +405,8 @@ class AdaptiveEncoder:
             b, m = block
             shapes = ((b, cfg.n_heads, m, h.shape[1]), (b, m, cfg.d_model), (b, m, cfg.d_model))
             probs, attn, ffn = (ad.dropout_mask(s, cfg.dtype, cfg.dropout, self._dropout_rng) for s in shapes)
-            drop = (np.ascontiguousarray(probs.transpose(0, 1, 3, 2)), attn, ffn)
+            scale = ad.dropout_scale(cfg.dtype, cfg.dropout)
+            drop = (np.ascontiguousarray(probs.transpose(0, 1, 3, 2)), attn, ffn, scale)
         tape = {"drop": drop, "ln": []}
         out = self._layer_infer(h.data, i, block, active, tape)
         return ad.op(out, (h, *self._layer_tensors[i]), lambda g: _layer_backward(h.data, block, active, tape, g))
@@ -485,14 +501,16 @@ class AdaptiveEncoder:
         context is normalized after the ``P·V`` product.
 
         This is the layer's only forward. The graph path passes ``tape``, a
-        dict whose "drop" entry holds the layer's dropout masks (attention
-        probabilities key-major as (b, H, T, m), attention output, FFN
-        output) or None, and whose "ln" entry is an empty list; the
-        intermediates ``_layer_backward`` reads are stored in it. Without a
-        tape nothing extra is computed or kept.
+        dict whose "drop" entry is None or holds the layer's boolean dropout
+        keep-masks (attention probabilities key-major as (b, H, T, m),
+        attention output, FFN output) and the ``1/(1 - p)`` scale, applied
+        after each mask, and whose "ln" entry is an empty list; the
+        intermediates ``_layer_backward`` reads are stored in it. Products it
+        can remake cheaply (the dropped probabilities, the context rows) are
+        not. Without a tape nothing extra is computed or kept.
         """
         cfg = self.config
-        batch, time, d = h.shape
+        batch, time, _ = h.shape
         b, m = block
         heads, d_head = cfg.n_heads, cfg.d_head
         weights = tuple(t.data for t in self._layer_tensors[i])
@@ -514,15 +532,14 @@ class AdaptiveEncoder:
         scores = np.matmul(kh, qh)
         scores -= scores.max(axis=-2, keepdims=True)
         np.exp(scores, out=scores)
-        kept = scores if drop is None else scores * drop[0]
-        ctx = np.matmul(vh, kept)
+        ctx = np.matmul(vh, scores if drop is None else ad.apply_dropout(scores, drop[0], drop[3]))
         key_sums = scores.sum(axis=-2, keepdims=True)
         ctx /= key_sums
-        ctx_rows = ctx.transpose(0, 3, 1, 2).reshape(b, m, d)
-        attn = ctx_rows @ wo
+        attn = _heads_to_rows(ctx) @ wo
         attn += bo
         if drop is not None:
             attn *= drop[1]
+            attn *= drop[3]
         attn += hq
         hr = _layer_norm_np(attn, ln1_g, ln1_b, *saved)
         hid = hr @ w1
@@ -532,13 +549,11 @@ class AdaptiveEncoder:
         out += b2
         if drop is not None:
             out *= drop[2]
+            out *= drop[3]
         out += hr
         _layer_norm_np(out, ln2_g, ln2_b, *saved)
         if tape is not None:
-            tape.update(
-                w=weights, qh=qh, kh=kh, vh=vh, scores=scores, kept=kept, key_sums=key_sums,
-                ctx=ctx, ctx_rows=ctx_rows, hr=hr, hid=hid,
-            )
+            tape.update(w=weights, qh=qh, kh=kh, vh=vh, scores=scores, key_sums=key_sums, ctx=ctx, hr=hr, hid=hid)
         if active is None and (b, m) == (batch, time):
             return out
         new = h.copy()

@@ -23,9 +23,11 @@ class ParamStore:
         total = sum(math.prod(shape) for shape in shapes.values())
         self.data, self.grad, self.m, self.v = (np.zeros(total, dtype=self.dtype) for _ in range(4))
         self.params: dict[str, Tensor] = {}
+        self._spans: list[slice] = []
         offset = 0
         for name, shape in shapes.items():
             span = slice(offset, offset + math.prod(shape))
+            self._spans.append(span)
             self.params[name] = t = Tensor(self.data[span].reshape(shape), requires_grad=True)
             t.grad = self.grad[span].reshape(shape)
             offset = span.stop
@@ -39,9 +41,10 @@ class ParamStore:
 
     def global_grad_norm(self) -> float:
         # per-tensor float64 sums in tensor order: one flat sum rounds differently
+        squares = np.square(self.grad, dtype=np.float64)
         total = 0.0
-        for p in self.params.values():
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+        for span in self._spans:
+            total += float(np.add.reduce(squares[span]))
         return float(np.sqrt(total))
 
     def state_arrays(self) -> dict[str, np.ndarray]:

@@ -113,11 +113,16 @@ def train_mlm(
 ) -> MlmTrainResult:
     """Train the anytime MLM from scratch at full depth.
 
-    A trailing slice of the corpus is held out from the sampled batches
-    and scored before and after training; with ``steps=0`` the returned
-    checkpoint is exactly the initialization. ``on_step`` gets each step's
-    record.
+    A trailing slice of the corpus, ``heldout_fraction`` of it (in (0, 1),
+    at least one document), is held out from the sampled batches and
+    scored before and after training, and every ``eval_every`` steps when
+    that is positive; with ``steps=0`` the returned checkpoint is exactly
+    the initialization. ``on_step`` gets each step's record.
     """
+    if not 0.0 < heldout_fraction < 1.0:  # also rejects NaN
+        raise ValueError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
+    if eval_every < 0:
+        raise ValueError(f"eval_every must be >= 0, got {eval_every}")
     model_seed, data_seed, eval_seed = np.random.SeedSequence(seed).spawn(3)
     encoder = AdaptiveEncoder(config, HEAD_MLM, seed=int(model_seed.generate_state(1)[0]))
     data_rng = np.random.default_rng(data_seed)

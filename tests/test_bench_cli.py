@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthformer import bench, mi, recon
+from depthformer import bench, cli, mi, recon
 from depthformer.bench import make_bench_depths
 from depthformer.cli import main
 from depthformer.corpus import load_tsv
@@ -332,6 +332,46 @@ class TestTrainAndEval:
         ])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            # all but the last were accepted: 1.5 then failed as "corpus too
+            # small", 0 and -0.5 held out one document, NaN failed in int()
+            pytest.param("--heldout-fraction", "1.5", "heldout_fraction must be in (0, 1), got 1.5", id="fraction-1.5"),
+            pytest.param("--heldout-fraction", "1", "heldout_fraction must be in (0, 1), got 1.0", id="fraction-1"),
+            pytest.param("--heldout-fraction", "0", "heldout_fraction must be in (0, 1), got 0.0", id="fraction-0"),
+            pytest.param("--heldout-fraction", "-0.5", "heldout_fraction must be in (0, 1), got -0.5", id="fraction-neg"),
+            pytest.param("--heldout-fraction", "nan", "heldout_fraction must be in (0, 1), got nan", id="fraction-nan"),
+            # evaluated every 3 steps
+            pytest.param("--eval-every", "-3", "eval_every must be >= 0, got -3", id="eval-every-neg"),
+        ],
+    )
+    def test_invalid_heldout_setting_is_an_error(self, workdir, tmp_path, capsys, monkeypatch, flag, value, message):
+        def encoder_built(*args, **kwargs):
+            raise AssertionError("encoder built before the held-out settings were checked")
+
+        monkeypatch.setattr(recon, "AdaptiveEncoder", encoder_built)
+        out = tmp_path / "x.ckpt"
+        code = main([
+            "train", "--task", "mlm", "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--out", str(out), "--steps", "2", "--batch-size", "8", *TINY_MODEL, flag, value,
+        ])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_depth_file_with_mlm_task_is_an_error(self, workdir, tmp_path, capsys, monkeypatch):
+        # it was ignored, even when missing; now refused before the corpus is read
+        monkeypatch.setattr(cli, "load_tsv", never_called)
+        out = tmp_path / "x.ckpt"
+        code = main([
+            "train", "--task", "mlm", "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--depths", str(tmp_path / "missing.depths"), "--out", str(out), "--steps", "1", *TINY_MODEL,
+        ])
+        assert code == 2
+        assert "error: --depths applies only to --task cls" in capsys.readouterr().err
         assert not out.exists()
 
     def test_misaligned_depth_file_is_an_error(self, workdir, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from depthformer import encoder as enc_module
 from depthformer.autodiff import Tensor
 from depthformer.encoder import _LAYER_PARAMS, AdaptiveEncoder, EncoderConfig
 from depthformer.optim import adam_step
+from depthformer.train import fit
 
 
 def small_config(**overrides):
@@ -630,6 +633,71 @@ class TestGatheredGraphLayer:
         encoder.forward_infer(ids, depths)
         want = [(3, 6), (3, 6), (2, 4), (2, 4), (1, 2), (1, 2)]
         assert shapes == {"graph": want, "infer": want}
+
+
+class TestLeanTape:
+    """What a training step keeps: each layer node's tape holds boolean
+    dropout masks and no product the backward can remake, and the backward
+    empties it, so a finished step's graph holds only states and gradients."""
+
+    @staticmethod
+    def recorded_tapes(enc, monkeypatch):
+        tapes: list[dict] = []
+        layer = enc._layer_infer
+
+        def recording(h, i, block, active, tape=None):
+            tapes.append(tape)
+            return layer(h, i, block, active, tape)
+
+        monkeypatch.setattr(enc, "_layer_infer", recording)
+        return tapes
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize(
+        "depths",
+        [
+            pytest.param(None, id="full"),
+            pytest.param([[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]], id="uneven"),
+        ],
+    )
+    def test_tape_keeps_boolean_masks_and_is_emptied_by_the_backward(self, monkeypatch, precision, depths):
+        enc = AdaptiveEncoder(small_config(dropout=0.1, precision=precision), head="cls", seed=3)
+        tapes = self.recorded_tapes(enc, monkeypatch)
+        layers, _ = enc.forward_graph(token_batch((3, 5), seed=31), depths, train=True)
+        assert len(tapes) == 3
+        for n, tape in enumerate(tapes):
+            assert {mask.dtype for mask in tape["drop"][:3]} == {np.dtype(bool)}, f"layer {n}"
+            assert "kept" not in tape and "ctx_rows" not in tape, f"layer {n}"
+        enc.store.zero_grad()
+        ad.backward(enc.task_loss_graph(enc.classify_graph(layers[-1]), np.array([0, 1, 1])))
+        assert tapes == [{}, {}, {}]
+
+    def test_second_step_peak_stays_near_the_first(self):
+        # fit keeps the first step's loss, and with it that step's graph,
+        # until the second step's loss is built; once the backward has
+        # emptied the tapes that graph holds only states and gradients
+        cfg = small_config(vocab_size=46, n_layers=6, d_model=32, n_heads=4, d_ff=64, dropout=0.1, max_len=32)
+        enc = AdaptiveEncoder(replace(cfg, precision="f32"), head="mlm", seed=7)
+        rng = np.random.default_rng(8)
+        ids = rng.integers(4, 46, size=(8, 32))
+        masked = rng.choice(ids.size, size=40, replace=False)
+        true_ids = rng.integers(4, 46, size=masked.size)
+        peaks: list[int] = []
+
+        def record_peak(_record):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+
+        def batch_loss(_idx):
+            return enc.mlm_anytime_loss_graph(ids, masked, true_ids, train=True)[0]
+
+        tracemalloc.start()
+        try:
+            fit(enc, batch_loss, [32] * 8, 2, 1e-3, 8, np.random.default_rng(0), 5.0, 0, record_peak)
+        finally:
+            tracemalloc.stop()
+        first, second = peaks
+        assert second < 1.3 * first, f"{second / first:.2f}"
 
 
 class TestClassify:
