@@ -149,9 +149,16 @@ def cmd_depths(args) -> int:
     return 0
 
 
+_MLM_ONLY = ("mask_rate", "heldout_fraction", "eval_every")
+
+
 def cmd_train(args) -> int:
     if args.depths and args.task != "cls":
         raise ValueError("--depths applies only to --task cls")
+    # given only when set; train_mlm's defaults fill the rest
+    mlm_settings = {name: getattr(args, name) for name in _MLM_ONLY if getattr(args, name) is not None}
+    if mlm_settings and args.task != "mlm":
+        raise ValueError(f"--{next(iter(mlm_settings)).replace('_', '-')} applies only to --task mlm")
     config = _tokenizer_config(args)
     corpus = load_tsv(args.train_tsv, config)
     enc_config = _encoder_config(args, len(corpus.vocab), corpus.n_labels, args.max_len)
@@ -179,12 +186,10 @@ def cmd_train(args) -> int:
             lr=args.lr,
             batch_size=args.batch_size,
             seed=args.seed,
-            mask_rate=args.mask_rate,
             clip=args.clip,
             warmup=args.warmup,
-            heldout_fraction=args.heldout_fraction,
-            eval_every=args.eval_every,
             on_step=trace.append,
+            **mlm_settings,
         )
         encoder, log = result.encoder, result.log
         print(f"heldout_anytime_loss\tinitial\t{result.heldout_initial:.4f}\tfinal\t{result.heldout_final:.4f}")
@@ -343,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip", type=float, default=5.0)
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mask-rate", type=float, default=0.15)
-    p.add_argument("--heldout-fraction", type=float, default=0.1)
-    p.add_argument("--eval-every", type=int, default=0)
+    p.add_argument("--mask-rate", type=float, default=None, help="--task mlm only (default 0.15)")
+    p.add_argument("--heldout-fraction", type=float, default=None, help="--task mlm only (default 0.1)")
+    p.add_argument("--eval-every", type=int, default=None, help="--task mlm only (default 0: never)")
     _add_model_flags(p)
     _add_corpus_flags(p)
     p.set_defaults(func=cmd_train)

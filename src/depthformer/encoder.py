@@ -14,6 +14,14 @@ Inference calls the kernel directly; the speed benchmarks measure that
 path. Training wraps each call in one graph node, with the layer's dropout
 masks and a tape of the intermediates that its hand-written backward,
 ``_layer_backward``, reads, so gradients flow through the copy routing.
+
+The rest of the model is written once too. The embedding, the permutation
+into routed order and back, the classifier loss and the anytime MLM loss
+are one graph node each, whose forward is the inference code
+(``embed_infer``, a row gather, ``classify_infer``, ``masked_nll_infer``)
+and whose VJP is written beside it. A training step's graph is those
+nodes and the layer nodes; each node releases what its VJP read once
+that VJP has run.
 """
 
 from __future__ import annotations
@@ -140,6 +148,12 @@ def _log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
+def anytime_loss(layer_sums: list, n_masked: int):
+    """The anytime MLM loss from each layer's summed masked NLL: the sums
+    added in layer order in the states' dtype, then times ``1/n_masked``."""
+    return sum(layer_sums) * (1.0 / n_masked)
+
+
 def _route(depths: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, list, LayerCounts]:
     """The routing of one batch, planned from its depths before any layer runs.
 
@@ -172,6 +186,19 @@ def _route(depths: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, li
         for n, b, m, mask in zip(range(1, n_max + 1), b_n.tolist(), m_n.tolist(), masked.tolist())
     ]
     return order, np.argsort(order), plan, counts
+
+
+def _permute(x: Tensor, order: np.ndarray, inverse: np.ndarray) -> Tensor:
+    """The (batch, time) rows of ``x`` gathered by the flat permutation
+    ``order``, as one graph node; its VJP gathers back by ``inverse``."""
+    shape, flat = x.shape, (-1, x.shape[-1])
+
+    def vjp(g):
+        g_x = np.empty_like(g)
+        np.take(g.reshape(flat), inverse, axis=0, out=g_x.reshape(flat))
+        return (g_x,)
+
+    return ad.op(x.data.reshape(flat)[order].reshape(shape), (x,), vjp)
 
 
 def _layer_norm_np(
@@ -383,11 +410,31 @@ class AdaptiveEncoder:
     # graph (training) path
 
     def embed(self, ids: np.ndarray, train: bool = False) -> Tensor:
-        """Layer-0 states: scaled token embeddings plus positional code."""
+        """Layer-0 states as one graph node: ``embed_infer``, then, when
+        training, inverted dropout with a boolean keep-mask. The VJP scatters
+        the gradient into the token table and releases the ids and the mask."""
         ids, _ = self._check_inputs(ids, None)
-        e = ad.scale(ad.embedding(self.store["embed.tokens"], ids), math.sqrt(self.config.d_model))
-        pe = Tensor(self._pe[: ids.shape[1]])
-        return ad.dropout(ad.add(e, pe), self.config.dropout, self._dropout_rng, train)
+        cfg = self.config
+        h = self.embed_infer(ids)
+        tape = {"ids": ids, "drop": None}
+        if train and cfg.dropout > 0.0:
+            tape["drop"] = (
+                ad.dropout_mask(h.shape, cfg.dtype, cfg.dropout, self._dropout_rng),
+                ad.dropout_scale(cfg.dtype, cfg.dropout),
+            )
+            h = ad.apply_dropout(h, *tape["drop"])
+        table = self.store["embed.tokens"]
+
+        def vjp(g):
+            ids, drop = tape.pop("ids"), tape.pop("drop")
+            if drop is not None:
+                g = ad.apply_dropout(g, *drop)
+            g = g * math.sqrt(cfg.d_model)
+            g_table = np.zeros_like(table.data)
+            np.add.at(g_table, ids.reshape(-1), g.reshape(-1, cfg.d_model))
+            return (g_table,)
+
+        return ad.op(h, (table,), vjp)
 
     def _layer_node(
         self, h: Tensor, i: int, block: tuple[int, int], active: np.ndarray | None, train: bool
@@ -419,29 +466,47 @@ class AdaptiveEncoder:
         ids, depths = self._check_inputs(ids, depths)
         order, inverse, plan, counts = _route(depths)
         h = self.embed(ids, train)
-        shape, flat = h.shape, (ids.size, self.config.d_model)
         if order is not None:
-            h = ad.reshape(ad.take_rows(ad.reshape(h, flat), order), shape)
+            h = _permute(h, order, inverse)
         layers: list[Tensor] = []
         for i, (block, active) in enumerate(plan):
             h = self._layer_node(h, i, block, active, train)
             layers.append(h)
         if order is not None:
-            layers = [ad.reshape(ad.take_rows(ad.reshape(x, flat), inverse), shape) for x in layers]
+            layers = [_permute(x, inverse, order) for x in layers]
         return layers, counts
 
-    def classify_graph(self, h_last: Tensor) -> Tensor:
-        """Label distribution from pooled final states."""
-        feats = ad.relu(ad.concat([ad.max_pool(h_last, 1), ad.mean_pool(h_last, 1)], axis=-1))
-        logits = ad.add(ad.matmul(feats, self.store["cls.w"]), self.store["cls.b"])
-        return ad.softmax(logits, -1)
-
-    def task_loss_graph(self, probs: Tensor, gold: np.ndarray) -> Tensor:
-        """Mean negative log-probability of the gold labels."""
+    def classifier_loss_graph(self, h_last: Tensor, gold: np.ndarray) -> Tensor:
+        """Mean negative log-probability of the gold labels under
+        ``classify_infer``, as one graph node over the final states and the
+        head. The VJP goes back through the softmax, the head, the ReLU and
+        both poolings (a max takes its gradient at its first position) and
+        releases the features and probabilities it read."""
         gold = np.asarray(gold, dtype=np.int64)
         if gold.size and (gold.min() < 0 or gold.max() >= self.config.n_labels):
             raise ValueError(f"gold label out of range for {self.config.n_labels} labels")
-        return ad.mean_all(ad.neg(ad.log(ad.pick(probs, gold))))
+        w, b = self.store["cls.w"], self.store["cls.b"]
+        feats, probs = self._classify(h_last.data)
+        rows = np.arange(gold.size)
+        tape = {"feats": feats, "probs": probs}
+
+        def vjp(g):
+            feats, probs = tape.pop("feats"), tape.pop("probs")
+            h = h_last.data
+            time, d = h.shape[1:]
+            # the VJPs of the mean, negation, log and gold pick, then of the
+            # softmax, written as the per-op chain wrote them so the bits match
+            g_probs = np.zeros_like(probs)
+            g_probs[rows, gold] = -np.full(gold.size, float(g) / gold.size, dtype=probs.dtype) / probs[rows, gold]
+            g_logits = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+            g_feats = g_logits @ w.data.T
+            g_feats *= feats > 0
+            g_h = np.repeat((g_feats[:, d:] / time)[:, None], time, axis=1)
+            first_max = h.argmax(axis=1)[:, None]
+            np.put_along_axis(g_h, first_max, np.take_along_axis(g_h, first_max, 1) + g_feats[:, None, :d], 1)
+            return g_h, feats.T @ g_logits, g_logits.sum(axis=0)
+
+        return ad.op((-np.log(probs[rows, gold])).mean(), (h_last, w, b), vjp)
 
     def mlm_anytime_loss_graph(
         self,
@@ -455,25 +520,49 @@ class AdaptiveEncoder:
         ``ids`` must already contain the corrupted tokens; ``masked_flat_idx``
         indexes the flattened (batch*time) positions being predicted. Runs
         every layer: depth adaptivity is never used while training the MLM.
-        Also returns the per-layer mean losses as plain floats.
+        The loss is one graph node over every layer state and the head, its
+        forward ``masked_nll_infer`` and ``anytime_loss``; the VJP releases
+        the log-probabilities it read. Also returns the per-layer mean
+        losses as plain floats.
         """
         masked_flat_idx = np.asarray(masked_flat_idx, dtype=np.int64)
         true_ids = np.asarray(true_ids, dtype=np.int64)
         if masked_flat_idx.size == 0:
             raise ValueError("anytime MLM loss needs at least one masked position")
         layers, _ = self.forward_graph(ids, None, train)
+        w, b = self.store["mlm.w"], self.store["mlm.b"]
         n_masked = masked_flat_idx.size
+        rows = np.arange(n_masked)
+        tape: dict = {"log_probs": []}
+        sums = []
+        for h in layers:
+            log_probs, nll = self.masked_nll_infer(h.data, masked_flat_idx, true_ids)
+            tape["log_probs"].append(log_probs)
+            sums.append(nll.sum())
 
-        total: Tensor | None = None
-        per_layer = np.zeros(len(layers), dtype=np.float64)
-        for n, h in enumerate(layers):
-            rows = ad.take_rows(ad.reshape(h, (-1, self.config.d_model)), masked_flat_idx)
-            logits = ad.add(ad.matmul(rows, self.store["mlm.w"]), self.store["mlm.b"])
-            nll = ad.neg(ad.pick(ad.log_softmax(logits, -1), true_ids))
-            layer_sum = ad.sum_all(nll)
-            per_layer[n] = float(layer_sum.data) / n_masked
-            total = layer_sum if total is None else ad.add(total, layer_sum)
-        return ad.scale(total, 1.0 / n_masked), per_layer
+        def vjp(g):
+            # the NLL's gradient is -c at each gold entry, c = g/n_masked; the
+            # log-softmax VJP makes that softmax·c - c there, softmax·c elsewhere
+            c = g * (1.0 / n_masked)
+            g_layers, g_w, g_b = [], None, None
+            for h, log_probs in zip(layers, tape.pop("log_probs")):
+                flat = h.data.reshape(-1, h.shape[-1])
+                g_logits = np.exp(log_probs, out=log_probs)
+                g_logits *= c
+                g_logits[rows, true_ids] -= c
+                g_h = np.zeros_like(h.data)
+                np.add.at(g_h.reshape(flat.shape), masked_flat_idx, g_logits @ w.data.T)
+                g_layers.append(g_h)
+                g_w_n, g_b_n = flat[masked_flat_idx].T @ g_logits, g_logits.sum(axis=0)
+                if g_w is None:
+                    g_w, g_b = g_w_n, g_b_n
+                else:
+                    g_w += g_w_n
+                    g_b += g_b_n
+            return (*g_layers, g_w, g_b)
+
+        loss = ad.op(anytime_loss(sums, n_masked), (*layers, w, b), vjp)
+        return loss, np.array([float(s) / n_masked for s in sums])
 
     # ------------------------------------------------------------------
     # inference path (no graph, eval mode, actually skips stopped tokens)
@@ -584,11 +673,15 @@ class AdaptiveEncoder:
             out = [x.reshape(flat)[inverse].reshape(shape) for x in out]
         return (out if collect_layers else out[0]), counts
 
-    def classify_infer(self, h_last: np.ndarray) -> np.ndarray:
+    def _classify(self, h_last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rectified max- and mean-pooled features and the label
+        probabilities."""
         feats = np.concatenate([h_last.max(axis=1), h_last.mean(axis=1)], axis=-1)
-        feats = np.maximum(feats, 0.0)
-        logits = feats @ self.store["cls.w"].data + self.store["cls.b"].data
-        return _softmax_np(logits)
+        np.maximum(feats, 0.0, out=feats)
+        return feats, _softmax_np(feats @ self.store["cls.w"].data + self.store["cls.b"].data)
+
+    def classify_infer(self, h_last: np.ndarray) -> np.ndarray:
+        return self._classify(h_last)[1]
 
     def predict(
         self, ids: np.ndarray, depths: np.ndarray | None = None
@@ -601,6 +694,16 @@ class AdaptiveEncoder:
     def mlm_log_probs_infer(self, rows: np.ndarray) -> np.ndarray:
         """Vocabulary log-probabilities for a matrix of state rows."""
         return _log_softmax_np(rows @ self.store["mlm.w"].data + self.store["mlm.b"].data)
+
+    def masked_nll_infer(
+        self, h: np.ndarray, flat_idx: np.ndarray, true_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The MLM head's log-probabilities at the flat (batch*time)
+        positions ``flat_idx`` of the states ``h``, and the negative
+        log-probabilities of ``true_ids`` there: the per-layer loss that
+        training, the held-out score and the reconstruction profiles read."""
+        log_probs = self.mlm_log_probs_infer(h.reshape(-1, h.shape[-1])[flat_idx])
+        return log_probs, -log_probs[np.arange(len(flat_idx)), true_ids]
 
     # ------------------------------------------------------------------
     # persistence

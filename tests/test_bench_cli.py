@@ -374,6 +374,40 @@ class TestTrainAndEval:
         assert "error: --depths applies only to --task cls" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        # they were accepted and ignored, out of range or not; the default
+        # value counts as given too
+        [("--mask-rate", "7"), ("--heldout-fraction", "5"), ("--eval-every", "0")],
+    )
+    def test_mlm_flag_with_cls_task_is_an_error(self, workdir, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(cli, "load_tsv", never_called)
+        out = tmp_path / "x.ckpt"
+        code = main([
+            "train", "--task", "cls", "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--out", str(out), "--steps", "1", *TINY_MODEL, flag, value,
+        ])
+        assert code == 2
+        assert f"error: {flag} applies only to --task mlm" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mlm_fit_settings_checked_before_the_heldout_slice_is_scored(self, workdir, tmp_path, capsys, monkeypatch):
+        # it scored the held-out slice once, then failed in fit
+        def encoder_built(*args, **kwargs):
+            raise AssertionError("encoder built before the fit settings were checked")
+
+        scored = []
+        monkeypatch.setattr(recon, "anytime_loss_on_docs", lambda *args, **kwargs: scored.append(1) or 1.0)
+        monkeypatch.setattr(recon, "AdaptiveEncoder", encoder_built)
+        out = tmp_path / "x.ckpt"
+        code = main([
+            "train", "--task", "mlm", "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--out", str(out), "--steps", "2", *TINY_MODEL, "--lr", "0",
+        ])
+        assert code == 2
+        assert "error: lr must be > 0, got 0.0" in capsys.readouterr().err
+        assert scored == [] and not out.exists()
+
     def test_misaligned_depth_file_is_an_error(self, workdir, tmp_path, capsys):
         mi.write_depth_file(tmp_path / "bad.depths", [np.array([1, 2])])
         code = main([

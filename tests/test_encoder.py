@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,20 @@ import pytest
 
 from depthformer import autodiff as ad
 from depthformer import encoder as enc_module
+from depthformer import recon
 from depthformer.autodiff import Tensor
 from depthformer.encoder import _LAYER_PARAMS, AdaptiveEncoder, EncoderConfig
 from depthformer.optim import adam_step
-from depthformer.train import fit
+from depthformer.train import fit, train_classifier
+
+from reference_graph import (
+    per_op_classifier_loss,
+    per_op_embed,
+    per_op_forward_graph,
+    per_op_graph_layers,
+    per_op_mlm_loss,
+    reference_graph_layers,
+)
 
 
 def small_config(**overrides):
@@ -390,106 +401,9 @@ class TestInPlaceKernel:
 
         layers, _ = perturbed.forward_graph(ids, depths, train=False)
         perturbed.store.zero_grad()
-        ad.backward(perturbed.task_loss_graph(perturbed.classify_graph(layers[-1]), np.array([0, 1, 1])))
+        ad.backward(perturbed.classifier_loss_graph(layers[-1], np.array([0, 1, 1])))
         adam_step(perturbed.store, lr=0.05)
         assert np.array_equal(perturbed.forward_infer(ids, depths)[0], fresh_copy().forward_infer(ids, depths)[0])
-
-
-def reference_graph_layers(enc, ids, depths):
-    """The graph path before it gathered active rows: every layer runs on
-    every row, then a 0/1 mask puts the stopped rows' old states back."""
-    cfg, p = enc.config, enc.store
-    batch, time = ids.shape
-
-    def linear(x, i, w, b):
-        return ad.add(ad.matmul(x, p[f"layer{i}.{w}"]), p[f"layer{i}.{b}"])
-
-    def heads(x):
-        return ad.transpose(ad.reshape(x, (batch, time, cfg.n_heads, cfg.d_head)), (0, 2, 1, 3))
-
-    h = enc.embed(ids)
-    layers = []
-    for i in range(int(depths.max())):
-        q, k, v = (heads(linear(h, i, f"attn.w{c}", f"attn.b{c}")) for c in "qkv")
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
-        ctx = ad.matmul(ad.softmax(scores, -1), v)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, time, cfg.d_model))
-        hr = ad.add(h, linear(ctx, i, "attn.wo", "attn.bo"))
-        hr = ad.layer_norm(hr, p[f"layer{i}.ln1.gamma"], p[f"layer{i}.ln1.beta"])
-        ff = linear(ad.relu(linear(hr, i, "ffn.w1", "ffn.b1")), i, "ffn.w2", "ffn.b2")
-        new = ad.layer_norm(ad.add(hr, ff), p[f"layer{i}.ln2.gamma"], p[f"layer{i}.ln2.beta"])
-        keep = (depths > i)[..., None].astype(np.float64)
-        h = ad.add(ad.mul(new, Tensor(keep)), ad.mul(h, Tensor(1.0 - keep)))
-        layers.append(h)
-    return layers
-
-
-def _corner(x, b, m):
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[:b, :m] = g
-        return (gx,)
-
-    return ad.op(x.data[:b, :m], (x,), vjp)
-
-
-def _put_corner(old, new, where):
-    b, m = new.data.shape[:2]
-    keep = True if where is None else where[..., None]
-    out = old.data.copy()
-    np.copyto(out[:b, :m], new.data, where=keep)
-
-    def vjp(g):
-        g_old = g.copy()
-        g_new = np.zeros_like(new.data)
-        np.copyto(g_new, g[:b, :m], where=keep)
-        np.copyto(g_old[:b, :m], 0.0, where=keep)
-        return g_old, g_new
-
-    return ad.op(out, (old, new), vjp)
-
-
-def per_op_graph_layers(enc, ids, depths, train):
-    """The graph path as it was built from about 40 small autodiff ops per
-    layer, query-major, on the routing plan of ``encoder._route``; dropout
-    masks are drawn in forward order from the encoder's generator: the
-    embedding, then per layer the attention probabilities, the attention
-    output and the FFN output."""
-    cfg = enc.config
-    rate, rng = cfg.dropout, enc._dropout_rng
-    ids, depths = enc._check_inputs(ids, depths)
-    order, inverse, plan, _ = enc_module._route(depths)
-    h = enc.embed(ids, train)
-    shape, flat = h.shape, (ids.size, cfg.d_model)
-
-    def heads(x, rows, cols):
-        return ad.transpose(ad.reshape(x, (rows, cols, cfg.n_heads, cfg.d_head)), (0, 2, 1, 3))
-
-    if order is not None:
-        h = ad.reshape(ad.take_rows(ad.reshape(h, flat), order), shape)
-    layers = []
-    for i, ((b, m), active) in enumerate(plan):
-        batch, time, d = h.shape
-        wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = enc._layer_tensors[i]
-        k = ad.add(ad.matmul(h, wk), bk)
-        v = ad.add(ad.matmul(h, wv), bv)
-        hq = h if (b, m) == (batch, time) else _corner(h, b, m)
-        if b < batch:
-            k, v = _corner(k, b, time), _corner(v, b, time)
-        q = ad.add(ad.matmul(hq, wq), bq)
-        qh, kh, vh = heads(q, b, m), heads(k, b, time), heads(v, b, time)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
-        probs = ad.dropout(ad.softmax(scores, -1), rate, rng, train)
-        ctx = ad.reshape(ad.transpose(ad.matmul(probs, vh), (0, 2, 1, 3)), (b, m, d))
-        attn = ad.add(ad.matmul(ctx, wo), bo)
-        hr = ad.layer_norm(ad.add(hq, ad.dropout(attn, rate, rng, train)), ln1_g, ln1_b)
-        ff = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(hr, w1), b1)), w2), b2)
-        out = ad.layer_norm(ad.add(hr, ad.dropout(ff, rate, rng, train)), ln2_g, ln2_b)
-        h = out if hq is h and active is None else _put_corner(h, out, active)
-        layers.append(h)
-    if order is not None:
-        layers = [ad.reshape(ad.take_rows(ad.reshape(x, flat), inverse), shape) for x in layers]
-    return layers
 
 
 class TestGatheredGraphLayer:
@@ -522,7 +436,7 @@ class TestGatheredGraphLayer:
         gold = np.array([0, 1, 1])
 
         def run(layers):
-            loss = enc.task_loss_graph(enc.classify_graph(layers[-1]), gold)
+            loss = enc.classifier_loss_graph(layers[-1], gold)
             enc.store.zero_grad()
             ad.backward(loss)
             grads = {name: p.grad.copy() for name, p in enc.store.params.items()}
@@ -546,10 +460,10 @@ class TestGatheredGraphLayer:
             pytest.param([[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]], id="uneven"),
         ],
     )
-    def test_dropout_training_matches_per_op_graph(self, depths, monkeypatch):
-        # one graph node per layer with a hand-written backward, against the
-        # per-op graph: both draw the same dropout masks from generators in
-        # the same state, pass after pass
+    def test_dropout_training_matches_per_op_graph(self, depths):
+        # one graph node per layer and per loss with hand-written backwards,
+        # against the per-op graph: both draw the same dropout masks from
+        # generators in the same state, pass after pass
         head = "mlm" if depths is None else "cls"
         cfg = small_config(d_model=12, d_ff=24, dropout=0.1)
         fused, per_op = (AdaptiveEncoder(cfg, head=head, seed=5) for _ in range(2))
@@ -558,25 +472,31 @@ class TestGatheredGraphLayer:
             if p.data.ndim == 1:
                 p.data[:] = (1.0 if "gamma" in name else 0.0) + gen.normal(0.0, 0.3, p.data.shape)
         per_op.store.load_arrays({k: v.copy() for k, v in fused.store.state_arrays().items()})
-        monkeypatch.setattr(
-            per_op, "forward_graph", lambda ids, depths, train: (per_op_graph_layers(per_op, ids, depths, train), None)
-        )
         ids = token_batch((3, 5), seed=28)
         batch_depths = None if depths is None else np.array(depths)
+        masked, true_ids, gold = np.array([1, 7, 13]), np.array([4, 9, 5]), np.array([0, 1, 1])
 
-        def run(enc):
+        def fused_loss():
             if depths is None:
-                loss, _ = enc.mlm_anytime_loss_graph(ids, np.array([1, 7, 13]), np.array([4, 9, 5]), train=True)
-            else:
-                layers, _ = enc.forward_graph(ids, batch_depths, train=True)
-                loss = enc.task_loss_graph(enc.classify_graph(layers[-1]), np.array([0, 1, 1]))
+                return fused.mlm_anytime_loss_graph(ids, masked, true_ids, train=True)[0]
+            layers, _ = fused.forward_graph(ids, batch_depths, train=True)
+            return fused.classifier_loss_graph(layers[-1], gold)
+
+        def per_op_loss():
+            layers = per_op_graph_layers(per_op, ids, batch_depths, train=True)
+            if depths is None:
+                return per_op_mlm_loss(per_op, layers, masked, true_ids)
+            return per_op_classifier_loss(per_op, layers[-1], gold)
+
+        def run(enc, loss_fn):
+            loss = loss_fn()
             enc.store.zero_grad()
             ad.backward(loss)
             return float(loss.data), {name: p.grad.copy() for name, p in enc.store.params.items()}
 
         for n in range(3):
-            got_loss, got = run(fused)
-            ref_loss, ref = run(per_op)
+            got_loss, got = run(fused, fused_loss)
+            ref_loss, ref = run(per_op, per_op_loss)
             assert abs(got_loss - ref_loss) <= 1e-10, f"pass {n}"
             for name, g in ref.items():
                 np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-10, err_msg=f"pass {n}: {name}")
@@ -669,7 +589,7 @@ class TestLeanTape:
             assert {mask.dtype for mask in tape["drop"][:3]} == {np.dtype(bool)}, f"layer {n}"
             assert "kept" not in tape and "ctx_rows" not in tape, f"layer {n}"
         enc.store.zero_grad()
-        ad.backward(enc.task_loss_graph(enc.classify_graph(layers[-1]), np.array([0, 1, 1])))
+        ad.backward(enc.classifier_loss_graph(layers[-1], np.array([0, 1, 1])))
         assert tapes == [{}, {}, {}]
 
     def test_second_step_peak_stays_near_the_first(self):
@@ -700,6 +620,265 @@ class TestLeanTape:
         assert second < 1.3 * first, f"{second / first:.2f}"
 
 
+def project(node, proj):
+    """``sum(node * proj)`` as a graph node, so ``backward`` hands ``proj``
+    to ``node`` as its gradient."""
+    return ad.op((node.data * proj).sum(), (node,), lambda g: (proj * g,))
+
+
+def perturbed_twins(head, precision, dropout=0.1, **overrides):
+    """Two encoders with the same non-trivial parameters and dropout
+    generators in the same state."""
+    cfg = small_config(d_model=12, d_ff=24, dropout=dropout, precision=precision, **overrides)
+    a, b = (AdaptiveEncoder(cfg, head=head, seed=5) for _ in range(2))
+    gen = np.random.default_rng(15)
+    for name, p in a.store.params.items():
+        p.data[:] += gen.normal(0.0, 0.3, p.data.shape)
+    b.store.load_arrays({k: v.copy() for k, v in a.store.state_arrays().items()})
+    return a, b
+
+
+def assert_matches_finite_differences(loss_fn, pairs, eps=1e-6, tol=1e-6):
+    """Central differences of ``loss_fn()`` against the analytic gradient,
+    for every entry of every (array, gradient) pair; arrays are perturbed
+    in place and restored."""
+    for arr, grad in pairs:
+        flat = arr.reshape(-1)
+        fd = np.empty(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = loss_fn()
+            flat[i] = orig - eps
+            down = loss_fn()
+            flat[i] = orig
+            fd[i] = (up - down) / (2 * eps)
+        np.testing.assert_allclose(grad.reshape(-1), fd, rtol=tol, atol=tol)
+
+
+def grads_of(enc):
+    return {name: p.grad.copy() for name, p in enc.store.params.items()}
+
+
+def assert_same_grads(got, want):
+    for name, g in want.items():
+        assert np.array_equal(got[name], g), name
+
+
+class TestGraphNodes:
+    """The embedding, the permutations and both task losses are one graph
+    node each, with the inference code as forward and a hand-written VJP.
+    Each must give the per-op chain it replaced (``reference_graph``) bit
+    for bit, and its gradient must match finite differences."""
+
+    # ids 5 and 9 repeat, so the embedding's VJP must add their rows
+    IDS = np.array([[5, 9, 3, 5, 11], [9, 4, 5, 17, 9]])
+
+    def test_embed_gradient_matches_finite_differences(self):
+        # dropout on: every forward restarts the generator, so draws the same mask
+        enc = AdaptiveEncoder(small_config(dropout=0.3), head="cls", seed=1)
+        proj = np.random.default_rng(2).normal(size=(2, 5, 16))
+        state = enc._dropout_rng.bit_generator.state
+
+        def forward():
+            enc._dropout_rng.bit_generator.state = state
+            return enc.embed(self.IDS, train=True)
+
+        enc.store.zero_grad()
+        ad.backward(project(forward(), proj))
+        table = enc.store["embed.tokens"]
+        assert_matches_finite_differences(lambda: float((forward().data * proj).sum()), [(table.data, table.grad)])
+
+    def test_classifier_loss_gradient_matches_finite_differences(self):
+        enc = AdaptiveEncoder(small_config(n_labels=3), head="cls", seed=2)
+        h = Tensor(np.random.default_rng(3).normal(size=(3, 5, 16)), requires_grad=True)
+        gold = np.array([2, 0, 2])
+        enc.store.zero_grad()
+        ad.backward(enc.classifier_loss_graph(h, gold))
+        w, b = enc.store["cls.w"], enc.store["cls.b"]
+        assert_matches_finite_differences(
+            lambda: float(enc.classifier_loss_graph(h, gold).data), [(h.data, h.grad), (w.data, w.grad), (b.data, b.grad)]
+        )
+
+    def test_mlm_loss_gradient_matches_finite_differences(self, monkeypatch):
+        enc = AdaptiveEncoder(small_config(), head="mlm", seed=3)
+        gen = np.random.default_rng(4)
+        layers = [Tensor(gen.normal(size=(2, 5, 16)), requires_grad=True) for _ in range(3)]
+        monkeypatch.setattr(enc, "forward_graph", lambda ids, depths, train: (layers, None))
+        masked, true_ids = np.array([1, 3, 3, 8]), np.array([4, 9, 2, 19])  # position 3 twice
+
+        def loss():
+            return enc.mlm_anytime_loss_graph(self.IDS, masked, true_ids)[0]
+
+        enc.store.zero_grad()
+        ad.backward(loss())
+        w, b = enc.store["mlm.w"], enc.store["mlm.b"]
+        pairs = [(h.data, h.grad) for h in layers] + [(w.data, w.grad), (b.data, b.grad)]
+        assert_matches_finite_differences(lambda: float(loss().data), pairs)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_embed_node_is_the_per_op_chain_bit_for_bit(self, precision):
+        enc, ref = perturbed_twins("cls", precision)
+        proj = np.random.default_rng(5).normal(size=(2, 5, 12)).astype(enc.config.dtype)
+        for _ in range(2):
+            got, want = enc.embed(self.IDS, train=True), per_op_embed(ref, self.IDS, train=True)
+            assert np.array_equal(got.data, want.data)
+            for e, node in ((enc, got), (ref, want)):
+                e.store.zero_grad()
+                ad.backward(project(node, proj))
+            assert_same_grads(grads_of(enc), grads_of(ref))
+        assert enc._dropout_rng.bit_generator.state == ref._dropout_rng.bit_generator.state
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_classifier_loss_node_is_the_per_op_chain_bit_for_bit(self, precision):
+        enc, ref = perturbed_twins("cls", precision, n_labels=3)
+        states = np.random.default_rng(6).normal(size=(3, 5, 12)).astype(enc.config.dtype)
+        states[0, 3] = states[0, 1]  # tied maxima: the first takes the gradient
+        gold = np.array([2, 0, 1])
+        results = []
+        for e, loss_fn in ((enc, enc.classifier_loss_graph), (ref, lambda h, g: per_op_classifier_loss(ref, h, g))):
+            h = Tensor(states.copy(), requires_grad=True)
+            loss = loss_fn(h, gold)
+            e.store.zero_grad()
+            ad.backward(loss)
+            results.append((loss.data, h.grad, grads_of(e)))
+        (got_loss, got_h, got), (want_loss, want_h, want) = results
+        assert got_loss.dtype == want_loss.dtype and got_loss == want_loss
+        assert np.array_equal(got_h, want_h)
+        assert_same_grads(got, want)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_mlm_loss_node_is_the_per_op_chain_bit_for_bit(self, precision, monkeypatch):
+        enc, ref = perturbed_twins("mlm", precision)
+        states = np.random.default_rng(7).normal(size=(3, 2, 5, 12)).astype(enc.config.dtype)
+        masked, true_ids = np.array([0, 4, 6, 9]), np.array([4, 9, 2, 19])
+        layers = [Tensor(x.copy(), requires_grad=True) for x in states]
+        monkeypatch.setattr(enc, "forward_graph", lambda ids, depths, train: (layers, None))
+        ref_layers = [Tensor(x.copy(), requires_grad=True) for x in states]
+        got, _ = enc.mlm_anytime_loss_graph(self.IDS, masked, true_ids)
+        want = per_op_mlm_loss(ref, ref_layers, masked, true_ids)
+        assert got.data.dtype == want.data.dtype and got.data == want.data
+        for e, loss in ((enc, got), (ref, want)):
+            e.store.zero_grad()
+            ad.backward(loss)
+        for n, (a, b) in enumerate(zip(layers, ref_layers)):
+            assert np.array_equal(a.grad, b.grad), f"layer {n + 1}"
+        assert_same_grads(grads_of(enc), grads_of(ref))
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize(
+        "head, depths",
+        [
+            pytest.param("mlm", None, id="mlm"),
+            pytest.param("cls", None, id="cls-fixed"),
+            pytest.param("cls", [[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]], id="cls-adaptive"),
+        ],
+    )
+    def test_training_step_is_the_per_op_graph_bit_for_bit(self, precision, head, depths, monkeypatch):
+        # a whole step with dropout on, both sides on the encoder's layer
+        # nodes: the new embedding, permutation and loss nodes against the
+        # per-op chains. Loss, every layer state's gradient and every
+        # parameter gradient agree bit for bit, pass after pass.
+        enc, ref = perturbed_twins(head, precision)
+        ids = token_batch((3, 5), seed=29)
+        depths = None if depths is None else np.array(depths)
+        masked, true_ids, gold = np.array([1, 7, 13]), np.array([4, 9, 5]), np.array([0, 1, 1])
+        routed: list[Tensor] = []
+        layer_node = enc._layer_node
+        monkeypatch.setattr(enc, "_layer_node", lambda *args: routed.append(layer_node(*args)) or routed[-1])
+
+        def step(e, loss):
+            e.store.zero_grad()
+            ad.backward(loss)
+            return loss.data, grads_of(e)
+
+        for n in range(2):
+            routed.clear()
+            if head == "mlm":
+                got = step(enc, enc.mlm_anytime_loss_graph(ids, masked, true_ids, train=True)[0])
+                layers, ref_routed = per_op_forward_graph(ref, ids, None, train=True)
+                want = step(ref, per_op_mlm_loss(ref, layers, masked, true_ids))
+            else:
+                got = step(enc, enc.classifier_loss_graph(enc.forward_graph(ids, depths, train=True)[0][-1], gold))
+                layers, ref_routed = per_op_forward_graph(ref, ids, depths, train=True)
+                want = step(ref, per_op_classifier_loss(ref, layers[-1], gold))
+            assert got[0] == want[0], f"pass {n}"
+            assert len(routed) == len(ref_routed) == 3
+            for i, (a, b) in enumerate(zip(routed, ref_routed)):
+                assert np.array_equal(a.grad, b.grad), f"pass {n}: layer {i + 1}"
+            assert_same_grads(got[1], want[1])
+        assert enc._dropout_rng.bit_generator.state == ref._dropout_rng.bit_generator.state
+
+
+def graph_nodes(loss) -> Counter:
+    """The op nodes reachable from ``loss``, counted by the function whose
+    VJP each carries; leaves (parameters, inputs) are not counted."""
+    names: list[str] = []
+    seen: set[int] = set()
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        names.append(node._vjp.__qualname__.split(".<locals>")[0])
+        stack.extend(node._parents)
+    return Counter(names)
+
+
+class TestGraphSize:
+    """One training step's graph: the embedding, one node per layer and the
+    loss; adaptive classifier training adds the two permutations the loss
+    reaches. Once the backward has run, no node's tape holds anything."""
+
+    @pytest.fixture
+    def losses(self, monkeypatch):
+        seen: list = []
+        backward = ad.backward
+
+        def recording(loss):
+            backward(loss)
+            seen.append(loss)
+
+        monkeypatch.setattr(ad, "backward", recording)
+        return seen
+
+    @staticmethod
+    def assert_tapes_released(loss):
+        stack, seen = [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or not node._parents:
+                continue
+            seen.add(id(node))
+            cells = [c.cell_contents for c in node._vjp.__closure__ or ()]
+            assert all(c == {} for c in cells if isinstance(c, dict)), node._vjp.__qualname__
+            stack.extend(node._parents)
+
+    @pytest.mark.parametrize("task", ["mlm", "cls", "cls-adaptive"])
+    def test_one_step_holds_a_node_per_part(self, synth_train, losses, task):
+        cfg = EncoderConfig(
+            vocab_size=len(synth_train.vocab), n_labels=synth_train.n_labels, n_layers=3,
+            d_model=16, n_heads=2, d_ff=32, dropout=0.1, max_len=32,
+        )
+        if task == "mlm":
+            recon.train_mlm(synth_train, cfg, steps=1, batch_size=4)
+        else:
+            maps = None
+            if task == "cls-adaptive":
+                gen = np.random.default_rng(0)
+                maps = [gen.integers(1, 4, size=len(d.tokens)) for d in synth_train.documents]
+            train_classifier(synth_train, cfg, steps=1, batch_size=4, depth_maps=maps)
+        (loss,) = losses
+        head = "mlm_anytime_loss_graph" if task == "mlm" else "classifier_loss_graph"
+        want = {"AdaptiveEncoder.embed": 1, "AdaptiveEncoder._layer_node": 3, f"AdaptiveEncoder.{head}": 1}
+        if task == "cls-adaptive":
+            want["_permute"] = 2
+        assert graph_nodes(loss) == want
+        assert sum(want.values()) == cfg.n_layers + (4 if task == "cls-adaptive" else 2)
+        self.assert_tapes_released(loss)
+
+
 class TestClassify:
     def test_zero_states_give_uniform_distribution(self, encoder):
         probs = encoder.classify_infer(np.zeros((2, 4, 16)))
@@ -725,37 +904,52 @@ class TestClassify:
         )
 
     def test_graph_classify_matches_inference(self, encoder):
+        # the classifier-loss node's forward is classify_infer, bit for bit
         ids = token_batch((2, 5))
+        gold = np.array([1, 0])
         layers, _ = encoder.forward_graph(ids, None, train=False)
         h, _ = encoder.forward_infer(ids)
-        np.testing.assert_allclose(
-            encoder.classify_graph(layers[-1]).data, encoder.classify_infer(h), atol=1e-10
-        )
+        probs = encoder.classify_infer(h)
+        want = (-np.log(probs[[0, 1], gold])).mean()
+        assert encoder.classifier_loss_graph(layers[-1], gold).data == want
 
 
 class TestTaskLoss:
+    """``classifier_loss_graph`` on final states whose label probabilities
+    the head makes known: a zero head gives softmax(bias) to every sentence,
+    and ``w0`` is the head's row for the first feature, the max over time
+    of state dimension 0."""
+
+    @staticmethod
+    def loss(enc, gold, bias, states=None, w0=0.0):
+        enc.store["cls.w"].data[:] = 0.0
+        enc.store["cls.w"].data[0] = w0
+        enc.store["cls.b"].data[:] = bias
+        h = np.zeros((len(gold), 3, enc.config.d_model)) if states is None else states
+        return float(enc.classifier_loss_graph(Tensor(h), np.array(gold)).data)
+
     def test_perfect_prediction_costs_nothing(self, encoder):
-        probs = Tensor(np.array([[1.0, 0.0]]))
-        assert float(encoder.task_loss_graph(probs, np.array([0])).data) == 0.0
+        # exp(-1000) underflows, so the gold label's probability is exactly 1
+        assert self.loss(encoder, [0], [0.0, -1000.0]) == 0.0
 
     def test_uniform_over_four_labels(self):
         enc = AdaptiveEncoder(small_config(n_labels=4), head="cls", seed=0)
-        probs = Tensor(np.full((1, 4), 0.25))
-        assert float(enc.task_loss_graph(probs, np.array([2])).data) == pytest.approx(np.log(4))
+        assert self.loss(enc, [2], 0.0) == pytest.approx(np.log(4))
 
     def test_direct_value(self, encoder):
-        probs = Tensor(np.array([[0.9, 0.1]]))
-        loss = encoder.task_loss_graph(probs, np.array([1]))
-        assert float(loss.data) == pytest.approx(2.302585092994046, abs=1e-12)
+        assert self.loss(encoder, [1], np.log([0.9, 0.1])) == pytest.approx(2.302585092994046, abs=1e-12)
 
     def test_gold_out_of_range_rejected(self, encoder):
         with pytest.raises(ValueError, match="out of range"):
-            encoder.task_loss_graph(Tensor(np.array([[0.5, 0.5]])), np.array([2]))
+            self.loss(encoder, [2], 0.0)
 
     def test_batch_mean(self, encoder):
-        probs = Tensor(np.array([[0.5, 0.5], [0.25, 0.75]]))
-        loss = encoder.task_loss_graph(probs, np.array([0, 1]))
-        assert float(loss.data) == pytest.approx((np.log(2) - np.log(0.75)) / 2)
+        # sentence 0 gets [0.5, 0.5]; sentence 1's first feature is 1, which
+        # the head turns into [0.25, 0.75]
+        states = np.zeros((2, 3, 16))
+        states[1, :, 0] = 1.0
+        loss = self.loss(encoder, [0, 1], 0.0, states, w0=[0.0, np.log(3.0)])
+        assert loss == pytest.approx((np.log(2) - np.log(0.75)) / 2)
 
 
 class TestMlmLoss:
@@ -804,7 +998,7 @@ class TestGradientsThroughCopy:
 
         def loss_fn():
             layers, _ = enc.forward_graph(ids, depths, train=False)
-            return enc.task_loss_graph(enc.classify_graph(layers[-1]), gold)
+            return enc.classifier_loss_graph(layers[-1], gold)
 
         enc.store.zero_grad()
         ad.backward(loss_fn())
@@ -832,7 +1026,7 @@ class TestGradientsThroughCopy:
         ids = token_batch((1, 3), vocab=16, seed=1)
         all_one = np.array([[1, 1, 1]])
         layers, _ = enc.forward_graph(ids, all_one, train=False)
-        loss = enc.task_loss_graph(enc.classify_graph(layers[-1]), np.array([0]))
+        loss = enc.classifier_loss_graph(layers[-1], np.array([0]))
         enc.store.zero_grad()
         ad.backward(loss)
         for name, p in enc.store.params.items():

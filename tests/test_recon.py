@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthformer import autodiff as ad
 from depthformer import recon
 from depthformer.corpus import load_tsv
 from depthformer.encoder import EncoderConfig
@@ -14,6 +15,7 @@ from depthformer.recon import (
     sentence_profiles,
     train_mlm,
 )
+from depthformer.train import length_buckets
 
 
 def layer_losses(encoder, tokens, position, mask_id):
@@ -256,3 +258,37 @@ class TestAnytimeLossEval:
         a = anytime_loss_on_docs(result.encoder, docs, corpus.vocab, seed=5)
         b = anytime_loss_on_docs(result.encoder, docs, corpus.vocab, seed=5)
         assert a == b
+
+    def test_builds_no_graph(self, toy_mlm, monkeypatch):
+        # the held-out score runs the inference path: no graph node, and
+        # every layer call without a tape
+        corpus, result = toy_mlm
+        tapes = []
+        layer = result.encoder._layer_infer
+
+        def recording(h, i, block, active, tape=None):
+            tapes.append(tape)
+            return layer(h, i, block, active, tape)
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("the held-out score built a graph node")
+
+        monkeypatch.setattr(result.encoder, "_layer_infer", recording)
+        monkeypatch.setattr(ad, "op", no_graph)
+        anytime_loss_on_docs(result.encoder, [d.tokens for d in corpus.documents[:20]], corpus.vocab, seed=5)
+        assert tapes and all(tape is None for tape in tapes)
+
+    def test_equals_the_training_loss_bit_for_bit(self, toy_mlm):
+        # the same masking and per-layer sums as mlm_anytime_loss_graph
+        # without dropout, so the same value to the last bit
+        corpus, result = toy_mlm
+        docs = [d.tokens for d in corpus.documents[:40]]
+        rng = np.random.default_rng(5)
+        total, n_masked = 0.0, 0
+        for idx in length_buckets([len(t) for t in docs], 8):
+            ids = np.stack([docs[i] for i in idx])
+            corrupted, flat_idx, true_ids = mask_batch(ids, corpus.vocab.mask_id, len(corpus.vocab), rng)
+            loss, _ = result.encoder.mlm_anytime_loss_graph(corrupted, flat_idx, true_ids, train=False)
+            total += float(loss.data) * flat_idx.size
+            n_masked += flat_idx.size
+        assert anytime_loss_on_docs(result.encoder, docs, corpus.vocab, seed=5, batch_size=8) == total / n_masked
