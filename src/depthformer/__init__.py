@@ -4,6 +4,7 @@ from .corpus import Corpus, CorpusStats, TokenizerConfig, Vocab, collect_stats, 
 from .encoder import AdaptiveEncoder, EncoderConfig, LayerCounts
 from .mi import MiTable, build_mi_table
 from .recon import select_depth, train_mlm
+from .train import FitSettings
 
 __version__ = "0.1.0"
 
@@ -12,6 +13,7 @@ __all__ = [
     "Corpus",
     "CorpusStats",
     "EncoderConfig",
+    "FitSettings",
     "LayerCounts",
     "MiTable",
     "TokenizerConfig",

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, mi, recon, synth
-from .corpus import TokenizerConfig, Vocab, collect_stats, load_tsv, read_kv_config
+from .corpus import TokenizerConfig, Vocab, collect_stats, load_tsv
 from .encoder import AdaptiveEncoder, EncoderConfig
 from .recon import train_mlm
-from .train import DEFAULT_CLIP, StepRecord, check_fit_settings, train_classifier, write_trace, write_train_log
+from .train import DEFAULT_CLIP, FitSettings, train_classifier, write_step_files
 
 
 def _add_model_flags(p: argparse.ArgumentParser, n_layers: bool = True) -> None:
@@ -27,17 +27,13 @@ def _add_model_flags(p: argparse.ArgumentParser, n_layers: bool = True) -> None:
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-len", type=int, default=512)
-    p.add_argument("--min-freq", type=int, default=1)
+    p.add_argument("--max-len", type=int, default=TokenizerConfig.max_len)
+    p.add_argument("--min-freq", type=int, default=TokenizerConfig.min_freq)
     p.add_argument("--no-lowercase", action="store_true")
-    p.add_argument("--corpus-config", type=Path, default=None, help="key=value file overriding the corpus flags")
 
 
 def _tokenizer_config(args) -> TokenizerConfig:
-    cfg = TokenizerConfig(max_len=args.max_len, lowercase=not args.no_lowercase, min_freq=args.min_freq)
-    if args.corpus_config:
-        cfg = TokenizerConfig.from_kv(read_kv_config(args.corpus_config), base=cfg)
-    return cfg
+    return TokenizerConfig(max_len=args.max_len, lowercase=not args.no_lowercase, min_freq=args.min_freq)
 
 
 def _encoder_config(args, vocab_size: int, n_labels: int, max_len: int, n_layers: int | None = None) -> EncoderConfig:
@@ -60,16 +56,16 @@ def _vocab_path(ckpt: str | Path) -> Path:
 
 
 def _corpus_meta(corpus) -> dict[str, str]:
-    # the tokenizer's max_len can differ from the encoder's (--corpus-config)
+    # the tokenizer's max_len is the encoder's, already in the meta
     return {
         "labels": ",".join(corpus.labels),
-        "tokenizer_max_len": str(corpus.config.max_len),
         "lowercase": str(corpus.config.lowercase),
         "min_freq": str(corpus.config.min_freq),
     }
 
 
 def _config_from_meta(meta: dict[str, str]) -> TokenizerConfig:
+    # checkpoints trained with a tokenizer max_len of its own carry it
     return TokenizerConfig(
         max_len=int(meta.get("tokenizer_max_len", meta["max_len"])),
         lowercase=meta.get("lowercase", "True") == "True",
@@ -103,10 +99,24 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+# the flags each depths mode reads, with their defaults; they parse to None,
+# so a flag given to the other mode is caught
+_DEPTHS_FLAGS = {
+    "mi": {"max_len": TokenizerConfig.max_len, "min_freq": TokenizerConfig.min_freq, "no_lowercase": False,
+           "n_bins": 12, "smoothing": mi.DEFAULT_SMOOTHING, "hist_bins": 30},
+    "recon": {"penalty": 0.1, "mlm_ckpt": None},
+}
+
+
 def cmd_depths(args) -> int:
+    for mode, defaults in _DEPTHS_FLAGS.items():
+        for name, default in defaults.items():
+            if mode == args.mode and getattr(args, name) is None:
+                setattr(args, name, default)
+            elif mode != args.mode and getattr(args, name) is not None:
+                raise ValueError(f"--{name.replace('_', '-')} applies only to --mode {mode}")
     if args.mode == "recon":
         recon.check_penalty(args.penalty)
-        recon.check_chunk_rows(args.chunk_rows)
         if not args.mlm_ckpt or not Path(args.mlm_ckpt).exists():
             raise FileNotFoundError(f"reconstruction mode needs a trained MLM checkpoint, got {args.mlm_ckpt!r}")
     out_dir = Path(args.out_dir)
@@ -132,7 +142,7 @@ def cmd_depths(args) -> int:
     summaries = []
     for split, path in (("train", args.train_tsv), ("test", args.test_tsv)):
         corpus = _load_eval_corpus(args.mlm_ckpt, path, meta)
-        profiles = recon.corpus_profiles(encoder, corpus, chunk_rows=args.chunk_rows)
+        profiles = recon.corpus_profiles(encoder, corpus)
         maps = recon.depths_from_profiles(profiles, args.penalty)
         avg = recon.average_depth(maps)
         mi.write_depth_file(out_dir / f"{split}.depths", maps)
@@ -159,47 +169,23 @@ def cmd_train(args) -> int:
     mlm_settings = {name: getattr(args, name) for name in _MLM_ONLY if getattr(args, name) is not None}
     if mlm_settings and args.task != "mlm":
         raise ValueError(f"--{next(iter(mlm_settings)).replace('_', '-')} applies only to --task mlm")
-    config = _tokenizer_config(args)
-    corpus = load_tsv(args.train_tsv, config)
+    settings = FitSettings(args.steps, args.lr, args.batch_size, args.clip, args.warmup)
+    corpus = load_tsv(args.train_tsv, _tokenizer_config(args))
     enc_config = _encoder_config(args, len(corpus.vocab), corpus.n_labels, args.max_len)
 
-    trace: list[StepRecord] = []
     if args.task == "cls":
         depth_maps = mi.read_depth_file(args.depths) if args.depths else None
-        encoder, log = train_classifier(
-            corpus,
-            enc_config,
-            steps=args.steps,
-            lr=args.lr,
-            batch_size=args.batch_size,
-            seed=args.seed,
-            depth_maps=depth_maps,
-            clip=args.clip,
-            warmup=args.warmup,
-            on_step=trace.append,
-        )
+        encoder, log = train_classifier(corpus, enc_config, settings, seed=args.seed, depth_maps=depth_maps)
     else:
-        result = train_mlm(
-            corpus,
-            enc_config,
-            steps=args.steps,
-            lr=args.lr,
-            batch_size=args.batch_size,
-            seed=args.seed,
-            clip=args.clip,
-            warmup=args.warmup,
-            on_step=trace.append,
-            **mlm_settings,
-        )
+        result = train_mlm(corpus, enc_config, settings, seed=args.seed, **mlm_settings)
         encoder, log = result.encoder, result.log
         print(f"heldout_anytime_loss\tinitial\t{result.heldout_initial:.4f}\tfinal\t{result.heldout_final:.4f}")
 
     encoder.save(args.out, extra_meta=_corpus_meta(corpus))
     corpus.vocab.write(_vocab_path(args.out))
-    write_train_log(str(args.out) + ".log", log)
-    write_trace(str(args.out) + ".trace.jsonl", trace)
+    write_step_files(args.out, log)
     if log:
-        print(f"trained {args.task} for {len(log)} steps; final loss {log[-1][1]:.4f}")
+        print(f"trained {args.task} for {len(log)} steps; final loss {log[-1].loss:.4f}")
     print(f"saved checkpoint to {args.out}")
     return 0
 
@@ -243,16 +229,16 @@ def cmd_sweep_lambda(args) -> int:
     penalties = [float(x) for x in args.lambdas.split(",")]
     for penalty in penalties:
         recon.check_penalty(penalty)
-    recon.check_chunk_rows(args.chunk_rows)
+    settings = None  # a classifier per penalty only when --cls-steps > 0
     if args.cls_steps > 0:
-        check_fit_settings(args.cls_steps, args.lr, args.batch_size, DEFAULT_CLIP, args.warmup)
+        settings = FitSettings(args.cls_steps, args.lr, args.batch_size, warmup=args.warmup)
     encoder, meta = AdaptiveEncoder.load(args.mlm_ckpt)
     train = _load_eval_corpus(args.mlm_ckpt, args.train_tsv, meta)
     test = _load_eval_corpus(args.mlm_ckpt, args.test_tsv, meta)
 
     # profiles do not depend on the penalty, so score each split once
-    train_profiles = recon.corpus_profiles(encoder, train, chunk_rows=args.chunk_rows)
-    test_profiles = recon.corpus_profiles(encoder, test, chunk_rows=args.chunk_rows)
+    train_profiles = recon.corpus_profiles(encoder, train)
+    test_profiles = recon.corpus_profiles(encoder, test)
 
     n_layers = encoder.config.n_layers
     rows = []
@@ -262,14 +248,10 @@ def cmd_sweep_lambda(args) -> int:
         n_tokens = sum(len(m) for m in test_maps)
         speed = (n_layers * n_tokens) / sum(int(m.sum()) for m in test_maps)
         accuracy = "-"
-        if args.cls_steps > 0:
+        if settings is not None:
             train_maps = recon.depths_from_profiles(train_profiles, penalty)
             enc_config = _encoder_config(args, len(train.vocab), train.n_labels, int(meta["max_len"]), n_layers)
-            cls, _ = train_classifier(
-                train, enc_config, steps=args.cls_steps, lr=args.lr,
-                batch_size=args.batch_size, seed=args.seed, depth_maps=train_maps,
-                warmup=args.warmup,
-            )
+            cls, _ = train_classifier(train, enc_config, settings, seed=args.seed, depth_maps=train_maps)
             acc, _ = bench.evaluate_classifier(cls, test, test_maps, batch_size=args.batch_size)
             accuracy = f"{acc:.4f}"
         rows.append((penalty, accuracy, speed, avg))
@@ -328,14 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-tsv", type=Path, required=True)
     p.add_argument("--test-tsv", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--n-bins", type=int, default=12)
-    p.add_argument("--smoothing", type=float, default=0.1)
-    p.add_argument("--hist-bins", type=int, default=30)
-    p.add_argument("--penalty", "--lambda", dest="penalty", type=float, default=0.1)
-    p.add_argument("--mlm-ckpt", type=Path, default=None)
-    p.add_argument("--chunk-rows", type=int, default=32)
+    p.add_argument("--n-bins", type=int)
+    p.add_argument("--smoothing", type=float)
+    p.add_argument("--hist-bins", type=int)
+    p.add_argument("--penalty", "--lambda", dest="penalty", type=float)
+    p.add_argument("--mlm-ckpt", type=Path)
     _add_corpus_flags(p)
-    p.set_defaults(func=cmd_depths)
+    p.set_defaults(func=cmd_depths, max_len=None, min_freq=None, no_lowercase=None)  # see _DEPTHS_FLAGS
 
     p = sub.add_parser("train", help="train the MLM or the classifier")
     p.add_argument("--task", choices=["mlm", "cls"], required=True)
@@ -345,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--warmup", type=int, default=0, help="steps of linear learning-rate ramp")
-    p.add_argument("--clip", type=float, default=5.0)
+    p.add_argument("--clip", type=float, default=DEFAULT_CLIP)
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mask-rate", type=float, default=None, help="--task mlm only (default 0.15)")
@@ -371,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-tsv", type=Path, required=True)
     p.add_argument("--test-tsv", type=Path, required=True)
     p.add_argument("--lambdas", type=str, default="0,0.05,0.1,0.15,0.2")
-    p.add_argument("--chunk-rows", type=int, default=32)
     p.add_argument("--cls-steps", type=int, default=0, help="train a classifier per lambda when > 0")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--warmup", type=int, default=0)

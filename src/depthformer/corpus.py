@@ -24,9 +24,6 @@ SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN)
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
-_TRUTHY = {"1", "true", "yes", "on"}
-_FALSY = {"0", "false", "no", "off"}
-
 
 class CorpusError(ValueError):
     """Malformed input data (bad line, unknown label, empty split)."""
@@ -54,29 +51,6 @@ def parse_field(text: str, kind: type, name: str, where: str):
         raise CorpusError(f"{where}: {name} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
 
 
-def read_kv_config(path: str | Path) -> dict[str, str]:
-    """Parse a plain ``key = value`` config file; '#' starts a comment."""
-    out: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CorpusError(f"config line without '=': {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _parse_bool(value: str) -> bool:
-    v = value.strip().lower()
-    if v in _TRUTHY:
-        return True
-    if v in _FALSY:
-        return False
-    raise CorpusError(f"not a boolean: {value!r}")
-
-
 @dataclass(frozen=True)
 class TokenizerConfig:
     """Corpus-level settings. ``max_len`` clips long documents."""
@@ -84,17 +58,6 @@ class TokenizerConfig:
     max_len: int = 512
     lowercase: bool = True
     min_freq: int = 1
-
-    @classmethod
-    def from_kv(cls, kv: dict[str, str], base: "TokenizerConfig | None" = None) -> "TokenizerConfig":
-        """Settings named in ``kv``; the others keep their ``base`` values
-        (the field defaults when no base is given)."""
-        base = base or cls()
-        return cls(
-            max_len=int(kv.get("max_len", base.max_len)),
-            lowercase=_parse_bool(kv["lowercase"]) if "lowercase" in kv else base.lowercase,
-            min_freq=int(kv.get("min_freq", base.min_freq)),
-        )
 
 
 def tokenize(text: str, lowercase: bool = True) -> list[str]:

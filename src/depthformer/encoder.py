@@ -27,7 +27,7 @@ that VJP has run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -79,31 +79,12 @@ class EncoderConfig:
         return self.d_model // self.n_heads
 
     def to_meta(self) -> dict[str, str]:
-        return {
-            "vocab_size": str(self.vocab_size),
-            "n_labels": str(self.n_labels),
-            "n_layers": str(self.n_layers),
-            "d_model": str(self.d_model),
-            "n_heads": str(self.n_heads),
-            "d_ff": str(self.d_ff),
-            "dropout": str(self.dropout),
-            "max_len": str(self.max_len),
-            "precision": self.precision,
-        }
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_meta(cls, meta: dict[str, str]) -> "EncoderConfig":
-        return cls(
-            vocab_size=int(meta["vocab_size"]),
-            n_labels=int(meta["n_labels"]),
-            n_layers=int(meta["n_layers"]),
-            d_model=int(meta["d_model"]),
-            n_heads=int(meta["n_heads"]),
-            d_ff=int(meta["d_ff"]),
-            dropout=float(meta["dropout"]),
-            max_len=int(meta["max_len"]),
-            precision=meta["precision"],
-        )
+        parse = {"int": int, "float": float, "str": str}  # field annotations, as strings
+        return cls(**{f.name: parse[f.type](meta[f.name]) for f in fields(cls)})
 
 
 @dataclass

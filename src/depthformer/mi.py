@@ -66,7 +66,8 @@ def assign_bins(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, float, flo
 
     Bins span the empirical [min, max] of ``values``; the maximum maps to
     ``n_bins``. A degenerate range (all scores equal) maps everything to
-    depth 1.
+    depth 1; a range whose bin width underflows to zero or overflows (or
+    holds a NaN) is an error.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
@@ -78,6 +79,8 @@ def assign_bins(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, float, flo
     if hi == lo:
         return np.ones(values.shape, dtype=np.int64), lo, hi
     width = (hi - lo) / n_bins
+    if not 0.0 < width < np.inf:  # also rejects NaN
+        raise ValueError(f"cannot split scores from lo={lo!r} to hi={hi!r} into n_bins={n_bins} bins")
     depths = 1 + np.floor((values - lo) / width).astype(np.int64)
     return np.clip(depths, 1, n_bins), lo, hi
 

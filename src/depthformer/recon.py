@@ -12,7 +12,6 @@ covers the test split and unlabeled text.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +19,12 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import Corpus, Vocab
 from .encoder import HEAD_MLM, AdaptiveEncoder, EncoderConfig, anytime_loss
-from .train import DEFAULT_CLIP, StepRecord, check_fit_settings, fit, length_buckets
+from .train import FitSettings, StepRecord, fit, length_buckets
 
 N_SPECIAL_TOKENS = 3  # <PAD>, <UNK>, <MASK> are never sampled as replacements
+
+# masked variants per profile forward; 4 to 64 all timed alike at T=128
+PROFILE_CHUNK_ROWS = 32
 
 
 def mask_batch(
@@ -93,7 +95,7 @@ def anytime_loss_on_docs(
 @dataclass
 class MlmTrainResult:
     encoder: AdaptiveEncoder
-    log: list[tuple[int, float]]  # (step, train loss)
+    log: list[StepRecord]
     heldout_log: list[tuple[int, float]]  # (step, held-out anytime loss)
     heldout_initial: float
     heldout_final: float
@@ -102,30 +104,24 @@ class MlmTrainResult:
 def train_mlm(
     corpus: Corpus,
     config: EncoderConfig,
-    steps: int,
-    lr: float = 1e-3,
-    batch_size: int = 16,
+    settings: FitSettings,
     seed: int = 0,
     mask_rate: float = 0.15,
-    clip: float = DEFAULT_CLIP,
-    warmup: int = 0,
     heldout_fraction: float = 0.1,
     eval_every: int = 0,
-    on_step: Callable[[StepRecord], None] | None = None,
 ) -> MlmTrainResult:
     """Train the anytime MLM from scratch at full depth.
 
     A trailing slice of the corpus, ``heldout_fraction`` of it (in (0, 1),
     at least one document), is held out from the sampled batches and
     scored before and after training, and every ``eval_every`` steps when
-    that is positive; with ``steps=0`` the returned checkpoint is exactly
-    the initialization. ``on_step`` gets each step's record.
+    that is positive; with ``settings.steps == 0`` the returned checkpoint
+    is exactly the initialization.
     """
     if not 0.0 < heldout_fraction < 1.0:  # also rejects NaN
         raise ValueError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
     if eval_every < 0:
         raise ValueError(f"eval_every must be >= 0, got {eval_every}")
-    check_fit_settings(steps, lr, batch_size, clip, warmup)
     model_seed, data_seed, eval_seed = np.random.SeedSequence(seed).spawn(3)
     encoder = AdaptiveEncoder(config, HEAD_MLM, seed=int(model_seed.generate_state(1)[0]))
     data_rng = np.random.default_rng(data_seed)
@@ -151,14 +147,12 @@ def train_mlm(
         loss, _ = encoder.mlm_anytime_loss_graph(corrupted, flat_idx, true_ids, train=True)
         return loss
 
-    def after_step(record: StepRecord) -> None:
-        if on_step is not None:
-            on_step(record)
-        if eval_every and record.step % eval_every == 0:
-            heldout_log.append((record.step, heldout_loss()))
+    def after_step(step: int) -> None:
+        if eval_every and step % eval_every == 0:
+            heldout_log.append((step, heldout_loss()))
 
     lengths = [len(t) for t in train_docs]
-    log = fit(encoder, batch_loss, lengths, steps, lr, batch_size, data_rng, clip, warmup, after_step)
+    log = fit(encoder, batch_loss, lengths, settings, data_rng, after_step)
     step = len(log)
     if heldout_log[-1][0] == step:
         final = heldout_log[-1][1]
@@ -178,20 +172,18 @@ def train_mlm(
 # depth selection
 
 
-def sentence_profiles(
-    encoder: AdaptiveEncoder, tokens: np.ndarray, mask_id: int, chunk_rows: int = 32
-) -> np.ndarray:
+def sentence_profiles(encoder: AdaptiveEncoder, tokens: np.ndarray, mask_id: int) -> np.ndarray:
     """Loss profiles for every position of one sentence, shape (len, N).
 
     Each forward still masks exactly one position; the masked variants of
-    the sentence are merely batched together for throughput.
+    the sentence are merely batched together, ``PROFILE_CHUNK_ROWS`` at a
+    time, for throughput.
     """
-    check_chunk_rows(chunk_rows)
     tokens = np.asarray(tokens, dtype=np.int64)
     time = len(tokens)
     profiles = np.empty((time, encoder.config.n_layers), dtype=np.float64)
-    for start in range(0, time, chunk_rows):
-        stop = min(start + chunk_rows, time)
+    for start in range(0, time, PROFILE_CHUNK_ROWS):
+        stop = min(start + PROFILE_CHUNK_ROWS, time)
         variants = np.tile(tokens, (stop - start, 1))
         rows = np.arange(stop - start)
         variants[rows, np.arange(start, stop)] = mask_id
@@ -200,11 +192,6 @@ def sentence_profiles(
         for n, h in enumerate(layer_states):
             profiles[start:stop, n] = encoder.masked_nll_infer(h, masked, tokens[start:stop])[1]
     return profiles
-
-
-def check_chunk_rows(chunk_rows: int) -> None:
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
 
 
 def check_penalty(penalty: float) -> None:
@@ -235,14 +222,9 @@ def depths_from_profiles(profiles: list[np.ndarray], penalty: float) -> list[np.
     ]
 
 
-def corpus_profiles(
-    encoder: AdaptiveEncoder, corpus: Corpus, chunk_rows: int = 32
-) -> list[np.ndarray]:
+def corpus_profiles(encoder: AdaptiveEncoder, corpus: Corpus) -> list[np.ndarray]:
     """Loss profiles for every sentence of a split; label-free."""
-    mask_id = corpus.vocab.mask_id
-    return [
-        sentence_profiles(encoder, doc.tokens, mask_id, chunk_rows) for doc in corpus.documents
-    ]
+    return [sentence_profiles(encoder, doc.tokens, corpus.vocab.mask_id) for doc in corpus.documents]
 
 
 def average_depth(depth_maps: list[np.ndarray]) -> float:

@@ -25,13 +25,39 @@ DEFAULT_CLIP = 5.0
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What one ``fit`` step did; ``write_trace`` writes one per line."""
+    """What one ``fit`` step did; ``write_step_files`` writes one per line."""
 
     step: int
     loss: float
     grad_norm: float  # before clipping
     lr: float
     cpu_ms: float  # process CPU time of the loss, backward and update
+
+
+@dataclass(frozen=True)
+class FitSettings:
+    """The optimiser settings of one ``fit``, checked when made, so a bad
+    one fails before any file is read: ``steps`` Adam steps over batches
+    of ``batch_size``, the learning rate ramped linearly to ``lr`` over
+    the first ``warmup`` steps, and the gradient clipped to global norm
+    ``clip``."""
+
+    steps: int
+    lr: float
+    batch_size: int
+    clip: float = DEFAULT_CLIP
+    warmup: int = 0
+
+    def __post_init__(self) -> None:
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if not self.lr > 0:  # also rejects NaN
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        check_batch_size(self.batch_size)
+        if not self.clip > 0:
+            raise ValueError(f"clip must be > 0, got {self.clip}")
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
 
 
 def check_depth_alignment(corpus: Corpus, depth_maps: list[np.ndarray]) -> None:
@@ -50,19 +76,6 @@ def check_depth_alignment(corpus: Corpus, depth_maps: list[np.ndarray]) -> None:
 def check_batch_size(batch_size: int) -> None:
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-
-
-def check_fit_settings(steps: int, lr: float, batch_size: int, clip: float, warmup: int) -> None:
-    """Reject settings ``fit`` cannot train with, before any work is done."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if not lr > 0:  # also rejects NaN
-        raise ValueError(f"lr must be > 0, got {lr}")
-    check_batch_size(batch_size)
-    if not clip > 0:
-        raise ValueError(f"clip must be > 0, got {clip}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
 
 
 def length_buckets(lengths: list[int], batch_size: int, rng: np.random.Generator | None = None) -> list[np.ndarray]:
@@ -100,21 +113,15 @@ def gather_batch(
 def train_classifier(
     corpus: Corpus,
     config: EncoderConfig,
-    steps: int,
-    lr: float = 1e-3,
-    batch_size: int = 16,
+    settings: FitSettings,
     seed: int = 0,
     depth_maps: list[np.ndarray] | None = None,
-    clip: float = DEFAULT_CLIP,
-    warmup: int = 0,
-    on_step: Callable[[StepRecord], None] | None = None,
-) -> tuple[AdaptiveEncoder, list[tuple[int, float]]]:
+) -> tuple[AdaptiveEncoder, list[StepRecord]]:
     """Train the pooled softmax classifier; fixed depth when no maps given.
 
-    ``warmup`` linearly ramps the learning rate over the first steps,
-    which deep post-norm stacks need when trained from scratch.
+    Deep post-norm stacks trained from scratch need ``settings.warmup``.
     Reproducible for a given seed: model init, dropout, shuffling and the
-    step schedule all derive from it. ``on_step`` gets each step's record.
+    step schedule all derive from it. Returns one record per step.
     """
     if depth_maps is not None:
         check_depth_alignment(corpus, depth_maps)
@@ -128,32 +135,25 @@ def train_classifier(
         return encoder.classifier_loss_graph(layers[-1], gold)
 
     lengths = [len(d.tokens) for d in corpus.documents]
-    log = fit(encoder, batch_loss, lengths, steps, lr, batch_size, data_rng, clip, warmup, on_step)
-    return encoder, log
+    return encoder, fit(encoder, batch_loss, lengths, settings, data_rng)
 
 
 def fit(
     encoder: AdaptiveEncoder,
     batch_loss: Callable[[np.ndarray], ad.Tensor],
     lengths: list[int],
-    steps: int,
-    lr: float,
-    batch_size: int,
+    settings: FitSettings,
     data_rng: np.random.Generator,
-    clip: float,
-    warmup: int,
-    on_step: Callable[[StepRecord], None] | None = None,
-) -> list[tuple[int, float]]:
-    """The training step loop shared by both tasks: ``steps`` Adam steps on
-    ``batch_loss(idx)`` over shuffled length buckets, with the learning
-    rate ramped linearly over the first ``warmup`` steps. ``on_step(record)``
-    runs after each step. Returns the (step, loss) log."""
-    check_fit_settings(steps, lr, batch_size, clip, warmup)
-    log: list[tuple[int, float]] = []
-    step = 0
-    while step < steps:
-        for idx in length_buckets(lengths, batch_size, data_rng):
-            if step >= steps:
+    after_step: Callable[[int], None] | None = None,
+) -> list[StepRecord]:
+    """The training step loop shared by both tasks: ``settings.steps`` Adam
+    steps on ``batch_loss(idx)`` over shuffled length buckets.
+    ``after_step(step)`` runs after each step. Returns one record per step."""
+    records: list[StepRecord] = []
+    while len(records) < settings.steps:
+        for idx in length_buckets(lengths, settings.batch_size, data_rng):
+            step = len(records)
+            if step >= settings.steps:
                 break
             started = time.process_time_ns()
             loss = batch_loss(idx)
@@ -161,26 +161,21 @@ def fit(
                 raise FloatingPointError(f"training diverged at step {step}: loss={loss.data}")
             encoder.store.zero_grad()
             ad.backward(loss)
-            cur_lr = lr * min(1.0, (step + 1) / warmup) if warmup else lr
-            grad_norm = adam_step(encoder.store, lr=cur_lr, clip=clip)
+            lr = settings.lr * min(1.0, (step + 1) / settings.warmup) if settings.warmup else settings.lr
+            grad_norm = adam_step(encoder.store, lr=lr, clip=settings.clip)
             cpu_ms = (time.process_time_ns() - started) / 1e6
-            step += 1
-            value = float(loss.data)
-            log.append((step, value))
-            if on_step is not None:
-                on_step(StepRecord(step, value, grad_norm, cur_lr, cpu_ms))
-    return log
+            records.append(StepRecord(step + 1, float(loss.data), grad_norm, lr, cpu_ms))
+            if after_step is not None:
+                after_step(step + 1)
+    return records
 
 
-def write_train_log(path, log: list[tuple[int, float]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for step, loss in log:
-            fh.write(f"{step}\t{loss:.8f}\n")
-
-
-def write_trace(path, records: list[StepRecord]) -> None:
-    """One JSON line per step: step, loss, pre-clip gradient norm, lr and
+def write_step_files(ckpt, records: list[StepRecord]) -> None:
+    """``<ckpt>.log``: ``step<TAB>loss`` lines; ``<ckpt>.trace.jsonl``: one
+    JSON line per step with step, loss, pre-clip gradient norm, lr and
     process CPU ms."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(f"{ckpt}.log", "w", encoding="utf-8") as log, \
+            open(f"{ckpt}.trace.jsonl", "w", encoding="utf-8") as trace:
         for record in records:
-            fh.write(json.dumps(asdict(record)) + "\n")
+            log.write(f"{record.step}\t{record.loss:.8f}\n")
+            trace.write(json.dumps(asdict(record)) + "\n")

@@ -14,7 +14,7 @@ from depthformer import autodiff as ad
 from depthformer import bench, mi, recon
 from depthformer.corpus import collect_stats, load_tsv
 from depthformer.encoder import AdaptiveEncoder, EncoderConfig
-from depthformer.train import train_classifier
+from depthformer.train import FitSettings, train_classifier
 
 from oracles import oracle_mi, random_corpus_lines
 
@@ -35,6 +35,9 @@ def mi_artifacts(synth_train, synth_test):
     }
 
 
+MLM_BUDGET = FitSettings(steps=500, lr=1e-3, batch_size=16)
+
+
 @pytest.fixture(scope="module")
 def mlm_run(synth_train):
     config = EncoderConfig(
@@ -49,14 +52,12 @@ def mlm_run(synth_train):
         precision="f32",
     )
     start = time.perf_counter()
-    result = recon.train_mlm(
-        synth_train, config, steps=500, lr=1e-3, batch_size=16, seed=0, eval_every=50
-    )
+    result = recon.train_mlm(synth_train, config, MLM_BUDGET, seed=0, eval_every=50)
     elapsed = time.perf_counter() - start
     return {"config": config, "result": result, "train_seconds": elapsed}
 
 
-CLS_BUDGET = dict(steps=250, lr=5e-4, batch_size=16, warmup=50)
+CLS_BUDGET = FitSettings(steps=250, lr=5e-4, batch_size=16, warmup=50)
 
 
 @pytest.fixture(scope="module")
@@ -76,13 +77,11 @@ def parity_runs(synth_train, synth_test, mi_artifacts):
     adaptive_acc, fixed_acc = [], []
     reports = []
     for seed in (0, 1, 2):
-        enc_a, _ = train_classifier(
-            synth_train, config, seed=seed, depth_maps=mi_artifacts["train_maps"], **CLS_BUDGET
-        )
+        enc_a, _ = train_classifier(synth_train, config, CLS_BUDGET, seed=seed, depth_maps=mi_artifacts["train_maps"])
         acc_a, report = bench.evaluate_classifier(
             enc_a, synth_test, mi_artifacts["test_maps"], batch_size=8
         )
-        enc_f, _ = train_classifier(synth_train, config, seed=seed, **CLS_BUDGET)
+        enc_f, _ = train_classifier(synth_train, config, CLS_BUDGET, seed=seed)
         acc_f, _ = bench.evaluate_classifier(enc_f, synth_test, batch_size=8)
         adaptive_acc.append(acc_a)
         fixed_acc.append(acc_f)
@@ -297,8 +296,8 @@ def test_criterion_09_mlm_training_sanity(mlm_run):
     result = mlm_run["result"]
     heldout = dict(result.heldout_log)
     assert heldout[500] < heldout[50], heldout
-    early = np.mean([loss for step, loss in result.log if 41 <= step <= 50])
-    late = np.mean([loss for step, loss in result.log if 491 <= step <= 500])
+    early = np.mean([r.loss for r in result.log if 41 <= r.step <= 50])
+    late = np.mean([r.loss for r in result.log if 491 <= r.step <= 500])
     assert late < early, (early, late)
 
 
@@ -343,8 +342,6 @@ def test_criterion_10_determinism(synth_train, mi_artifacts, mlm_run):
 
     # criterion 6 path: retraining the MLM with the same seed reproduces
     # the checkpoint bit for bit, hence the whole sweep
-    rerun = recon.train_mlm(
-        synth_train, mlm_run["config"], steps=500, lr=1e-3, batch_size=16, seed=0, eval_every=50
-    )
+    rerun = recon.train_mlm(synth_train, mlm_run["config"], MLM_BUDGET, seed=0, eval_every=50)
     for name, p in rerun.encoder.store.params.items():
         assert np.array_equal(p.data, mlm_run["result"].encoder.store.params[name].data), name

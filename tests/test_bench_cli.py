@@ -86,16 +86,21 @@ class TestDepthsMi:
         assert len(maps) == len(corpus.documents)
         assert all(len(m) == len(d.tokens) for m, d in zip(maps, corpus.documents))
 
-    def test_corpus_config_keeps_flags_it_does_not_set(self, workdir, tmp_path):
-        cfg = tmp_path / "corpus.cfg"
-        cfg.write_text("lowercase = false\n", encoding="utf-8")
-        assert main([
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        # they were accepted and ignored; --lambda is --penalty's other name
+        [("--penalty", "0.1", "--penalty"), ("--lambda", "0.1", "--penalty"), ("--mlm-ckpt", "mlm.ckpt", "--mlm-ckpt")],
+    )
+    def test_recon_flag_is_an_error(self, workdir, tmp_path, capsys, monkeypatch, flag, value, named):
+        monkeypatch.setattr(cli, "load_tsv", never_called)
+        out = tmp_path / "out"
+        code = main([
             "depths", "--mode", "mi", "--train-tsv", str(workdir / "data" / "train.tsv"),
-            "--test-tsv", str(workdir / "data" / "test.tsv"), "--out-dir", str(tmp_path / "out"),
-            "--max-len", "5", "--corpus-config", str(cfg),
-        ]) == 0
-        maps = mi.read_depth_file(tmp_path / "out" / "train.depths")
-        assert maps and all(len(m) == 5 for m in maps)
+            "--test-tsv", str(workdir / "data" / "test.tsv"), "--out-dir", str(out), flag, value,
+        ])
+        assert code == 2
+        assert f"error: {named} applies only to --mode recon" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainAndEval:
@@ -138,9 +143,9 @@ class TestTrainAndEval:
         config = EncoderConfig(
             vocab_size=len(corpus.vocab), n_labels=2, n_layers=2, d_model=16, n_heads=2, d_ff=32, max_len=32,
         )
-        records = []
         # a clip below every norm, so clipping changes the gradients the norm was taken from
-        train.train_classifier(corpus, config, steps=3, batch_size=8, clip=1e-3, warmup=2, on_step=records.append)
+        settings = train.FitSettings(steps=3, lr=1e-3, batch_size=8, clip=1e-3, warmup=2)
+        _, records = train.train_classifier(corpus, config, settings)
         assert [r.grad_norm for r in records] == norms and min(norms) > 1e-3
         assert [r.lr for r in records] == [5e-4, 1e-3, 1e-3]
 
@@ -270,13 +275,10 @@ class TestTrainAndEval:
         assert f"error: {ckpt}: {message.format(name=name)}" in capsys.readouterr().err
 
     def test_eval_tokenizes_at_the_trained_max_len(self, workdir, tmp_path, capsys):
-        cfg = tmp_path / "corpus.cfg"
-        cfg.write_text("max_len = 8\n", encoding="utf-8")
         ckpt = tmp_path / "short.ckpt"
         assert main([
             "train", "--task", "cls", "--train-tsv", str(workdir / "data" / "train.tsv"),
-            "--out", str(ckpt), "--steps", "1", "--batch-size", "8", "--seed", "0",
-            *TINY_MODEL, "--corpus-config", str(cfg),
+            "--out", str(ckpt), "--steps", "1", "--batch-size", "8", "--seed", "0", *TINY_NET, "--max-len", "8",
         ]) == 0
         capsys.readouterr()
         assert main([
@@ -284,6 +286,21 @@ class TestTrainAndEval:
         ]) == 0
         lines = dict(l.split("\t") for l in capsys.readouterr().out.strip().splitlines())
         assert int(lines["n_tokens"]) == 20 * 8  # twelve-token documents cut at 8
+
+    def test_eval_reads_a_tokenizer_max_len_of_its_own(self, workdir, tmp_path, capsys):
+        # checkpoints trained with a tokenizer max_len apart from the
+        # encoder's (an option since removed) carry it in the meta
+        import shutil
+
+        ckpt = tmp_path / "legacy.ckpt"
+        for suffix in ("", ".vocab.tsv"):
+            shutil.copy(str(workdir / "cls.ckpt") + suffix, str(ckpt) + suffix)
+        meta = (workdir / "cls.ckpt.meta").read_text(encoding="utf-8")
+        assert "max_len = 32\n" in meta
+        Path(str(ckpt) + ".meta").write_text(meta + "tokenizer_max_len = 8\n", encoding="utf-8")
+        assert main(["eval", "--ckpt", str(ckpt), "--data-tsv", str(workdir / "data" / "test.tsv"), "--reps", "1"]) == 0
+        lines = dict(l.split("\t") for l in capsys.readouterr().out.strip().splitlines())
+        assert int(lines["n_tokens"]) == 20 * 8
 
     @pytest.mark.parametrize("batch_size", ["0", "-2"])
     def test_eval_rejects_non_positive_batch_size(self, workdir, capsys, batch_size):
@@ -391,6 +408,19 @@ class TestTrainAndEval:
         assert f"error: {flag} applies only to --task mlm" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("task", ["cls", "mlm"])
+    def test_fit_settings_checked_before_the_corpus_is_read(self, workdir, tmp_path, capsys, monkeypatch, task):
+        # they were checked after the corpus was read and the encoder configured
+        monkeypatch.setattr(cli, "load_tsv", never_called)
+        out = tmp_path / "x.ckpt"
+        code = main([
+            "train", "--task", task, "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--out", str(out), "--steps", "2", *TINY_MODEL, "--lr", "0",
+        ])
+        assert code == 2
+        assert "error: lr must be > 0, got 0.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mlm_fit_settings_checked_before_the_heldout_slice_is_scored(self, workdir, tmp_path, capsys, monkeypatch):
         # it scored the held-out slice once, then failed in fit
         def encoder_built(*args, **kwargs):
@@ -437,7 +467,7 @@ class TestTrainAndEval:
         # an all-max depth file never takes the copy branch, so training
         # reduces to the fixed-depth baseline bit for bit
         from depthformer.encoder import EncoderConfig
-        from depthformer.train import train_classifier
+        from depthformer.train import FitSettings, train_classifier
 
         corpus = load_tsv(workdir / "data" / "train.tsv")
         config = EncoderConfig(
@@ -445,8 +475,9 @@ class TestTrainAndEval:
             d_model=16, n_heads=2, d_ff=32, max_len=32, precision="f32",
         )
         full = [np.full(len(d.tokens), 2, dtype=np.int64) for d in corpus.documents]
-        enc_maps, _ = train_classifier(corpus, config, steps=3, batch_size=8, seed=5, depth_maps=full)
-        enc_none, _ = train_classifier(corpus, config, steps=3, batch_size=8, seed=5)
+        settings = FitSettings(steps=3, lr=1e-3, batch_size=8)
+        enc_maps, _ = train_classifier(corpus, config, settings, seed=5, depth_maps=full)
+        enc_none, _ = train_classifier(corpus, config, settings, seed=5)
         for name, p in enc_maps.store.params.items():
             assert np.array_equal(p.data, enc_none.store.params[name].data), name
 
@@ -486,8 +517,6 @@ class TestDepthsRecon:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            pytest.param("--chunk-rows", "0", "chunk_rows must be >= 1, got 0", id="chunk-rows-0"),
-            pytest.param("--chunk-rows", "-1", "chunk_rows must be >= 1, got -1", id="chunk-rows-neg"),
             pytest.param("--penalty", "-0.5", "penalty must be >= 0, got -0.5", id="penalty-neg"),
             pytest.param(
                 "--mlm-ckpt", "missing.ckpt", "reconstruction mode needs a trained MLM checkpoint",
@@ -509,6 +538,34 @@ class TestDepthsRecon:
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        # they were accepted and ignored: the MLM checkpoint's meta sets the
+        # tokenizer, and the recon depths need no MI binning
+        [("--max-len", "8"), ("--min-freq", "2"), ("--no-lowercase", None), ("--n-bins", "4"), ("--smoothing", "0.5"),
+         ("--hist-bins", "10")],
+    )
+    def test_mi_flag_is_an_error(self, workdir, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(AdaptiveEncoder, "load", never_called)
+        out = tmp_path / "recon"
+        code = main([
+            "depths", "--mode", "recon", "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--test-tsv", str(workdir / "data" / "test.tsv"), "--out-dir", str(out),
+            "--mlm-ckpt", str(workdir / "mlm.ckpt"), flag, *([value] if value else []),
+        ])
+        assert code == 2
+        assert f"error: {flag} applies only to --mode mi" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_summary_writes_the_default_penalty(self, workdir, tmp_path):
+        out = tmp_path / "recon"
+        assert main([
+            "depths", "--mode", "recon", "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--test-tsv", str(workdir / "data" / "test.tsv"),
+            "--out-dir", str(out), "--mlm-ckpt", str(workdir / "mlm.ckpt"),
+        ]) == 0
+        assert (out / "summary.tsv").read_text().split("\t")[0] == "0.1"
 
 
 class TestSweepLambda:
@@ -532,14 +589,12 @@ class TestSweepLambda:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            pytest.param("--chunk-rows", "0", "chunk_rows must be >= 1, got 0", id="chunk-rows-0"),
             pytest.param("--lambdas", "0.1,-0.5", "penalty must be >= 0, got -0.5", id="lambda-neg"),
         ],
     )
     def test_invalid_setting_is_an_error(self, workdir, tmp_path, capsys, monkeypatch, flag, value, message):
-        if flag == "--lambdas":
-            # a bad penalty fails before either split is profiled
-            monkeypatch.setattr(recon, "sentence_profiles", never_called)
+        # a bad penalty fails before either split is profiled
+        monkeypatch.setattr(recon, "sentence_profiles", never_called)
         code = main([
             "sweep-lambda", "--mlm-ckpt", str(workdir / "mlm.ckpt"),
             "--train-tsv", str(workdir / "data" / "train.tsv"),
@@ -754,14 +809,14 @@ class TestVariableLengthCorpora:
 
     def test_training_buckets_by_length(self, varlen):
         from depthformer.encoder import EncoderConfig
-        from depthformer.train import train_classifier
+        from depthformer.train import FitSettings, train_classifier
 
         config = EncoderConfig(
             vocab_size=len(varlen.vocab), n_labels=2, n_layers=2,
             d_model=16, n_heads=2, d_ff=32, max_len=16, precision="f32",
         )
-        encoder, log = train_classifier(varlen, config, steps=5, batch_size=8, seed=0)
-        assert len(log) == 5 and all(np.isfinite(l) for _, l in log)
+        encoder, log = train_classifier(varlen, config, FitSettings(steps=5, lr=1e-3, batch_size=8), seed=0)
+        assert len(log) == 5 and all(np.isfinite(record.loss) for record in log)
 
     def test_eval_covers_every_document_once(self, varlen):
         from depthformer.encoder import AdaptiveEncoder, EncoderConfig

@@ -7,13 +7,13 @@ from depthformer.cli import build_parser
 
 WIDTH = ["--d-model", "--n-heads", "--d-ff", "--dropout", "--precision"]
 MODEL = ["--n-layers", *WIDTH]
-CORPUS = ["--max-len", "--min-freq", "--no-lowercase", "--corpus-config"]
+CORPUS = ["--max-len", "--min-freq", "--no-lowercase"]
 
 EXPECTED = {
     "gen-data": ["--out-dir", "--n-train", "--n-test", "--doc-len", "--seed"],
     "depths": [
         "--mode", "--train-tsv", "--test-tsv", "--out-dir", "--n-bins", "--smoothing", "--hist-bins",
-        "--penalty", "--lambda", "--mlm-ckpt", "--chunk-rows", *CORPUS,
+        "--penalty", "--lambda", "--mlm-ckpt", *CORPUS,
     ],
     "train": [
         "--task", "--train-tsv", "--out", "--depths", "--steps", "--lr", "--warmup", "--clip",
@@ -21,7 +21,7 @@ EXPECTED = {
     ],
     "eval": ["--ckpt", "--data-tsv", "--depths", "--batch-size", "--reps", "--precision", "--report"],
     "sweep-lambda": [
-        "--mlm-ckpt", "--train-tsv", "--test-tsv", "--lambdas", "--chunk-rows", "--cls-steps", "--lr",
+        "--mlm-ckpt", "--train-tsv", "--test-tsv", "--lambdas", "--cls-steps", "--lr",
         "--warmup", "--batch-size", "--seed", "--out", *WIDTH,
     ],
     "bench": [

@@ -15,7 +15,6 @@ from depthformer.corpus import (
     Vocab,
     collect_stats,
     load_tsv,
-    read_kv_config,
     tokenize,
 )
 
@@ -327,20 +326,6 @@ class TestCollectStats:
     def test_rejects_test_split(self, synth_test):
         with pytest.raises(ValueError, match="training split"):
             collect_stats(synth_test)
-
-
-class TestKvConfig:
-    def test_parse_and_apply(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        path.write_text("max_len = 64\nlowercase = false\n# comment\nmin_freq=2\n", encoding="utf-8")
-        cfg = TokenizerConfig.from_kv(read_kv_config(path))
-        assert cfg == TokenizerConfig(max_len=64, lowercase=False, min_freq=2)
-
-    def test_bad_line(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        path.write_text("max_len 64\n", encoding="utf-8")
-        with pytest.raises(CorpusError):
-            read_kv_config(path)
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,7 +12,7 @@ from depthformer import recon
 from depthformer.autodiff import Tensor
 from depthformer.encoder import _LAYER_PARAMS, AdaptiveEncoder, EncoderConfig
 from depthformer.optim import adam_step
-from depthformer.train import fit, train_classifier
+from depthformer.train import FitSettings, fit, train_classifier
 
 from reference_graph import (
     per_op_classifier_loss,
@@ -67,6 +67,18 @@ class TestConfig:
     def test_meta_roundtrip(self):
         cfg = small_config()
         assert EncoderConfig.from_meta(cfg.to_meta()) == cfg
+
+    def test_meta_text_is_pinned(self, tmp_path):
+        # checkpoints already written, and readers of the sidecar, rely on
+        # these keys, their order and their value strings
+        cfg = small_config(n_layers=5, dropout=0.25, max_len=48, precision="f64")
+        AdaptiveEncoder(cfg, head="cls", seed=0).save(tmp_path / "x.ckpt", extra_meta={"labels": "a,b"})
+        assert (tmp_path / "x.ckpt.meta").read_text(encoding="utf-8") == (
+            "vocab_size = 20\nn_labels = 2\nn_layers = 5\nd_model = 16\nn_heads = 2\nd_ff = 32\n"
+            "dropout = 0.25\nmax_len = 48\nprecision = f64\nhead = cls\nlabels = a,b\n"
+        )
+        _, meta = AdaptiveEncoder.load(tmp_path / "x.ckpt")
+        assert EncoderConfig.from_meta(meta) == cfg
 
 
 class TestEmbed:
@@ -604,7 +616,7 @@ class TestLeanTape:
         true_ids = rng.integers(4, 46, size=masked.size)
         peaks: list[int] = []
 
-        def record_peak(_record):
+        def record_peak(_step):
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
 
@@ -613,7 +625,8 @@ class TestLeanTape:
 
         tracemalloc.start()
         try:
-            fit(enc, batch_loss, [32] * 8, 2, 1e-3, 8, np.random.default_rng(0), 5.0, 0, record_peak)
+            settings = FitSettings(steps=2, lr=1e-3, batch_size=8)
+            fit(enc, batch_loss, [32] * 8, settings, np.random.default_rng(0), record_peak)
         finally:
             tracemalloc.stop()
         first, second = peaks
@@ -861,14 +874,15 @@ class TestGraphSize:
             vocab_size=len(synth_train.vocab), n_labels=synth_train.n_labels, n_layers=3,
             d_model=16, n_heads=2, d_ff=32, dropout=0.1, max_len=32,
         )
+        settings = FitSettings(steps=1, lr=1e-3, batch_size=4)
         if task == "mlm":
-            recon.train_mlm(synth_train, cfg, steps=1, batch_size=4)
+            recon.train_mlm(synth_train, cfg, settings)
         else:
             maps = None
             if task == "cls-adaptive":
                 gen = np.random.default_rng(0)
                 maps = [gen.integers(1, 4, size=len(d.tokens)) for d in synth_train.documents]
-            train_classifier(synth_train, cfg, steps=1, batch_size=4, depth_maps=maps)
+            train_classifier(synth_train, cfg, settings, depth_maps=maps)
         (loss,) = losses
         head = "mlm_anytime_loss_graph" if task == "mlm" else "classifier_loss_graph"
         want = {"AdaptiveEncoder.embed": 1, "AdaptiveEncoder._layer_node": 3, f"AdaptiveEncoder.{head}": 1}

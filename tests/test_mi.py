@@ -129,9 +129,27 @@ class TestAssignBins:
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=40), st.integers(1, 16))
     def test_depths_monotone_in_score(self, values, n_bins):
         values = np.asarray(values)
-        depths, _, _ = mi.assign_bins(values, n_bins)
+        try:
+            depths, _, _ = mi.assign_bins(values, n_bins)
+        except ValueError as exc:
+            assert str(exc).startswith("cannot split scores from lo=")
+            return
         order = np.argsort(values)
         assert np.all(np.diff(depths[order]) >= 0)
+
+    @pytest.mark.parametrize(
+        "values, lo, hi",
+        [
+            # the bin width underflows to 0, then overflows to inf: both binned
+            # everything at depth 1, with RuntimeWarnings
+            pytest.param([0.0, 5e-324], "0.0", "5e-324", id="width-underflows"),
+            pytest.param([-1e308, 1e308], "-1e+308", "1e+308", id="width-overflows"),
+        ],
+    )
+    def test_range_it_cannot_split_is_an_error(self, values, lo, hi):
+        message = f"cannot split scores from lo={lo} to hi={hi} into n_bins=4 bins"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mi.assign_bins(np.array(values), 4)
 
 
 class TestMiTable:

@@ -15,7 +15,7 @@ from depthformer.recon import (
     sentence_profiles,
     train_mlm,
 )
-from depthformer.train import length_buckets
+from depthformer.train import FitSettings, length_buckets
 
 
 def layer_losses(encoder, tokens, position, mask_id):
@@ -138,7 +138,7 @@ def toy_mlm(synth_dir):
         max_len=32,
         precision="f32",
     )
-    result = train_mlm(corpus, config, steps=150, lr=1e-3, batch_size=16, seed=0)
+    result = train_mlm(corpus, config, FitSettings(steps=150, lr=1e-3, batch_size=16), seed=0)
     return corpus, result
 
 
@@ -148,7 +148,7 @@ class TestTrainMlm:
             vocab_size=len(synth_train.vocab), n_labels=2, n_layers=2,
             d_model=16, n_heads=2, d_ff=32, max_len=32, precision="f32",
         )
-        result = train_mlm(synth_train, config, steps=0, seed=1)
+        result = train_mlm(synth_train, config, FitSettings(steps=0, lr=1e-3, batch_size=16), seed=1)
         assert result.log == []
         assert result.heldout_final == result.heldout_initial
 
@@ -158,15 +158,16 @@ class TestTrainMlm:
             d_model=16, n_heads=2, d_ff=32, max_len=32, precision="f32",
         )
         with pytest.raises(ValueError, match="mask rate"):
-            train_mlm(synth_train, config, steps=5, mask_rate=0.0)
+            train_mlm(synth_train, config, FitSettings(steps=5, lr=1e-3, batch_size=16), mask_rate=0.0)
 
     def test_same_seed_reproduces_parameters(self, synth_train):
         config = EncoderConfig(
             vocab_size=len(synth_train.vocab), n_labels=2, n_layers=2,
             d_model=16, n_heads=2, d_ff=32, max_len=32, precision="f32",
         )
-        a = train_mlm(synth_train, config, steps=5, seed=3)
-        b = train_mlm(synth_train, config, steps=5, seed=3)
+        settings = FitSettings(steps=5, lr=1e-3, batch_size=16)
+        a = train_mlm(synth_train, config, settings, seed=3)
+        b = train_mlm(synth_train, config, settings, seed=3)
         for name, p in a.encoder.store.params.items():
             assert np.array_equal(p.data, b.encoder.store.params[name].data)
 
@@ -207,10 +208,11 @@ class TestLayerLosses:
         assert profiles.shape == (1, 6)
         assert np.all(np.isfinite(profiles))
 
-    def test_batched_profiles_match_single_position_calls(self, toy_mlm):
+    def test_batched_profiles_match_single_position_calls(self, toy_mlm, monkeypatch):
         corpus, result = toy_mlm
         tokens = corpus.documents[5].tokens
-        batched = sentence_profiles(result.encoder, tokens, corpus.vocab.mask_id, chunk_rows=5)
+        monkeypatch.setattr(recon, "PROFILE_CHUNK_ROWS", 5)  # so the twelve positions cross chunk boundaries
+        batched = sentence_profiles(result.encoder, tokens, corpus.vocab.mask_id)
         for t in range(len(tokens)):
             single = layer_losses(result.encoder, tokens, t, corpus.vocab.mask_id)
             np.testing.assert_allclose(batched[t], single, atol=1e-5)
