@@ -119,6 +119,12 @@ def cmd_depths(args) -> int:
         recon.check_penalty(args.penalty)
         if not args.mlm_ckpt or not Path(args.mlm_ckpt).exists():
             raise FileNotFoundError(f"reconstruction mode needs a trained MLM checkpoint, got {args.mlm_ckpt!r}")
+    else:
+        for name in ("n_bins", "hist_bins"):
+            if getattr(args, name) < 1:
+                raise ValueError(f"{name.replace('_', '-')} must be >= 1, got {getattr(args, name)}")
+        if not args.smoothing > 0:  # also rejects NaN
+            raise ValueError(f"smoothing must be > 0, got {args.smoothing}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -229,6 +235,8 @@ def cmd_sweep_lambda(args) -> int:
     penalties = [float(x) for x in args.lambdas.split(",")]
     for penalty in penalties:
         recon.check_penalty(penalty)
+    if args.cls_steps < 0:
+        raise ValueError(f"cls-steps must be >= 0, got {args.cls_steps}")
     settings = None  # a classifier per penalty only when --cls-steps > 0
     if args.cls_steps > 0:
         settings = FitSettings(args.cls_steps, args.lr, args.batch_size, warmup=args.warmup)
@@ -236,8 +244,9 @@ def cmd_sweep_lambda(args) -> int:
     train = _load_eval_corpus(args.mlm_ckpt, args.train_tsv, meta)
     test = _load_eval_corpus(args.mlm_ckpt, args.test_tsv, meta)
 
-    # profiles do not depend on the penalty, so score each split once
-    train_profiles = recon.corpus_profiles(encoder, train)
+    # profiles do not depend on the penalty, so score each split once; the
+    # train split's feed only the classifiers
+    train_profiles = recon.corpus_profiles(encoder, train) if settings is not None else None
     test_profiles = recon.corpus_profiles(encoder, test)
 
     n_layers = encoder.config.n_layers

@@ -187,14 +187,19 @@ def _layer_norm_np(
 ) -> np.ndarray:
     """Layer norm written into ``x``, which the caller must own; returns ``x``.
 
-    The variance is ``np.var``'s own arithmetic (mean of squared deviations),
-    so the result is bit-identical to ``(x - mean) / sqrt(var + eps) * gamma + beta``.
+    The mean is ``ndarray.mean``'s arithmetic, a sum divided by the count
+    (numpy divides f32 in f64 and rounds, which equals f32 division), and
+    the variance ``np.var``'s, the mean of squared deviations; so the result
+    is bit-identical to ``(x - mean) / sqrt(var + eps) * gamma + beta``.
     When ``saved`` is a list, a copy of the normalized rows and their
     standard deviations are appended to it for the backward pass.
     """
-    x -= x.mean(axis=-1, keepdims=True)
-    var = np.square(x).sum(axis=-1, keepdims=True)
-    var /= x.shape[-1]
+    d = x.dtype.type(x.shape[-1])
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= d
+    x -= mean
+    var = np.add.reduce(np.square(x), axis=-1, keepdims=True)
+    var /= d
     var += eps
     np.sqrt(var, out=var)
     x /= var
@@ -325,6 +330,8 @@ class AdaptiveEncoder:
         self._layer_tensors = [
             tuple(self.store[f"layer{i}.{name}"] for name in _LAYER_PARAMS) for i in range(config.n_layers)
         ]
+        # the store's views, never replaced: training and loading write into them
+        self._layer_weights = [tuple(t.data for t in tensors) for tensors in self._layer_tensors]
 
     # ------------------------------------------------------------------
     # parameters
@@ -583,7 +590,7 @@ class AdaptiveEncoder:
         batch, time, _ = h.shape
         b, m = block
         heads, d_head = cfg.n_heads, cfg.d_head
-        weights = tuple(t.data for t in self._layer_tensors[i])
+        weights = self._layer_weights[i]
         wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = weights
         drop = None if tape is None else tape["drop"]
         saved = () if tape is None else (tape["ln"],)
@@ -600,10 +607,10 @@ class AdaptiveEncoder:
         kh = k[:b].reshape(b, time, heads, d_head).transpose(0, 2, 1, 3)
         vh = v[:b].reshape(b, time, heads, d_head).transpose(0, 2, 3, 1)
         scores = np.matmul(kh, qh)
-        scores -= scores.max(axis=-2, keepdims=True)
+        scores -= np.maximum.reduce(scores, axis=-2, keepdims=True)
         np.exp(scores, out=scores)
         ctx = np.matmul(vh, scores if drop is None else ad.apply_dropout(scores, drop[0], drop[3]))
-        key_sums = scores.sum(axis=-2, keepdims=True)
+        key_sums = np.add.reduce(scores, axis=-2, keepdims=True)
         ctx /= key_sums
         attn = _heads_to_rows(ctx) @ wo
         attn += bo

@@ -173,25 +173,32 @@ def train_mlm(
 
 
 def sentence_profiles(encoder: AdaptiveEncoder, tokens: np.ndarray, mask_id: int) -> np.ndarray:
-    """Loss profiles for every position of one sentence, shape (len, N).
+    """Loss profiles for every position of an (n, T) stack of equal-length
+    sentences, shape (n, T, N); one sentence as a vector gives (T, N).
 
-    Each forward still masks exactly one position; the masked variants of
-    the sentence are merely batched together, ``PROFILE_CHUNK_ROWS`` at a
-    time, for throughput.
+    Each variant masks exactly one position; the variants, in (sentence,
+    position) order, are merely batched together, ``PROFILE_CHUNK_ROWS`` at
+    a time and across sentence boundaries, for throughput. Every row of a
+    forward is computed on its own, so a profile does not depend on its
+    neighbours, save that BLAS rounds a one-row head product (a forward
+    holding a single variant) apart from a multi-row one.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    time = len(tokens)
-    profiles = np.empty((time, encoder.config.n_layers), dtype=np.float64)
-    for start in range(0, time, PROFILE_CHUNK_ROWS):
-        stop = min(start + PROFILE_CHUNK_ROWS, time)
-        variants = np.tile(tokens, (stop - start, 1))
-        rows = np.arange(stop - start)
-        variants[rows, np.arange(start, stop)] = mask_id
+    stack = tokens if tokens.ndim == 2 else tokens[None, :]
+    n, time = stack.shape
+    flat = stack.reshape(-1)  # variant r masks sentence r // T at position r % T
+    profiles = np.empty((n * time, encoder.config.n_layers), dtype=np.float64)
+    for start in range(0, n * time, PROFILE_CHUNK_ROWS):
+        stop = min(start + PROFILE_CHUNK_ROWS, n * time)
+        variant = np.arange(start, stop)
+        rows, pos = variant - start, variant % time
+        variants = stack[variant // time]
+        variants[rows, pos] = mask_id
         layer_states, _ = encoder.forward_infer(variants, None, collect_layers=True)
-        masked = rows * (time + 1) + start  # flat index of variant r's masked position start + r
-        for n, h in enumerate(layer_states):
-            profiles[start:stop, n] = encoder.masked_nll_infer(h, masked, tokens[start:stop])[1]
-    return profiles
+        masked = rows * time + pos  # flat index of variant r's masked position
+        for layer, h in enumerate(layer_states):
+            profiles[start:stop, layer] = encoder.masked_nll_infer(h, masked, flat[start:stop])[1]
+    return profiles.reshape(*tokens.shape, encoder.config.n_layers)
 
 
 def check_penalty(penalty: float) -> None:
@@ -223,8 +230,16 @@ def depths_from_profiles(profiles: list[np.ndarray], penalty: float) -> list[np.
 
 
 def corpus_profiles(encoder: AdaptiveEncoder, corpus: Corpus) -> list[np.ndarray]:
-    """Loss profiles for every sentence of a split; label-free."""
-    return [sentence_profiles(encoder, doc.tokens, corpus.vocab.mask_id) for doc in corpus.documents]
+    """Loss profiles for every sentence of a split, in corpus order; the
+    sentences of each length are profiled together. Label-free."""
+    by_length: dict[int, list[int]] = {}
+    for i, doc in enumerate(corpus.documents):
+        by_length.setdefault(len(doc.tokens), []).append(i)
+    profiles: dict[int, np.ndarray] = {}
+    for idx in by_length.values():
+        stack = np.stack([corpus.documents[i].tokens for i in idx])
+        profiles.update(zip(idx, sentence_profiles(encoder, stack, corpus.vocab.mask_id)))
+    return [profiles[i] for i in range(len(corpus.documents))]
 
 
 def average_depth(depth_maps: list[np.ndarray]) -> float:

@@ -102,6 +102,26 @@ class TestDepthsMi:
         assert f"error: {named} applies only to --mode recon" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--n-bins", "0", "n-bins must be >= 1, got 0", id="n-bins-0"),
+            pytest.param("--hist-bins", "0", "hist-bins must be >= 1, got 0", id="hist-bins-0"),
+            pytest.param("--smoothing", "0", "smoothing must be > 0, got 0.0", id="smoothing-0"),
+        ],
+    )
+    def test_invalid_setting_is_an_error(self, workdir, tmp_path, capsys, monkeypatch, flag, value, message):
+        # every bad setting fails before the corpus is read or --out-dir made
+        monkeypatch.setattr(cli, "load_tsv", never_called)
+        out = tmp_path / "out"
+        code = main([
+            "depths", "--mode", "mi", "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--test-tsv", str(workdir / "data" / "test.tsv"), "--out-dir", str(out), flag, value,
+        ])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainAndEval:
     def test_checkpoint_sidecars_written(self, workdir):
@@ -625,6 +645,37 @@ class TestSweepLambda:
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.tsv").exists()
+
+    def test_negative_cls_steps_is_an_error(self, workdir, tmp_path, capsys, monkeypatch):
+        # it trained no classifier and printed accuracy "-"
+        monkeypatch.setattr(AdaptiveEncoder, "load", never_called)
+        code = main([
+            "sweep-lambda", "--mlm-ckpt", str(workdir / "mlm.ckpt"),
+            "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--test-tsv", str(workdir / "data" / "test.tsv"), "--lambdas", "0.1",
+            "--cls-steps", "-5", "--out", str(tmp_path / "sweep.tsv"),
+        ])
+        assert code == 2
+        assert "error: cls-steps must be >= 0, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.tsv").exists()
+
+    @pytest.mark.parametrize("cls_steps, profiled", [("0", [20]), ("1", [60, 20])])
+    def test_train_split_profiled_only_for_the_classifiers(self, workdir, tmp_path, monkeypatch, cls_steps, profiled):
+        sizes = []
+        corpus_profiles = recon.corpus_profiles
+
+        def recording(encoder, corpus):
+            sizes.append(len(corpus.documents))
+            return corpus_profiles(encoder, corpus)
+
+        monkeypatch.setattr(recon, "corpus_profiles", recording)
+        assert main([
+            "sweep-lambda", "--mlm-ckpt", str(workdir / "mlm.ckpt"),
+            "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--test-tsv", str(workdir / "data" / "test.tsv"), "--lambdas", "0.1",
+            "--cls-steps", cls_steps, *TINY_WIDTH, "--out", str(tmp_path / "sweep.tsv"),
+        ]) == 0
+        assert sizes == profiled
 
     def test_n_layers_is_not_an_option(self, workdir, tmp_path, capsys):
         # the classifiers must take the MLM's depth, which the depth maps index

@@ -1,7 +1,14 @@
 """The CLI's option strings, pinned. A change that adds, renames or
-removes a flag must edit ``EXPECTED`` in the same change."""
+removes a flag must edit ``EXPECTED`` in the same change. Also pinned: the
+CLI imports nothing beyond numpy and the standard library."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import depthformer
 
 from depthformer.cli import build_parser
 
@@ -42,3 +49,23 @@ def test_every_subcommand_has_exactly_the_pinned_options():
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     actual = {name: option_strings(sub) for name, sub in subparsers.choices.items()}
     assert actual == {name: sorted(opts) for name, opts in EXPECTED.items()}
+
+
+# run in a fresh interpreter: what numpy loads, the standard library and the
+# package itself are allowed; any other top-level module is printed
+IMPORT_PROBE = """
+import sys
+import numpy
+allowed = {name.partition(".")[0] for name in sys.modules} | set(sys.stdlib_module_names) | {"depthformer"}
+import depthformer.cli
+print(" ".join(sorted({name.partition(".")[0] for name in sys.modules} - allowed)))
+"""
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # each extra import is paid by every CLI start, and by the benchmark's
+    # set-up time
+    src = str(Path(depthformer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, check=True)
+    assert probe.stdout.split() == []

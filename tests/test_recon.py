@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,8 @@ from hypothesis import strategies as st
 
 from depthformer import autodiff as ad
 from depthformer import recon
-from depthformer.corpus import load_tsv
-from depthformer.encoder import EncoderConfig
+from depthformer.corpus import Document, load_tsv
+from depthformer.encoder import HEAD_MLM, AdaptiveEncoder, EncoderConfig
 from depthformer.recon import (
     anytime_loss_on_docs,
     depths_from_profiles,
@@ -29,6 +32,25 @@ def layer_losses(encoder, tokens, position, mask_id):
         [-encoder.mlm_log_probs_infer(h[0, position : position + 1])[0, true_id] for h in layer_states],
         dtype=np.float64,
     )
+
+
+def per_sentence_profiles(encoder, tokens, mask_id):
+    """Reference for ``corpus_profiles``: one sentence's masked variants,
+    ``PROFILE_CHUNK_ROWS`` of them per forward, never mixed with another
+    sentence's."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    time = len(tokens)
+    profiles = np.empty((time, encoder.config.n_layers), dtype=np.float64)
+    for start in range(0, time, recon.PROFILE_CHUNK_ROWS):
+        stop = min(start + recon.PROFILE_CHUNK_ROWS, time)
+        variants = np.tile(tokens, (stop - start, 1))
+        rows = np.arange(stop - start)
+        variants[rows, np.arange(start, stop)] = mask_id
+        layer_states, _ = encoder.forward_infer(variants, None, collect_layers=True)
+        masked = rows * (time + 1) + start  # flat index of variant r's masked position start + r
+        for n, h in enumerate(layer_states):
+            profiles[start:stop, n] = encoder.masked_nll_infer(h, masked, tokens[start:stop])[1]
+    return profiles
 
 
 finite_profiles = st.lists(
@@ -216,6 +238,76 @@ class TestLayerLosses:
         for t in range(len(tokens)):
             single = layer_losses(result.encoder, tokens, t, corpus.vocab.mask_id)
             np.testing.assert_allclose(batched[t], single, atol=1e-5)
+
+
+# one 1-token sentence, then lengths whose variants cross sentence
+# boundaries and the 32-variant one: 13·3 = 39, 7·12 = 84 and 3·40 = 120
+# variants, where the per-sentence loop splits each 40-token sentence into
+# 32 + 8. No forward holds a single variant except the 1-token sentence's,
+# alone in both: BLAS takes a one-row head product in another summation
+# order than a multi-row one, so a variant scored alone can differ in its
+# last bit.
+MIXED_LENGTHS = (3, 12, 40, 1, *(3,) * 12, *(12,) * 6, 40, 40)
+
+
+@pytest.fixture(scope="module", params=["f32", "f64"])
+def mixed_split(synth_train, request):
+    config = EncoderConfig(
+        vocab_size=len(synth_train.vocab), n_labels=2, n_layers=3,
+        d_model=32, n_heads=4, d_ff=64, max_len=64, precision=request.param,
+    )
+    encoder = AdaptiveEncoder(config, HEAD_MLM, seed=7)
+    rng = np.random.default_rng(11)
+    docs = [Document(rng.integers(3, len(synth_train.vocab), size=t), 0) for t in MIXED_LENGTHS]
+    return encoder, replace(synth_train, documents=docs)
+
+
+class TestCorpusProfiles:
+    """Sentences of one length are profiled together, 32 variants a forward."""
+
+    def test_equal_to_the_per_sentence_loop(self, mixed_split):
+        encoder, corpus = mixed_split
+        profiles = recon.corpus_profiles(encoder, corpus)
+        assert len(profiles) == len(corpus.documents)
+        for doc, got in zip(corpus.documents, profiles):
+            assert np.array_equal(got, per_sentence_profiles(encoder, doc.tokens, corpus.vocab.mask_id))
+
+    def test_forward_count(self, mixed_split, monkeypatch):
+        encoder, corpus = mixed_split
+        calls = []
+        forward = encoder.forward_infer
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, "forward_infer", counting)
+        recon.corpus_profiles(encoder, corpus)
+        groups = {t: MIXED_LENGTHS.count(t) for t in MIXED_LENGTHS}
+        expected = sum(math.ceil(n * t / recon.PROFILE_CHUNK_ROWS) for t, n in groups.items())
+        assert len(calls) == expected == 1 + 2 + 3 + 4
+
+    def test_one_scorer_call_per_length_through_the_module(self, mixed_split, monkeypatch):
+        # the benchmark traces recon.sentence_profiles by its module name
+        encoder, corpus = mixed_split
+        assert "sentence_profiles" in recon.__dict__
+        shapes = []
+        scorer = recon.sentence_profiles
+
+        def recording(encoder, tokens, mask_id):
+            shapes.append(tokens.shape)
+            return scorer(encoder, tokens, mask_id)
+
+        monkeypatch.setattr(recon, "sentence_profiles", recording)
+        recon.corpus_profiles(encoder, corpus)
+        assert sorted(shapes) == [(1, 1), (3, 40), (7, 12), (13, 3)]
+
+    def test_stack_and_vector_shapes(self, mixed_split):
+        encoder, corpus = mixed_split
+        stack = np.stack([d.tokens for d in corpus.documents if len(d.tokens) == 12])
+        profiles = recon.sentence_profiles(encoder, stack, corpus.vocab.mask_id)
+        assert profiles.shape == (7, 12, 3)
+        assert recon.sentence_profiles(encoder, stack[0], corpus.vocab.mask_id).shape == (12, 3)
 
 
 class TestEstimateCorpusDepths:
