@@ -8,10 +8,13 @@ hand-written vector-Jacobian product live with the model. The encoder makes
 one for the embedding, one per layer, one per permutation of the rows and
 one for each task loss, each forward being the inference code. The
 inverted-dropout helpers draw and apply the boolean keep-masks those nodes
-share.
+share; a mask is drawn as raw 16-bit integers from the generator's output,
+compared with a threshold, and never as floats.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -104,11 +107,20 @@ def backward(loss: Tensor) -> None:
 # regularization
 
 
-def dropout_mask(shape: tuple[int, ...], dtype, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Boolean keep-mask for inverted dropout: False with probability ``rate``.
-    One ``rng.random(shape, dtype)`` draw, so the stream does not depend on
-    how the mask is stored."""
-    return rng.random(shape, dtype=dtype) >= rate
+def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Boolean keep-mask for inverted dropout: False with probability
+    ``round(rate·65536)/65536``, within 2⁻¹⁷ of ``rate``.
+
+    One ``random_raw`` call draws ``ceil(n/4)`` 64-bit words, read
+    little-endian as ``n`` 16-bit integers, one per entry; an entry is kept
+    when its integer reaches the threshold. The mask does not depend on the
+    precision or on the byte order, and a threshold of 65536 (a rate of
+    ``1 - 2⁻¹⁷`` or more) drops every entry. Kept entries are still scaled
+    by ``dropout_scale``, from ``rate`` itself.
+    """
+    n = math.prod(shape)
+    raw = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False)
+    return (raw.view("<u2")[:n] >= round(rate * 65536)).reshape(shape)
 
 
 def dropout_scale(dtype, rate: float):

@@ -407,7 +407,7 @@ class AdaptiveEncoder:
         tape = {"ids": ids, "drop": None}
         if train and cfg.dropout > 0.0:
             tape["drop"] = (
-                ad.dropout_mask(h.shape, cfg.dtype, cfg.dropout, self._dropout_rng),
+                ad.dropout_mask(h.shape, cfg.dropout, self._dropout_rng),
                 ad.dropout_scale(cfg.dtype, cfg.dropout),
             )
             h = ad.apply_dropout(h, *tape["drop"])
@@ -435,13 +435,12 @@ class AdaptiveEncoder:
         cfg = self.config
         drop = None
         if train and cfg.dropout > 0.0:
-            # drawn in forward order, the attention probabilities query-major
-            # as (b, H, m, T), then laid out key-major like the scores
+            # drawn in forward order, the attention probabilities key-major
+            # as (b, H, T, m), the layout of the scores they multiply
             b, m = block
-            shapes = ((b, cfg.n_heads, m, h.shape[1]), (b, m, cfg.d_model), (b, m, cfg.d_model))
-            probs, attn, ffn = (ad.dropout_mask(s, cfg.dtype, cfg.dropout, self._dropout_rng) for s in shapes)
-            scale = ad.dropout_scale(cfg.dtype, cfg.dropout)
-            drop = (np.ascontiguousarray(probs.transpose(0, 1, 3, 2)), attn, ffn, scale)
+            shapes = ((b, cfg.n_heads, h.shape[1], m), (b, m, cfg.d_model), (b, m, cfg.d_model))
+            masks = (ad.dropout_mask(s, cfg.dropout, self._dropout_rng) for s in shapes)
+            drop = (*masks, ad.dropout_scale(cfg.dtype, cfg.dropout))
         tape = {"drop": drop, "ln": []}
         out = self._layer_infer(h.data, i, block, active, tape)
         return ad.op(out, (h, *self._layer_tensors[i]), lambda g: _layer_backward(h.data, block, active, tape, g))
@@ -502,7 +501,7 @@ class AdaptiveEncoder:
         masked_flat_idx: np.ndarray,
         true_ids: np.ndarray,
         train: bool = False,
-    ) -> tuple[Tensor, np.ndarray]:
+    ) -> tuple[Tensor, np.ndarray, LayerCounts]:
         """Summed per-layer masked cross-entropy, averaged over masked slots.
 
         ``ids`` must already contain the corrupted tokens; ``masked_flat_idx``
@@ -511,13 +510,13 @@ class AdaptiveEncoder:
         The loss is one graph node over every layer state and the head, its
         forward ``masked_nll_infer`` and ``anytime_loss``; the VJP releases
         the log-probabilities it read. Also returns the per-layer mean
-        losses as plain floats.
+        losses as plain floats and the forward's work counts.
         """
         masked_flat_idx = np.asarray(masked_flat_idx, dtype=np.int64)
         true_ids = np.asarray(true_ids, dtype=np.int64)
         if masked_flat_idx.size == 0:
             raise ValueError("anytime MLM loss needs at least one masked position")
-        layers, _ = self.forward_graph(ids, None, train)
+        layers, counts = self.forward_graph(ids, None, train)
         w, b = self.store["mlm.w"], self.store["mlm.b"]
         n_masked = masked_flat_idx.size
         rows = np.arange(n_masked)
@@ -550,7 +549,7 @@ class AdaptiveEncoder:
             return (*g_layers, g_w, g_b)
 
         loss = ad.op(anytime_loss(sums, n_masked), (*layers, w, b), vjp)
-        return loss, np.array([float(s) / n_masked for s in sums])
+        return loss, np.array([float(s) / n_masked for s in sums]), counts
 
     # ------------------------------------------------------------------
     # inference path (no graph, eval mode, actually skips stopped tokens)

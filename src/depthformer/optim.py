@@ -8,6 +8,11 @@ import numpy as np
 
 from .autodiff import Tensor
 
+# elements per block of the clip and Adam update: a block's arrays stay in
+# cache through its 14 elementwise passes, where whole-array passes stream
+# each one through memory
+ADAM_BLOCK = 1 << 16
+
 
 class ParamStore:
     """Named trainable tensors over four flat arrays, allocated once.
@@ -16,12 +21,15 @@ class ParamStore:
     Adam moments, each parameter at the same offset in all four. Every
     tensor's ``.data`` and ``.grad`` are views of ``data`` and ``grad``,
     bound here and never replaced: training and loading write in place.
+    Two scratch blocks of ``ADAM_BLOCK`` elements hold the update's
+    temporaries.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], dtype=np.float64):
         self.dtype = np.dtype(dtype)
         total = sum(math.prod(shape) for shape in shapes.values())
         self.data, self.grad, self.m, self.v = (np.zeros(total, dtype=self.dtype) for _ in range(4))
+        self._scratch = tuple(np.empty(min(total, ADAM_BLOCK), self.dtype) for _ in range(2))
         self.params: dict[str, Tensor] = {}
         self._spans: list[slice] = []
         offset = 0
@@ -65,20 +73,6 @@ class ParamStore:
             self.params[name].data[...] = data
 
 
-def clip_gradients(store: ParamStore, max_norm: float) -> float:
-    """Rescale all gradients so their global norm is at most ``max_norm``.
-
-    Returns the pre-clip norm. Non-finite gradients abort immediately
-    rather than poisoning the moment buffers.
-    """
-    norm = store.global_grad_norm()
-    if not np.isfinite(norm):
-        raise FloatingPointError(f"non-finite gradient norm: {norm}")
-    if norm > max_norm:
-        store.grad *= max_norm / norm
-    return norm
-
-
 def adam_step(
     store: ParamStore,
     lr: float,
@@ -87,24 +81,40 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> float:
-    """One Adam update with bias correction, after global-norm clipping."""
-    norm = clip_gradients(store, clip)
+    """One Adam update with bias correction, after the gradients are scaled
+    to a global norm of at most ``clip``. Returns the pre-clip norm.
+    Non-finite gradients abort before anything is written rather than
+    poisoning the moment buffers.
+
+    Clipping and the update run block by block over the flat arrays, each
+    step elementwise and in the order of the whole-array form, so every
+    bit is that form's.
+    """
+    norm = store.global_grad_norm()
+    if not np.isfinite(norm):
+        raise FloatingPointError(f"non-finite gradient norm: {norm}")
+    factor = clip / norm if norm > clip else None
     store.step_count += 1
     t = store.step_count
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    g, m, v = store.grad, store.m, store.v
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps), step by step in two
-    # temporaries: the one-line form makes more and is slower in f64
-    denom = v / bc2
-    np.sqrt(denom, out=denom)
-    denom += eps
-    step = m / bc1
-    step *= lr
-    step /= denom
-    store.data -= step
+    for start in range(0, store.data.size, ADAM_BLOCK):
+        span = slice(start, start + ADAM_BLOCK)
+        g, m, v = store.grad[span], store.m[span], store.v[span]
+        a, b = (x[: g.size] for x in store._scratch)
+        if factor is not None:
+            g *= factor
+        m *= beta1
+        m += np.multiply(1.0 - beta1, g, out=a)
+        v *= beta2
+        np.multiply(1.0 - beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(m, bc1, out=b)
+        b *= lr
+        b /= a
+        store.data[span] -= b
     return norm

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import Corpus, Vocab
-from .encoder import HEAD_MLM, AdaptiveEncoder, EncoderConfig, anytime_loss
+from .encoder import HEAD_MLM, AdaptiveEncoder, EncoderConfig, LayerCounts, anytime_loss
 from .train import FitSettings, StepRecord, fit, length_buckets
 
 N_SPECIAL_TOKENS = 3  # <PAD>, <UNK>, <MASK> are never sampled as replacements
@@ -139,13 +139,13 @@ def train_mlm(
     initial = heldout_loss()
     heldout_log: list[tuple[int, float]] = [(0, initial)]
 
-    def batch_loss(idx: np.ndarray) -> ad.Tensor:
+    def batch_loss(idx: np.ndarray) -> tuple[ad.Tensor, LayerCounts]:
         ids = np.stack([train_docs[i] for i in idx])
         corrupted, flat_idx, true_ids = mask_batch(
             ids, corpus.vocab.mask_id, len(corpus.vocab), data_rng, mask_rate
         )
-        loss, _ = encoder.mlm_anytime_loss_graph(corrupted, flat_idx, true_ids, train=True)
-        return loss
+        loss, _, counts = encoder.mlm_anytime_loss_graph(corrupted, flat_idx, true_ids, train=True)
+        return loss, counts
 
     def after_step(step: int) -> None:
         if eval_every and step % eval_every == 0:
@@ -180,8 +180,8 @@ def sentence_profiles(encoder: AdaptiveEncoder, tokens: np.ndarray, mask_id: int
     position) order, are merely batched together, ``PROFILE_CHUNK_ROWS`` at
     a time and across sentence boundaries, for throughput. Every row of a
     forward is computed on its own, so a profile does not depend on its
-    neighbours, save that BLAS rounds a one-row head product (a forward
-    holding a single variant) apart from a multi-row one.
+    neighbours, save that BLAS may sum a row of the head product in another
+    order when the product has another number of rows.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     stack = tokens if tokens.ndim == 2 else tokens[None, :]

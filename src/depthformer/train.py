@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import Corpus
-from .encoder import HEAD_CLASSIFIER, AdaptiveEncoder, EncoderConfig
+from .encoder import HEAD_CLASSIFIER, AdaptiveEncoder, EncoderConfig, LayerCounts
 from .optim import adam_step
 
 DEFAULT_CLIP = 5.0
@@ -32,6 +32,8 @@ class StepRecord:
     grad_norm: float  # before clipping
     lr: float
     cpu_ms: float  # process CPU time of the loss, backward and update
+    tokens: int  # B·T of the batch
+    active_fraction: float  # layer applications / (n_layers · tokens)
 
 
 @dataclass(frozen=True)
@@ -129,10 +131,10 @@ def train_classifier(
     encoder = AdaptiveEncoder(config, HEAD_CLASSIFIER, seed=int(model_seed.generate_state(1)[0]))
     data_rng = np.random.default_rng(data_seed)
 
-    def batch_loss(idx: np.ndarray) -> ad.Tensor:
+    def batch_loss(idx: np.ndarray) -> tuple[ad.Tensor, LayerCounts]:
         ids, gold, depths = gather_batch(corpus, idx, depth_maps)
-        layers, _ = encoder.forward_graph(ids, depths, train=True)
-        return encoder.classifier_loss_graph(layers[-1], gold)
+        layers, counts = encoder.forward_graph(ids, depths, train=True)
+        return encoder.classifier_loss_graph(layers[-1], gold), counts
 
     lengths = [len(d.tokens) for d in corpus.documents]
     return encoder, fit(encoder, batch_loss, lengths, settings, data_rng)
@@ -140,15 +142,19 @@ def train_classifier(
 
 def fit(
     encoder: AdaptiveEncoder,
-    batch_loss: Callable[[np.ndarray], ad.Tensor],
+    batch_loss: Callable[[np.ndarray], tuple[ad.Tensor, LayerCounts]],
     lengths: list[int],
     settings: FitSettings,
     data_rng: np.random.Generator,
     after_step: Callable[[int], None] | None = None,
 ) -> list[StepRecord]:
     """The training step loop shared by both tasks: ``settings.steps`` Adam
-    steps on ``batch_loss(idx)`` over shuffled length buckets.
-    ``after_step(step)`` runs after each step. Returns one record per step."""
+    steps on ``batch_loss(idx)``, which returns the loss and the forward's
+    work counts, over shuffled length buckets. ``after_step(step)`` runs
+    after each step. Returns one record per step."""
+    if settings.steps > 0 and not lengths:
+        raise ValueError(f"no documents to train on ({settings.steps} steps asked)")
+    n_layers = encoder.config.n_layers
     records: list[StepRecord] = []
     while len(records) < settings.steps:
         for idx in length_buckets(lengths, settings.batch_size, data_rng):
@@ -156,7 +162,7 @@ def fit(
             if step >= settings.steps:
                 break
             started = time.process_time_ns()
-            loss = batch_loss(idx)
+            loss, counts = batch_loss(idx)
             if not np.isfinite(loss.data):
                 raise FloatingPointError(f"training diverged at step {step}: loss={loss.data}")
             encoder.store.zero_grad()
@@ -164,7 +170,9 @@ def fit(
             lr = settings.lr * min(1.0, (step + 1) / settings.warmup) if settings.warmup else settings.lr
             grad_norm = adam_step(encoder.store, lr=lr, clip=settings.clip)
             cpu_ms = (time.process_time_ns() - started) / 1e6
-            records.append(StepRecord(step + 1, float(loss.data), grad_norm, lr, cpu_ms))
+            tokens = counts.n_tokens
+            active = counts.ffn_applications / (n_layers * tokens)
+            records.append(StepRecord(step + 1, float(loss.data), grad_norm, lr, cpu_ms, tokens, active))
             if after_step is not None:
                 after_step(step + 1)
     return records
@@ -172,8 +180,8 @@ def fit(
 
 def write_step_files(ckpt, records: list[StepRecord]) -> None:
     """``<ckpt>.log``: ``step<TAB>loss`` lines; ``<ckpt>.trace.jsonl``: one
-    JSON line per step with step, loss, pre-clip gradient norm, lr and
-    process CPU ms."""
+    JSON line per step with step, loss, pre-clip gradient norm, lr,
+    process CPU ms, the batch's tokens and its active fraction."""
     with open(f"{ckpt}.log", "w", encoding="utf-8") as log, \
             open(f"{ckpt}.trace.jsonl", "w", encoding="utf-8") as trace:
         for record in records:

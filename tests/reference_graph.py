@@ -252,13 +252,19 @@ def sum_all(x: Tensor) -> Tensor:
     return op(x.data.sum(), (x,), vjp)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout; identity at eval time or rate 0."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool, key_major: bool = False) -> Tensor:
+    """Inverted dropout; identity at eval time or rate 0. With ``key_major``
+    the mask of (b, H, m, T) attention probabilities is drawn as
+    (b, H, T, m), as the encoder draws it, and transposed."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
-    keep = dropout_mask(x.data.shape, x.data.dtype, rate, rng)
+    if key_major:
+        b, heads, m, time = x.data.shape
+        keep = dropout_mask((b, heads, time, m), rate, rng).transpose(0, 1, 3, 2)
+    else:
+        keep = dropout_mask(x.data.shape, rate, rng)
     scale = dropout_scale(x.data.dtype, rate)
 
     def vjp(g):
@@ -325,8 +331,8 @@ def per_op_graph_layers(enc, ids, depths, train):
     """The graph path as it was built from about 40 small autodiff ops per
     layer, query-major, on the routing plan of ``encoder._route``; dropout
     masks are drawn in forward order from the encoder's generator: the
-    embedding, then per layer the attention probabilities, the attention
-    output and the FFN output."""
+    embedding, then per layer the attention probabilities (key-major), the
+    attention output and the FFN output."""
     cfg = enc.config
     rate, rng = cfg.dropout, enc._dropout_rng
     ids, depths = enc._check_inputs(ids, depths)
@@ -351,7 +357,7 @@ def per_op_graph_layers(enc, ids, depths, train):
         q = add(matmul(hq, wq), bq)
         qh, kh, vh = heads(q, b, m), heads(k, b, time), heads(v, b, time)
         scores = scale(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
-        probs = dropout(softmax(scores, -1), rate, rng, train)
+        probs = dropout(softmax(scores, -1), rate, rng, train, key_major=True)
         ctx = reshape(transpose(matmul(probs, vh), (0, 2, 1, 3)), (b, m, d))
         attn = add(matmul(ctx, wo), bo)
         hr = layer_norm(add(hq, dropout(attn, rate, rng, train)), ln1_g, ln1_b)

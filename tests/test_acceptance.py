@@ -223,7 +223,7 @@ def test_criterion_04_gradient_check():
     true_ids = np.array([5, 9, 3])
 
     def mlm_loss():
-        loss, _ = mlm.mlm_anytime_loss_graph(ids, masked_idx, true_ids, train=False)
+        loss, _, _ = mlm.mlm_anytime_loss_graph(ids, masked_idx, true_ids, train=False)
         return loss
 
     worst_mlm = _sampled_gradient_check(mlm, mlm_loss)

@@ -141,8 +141,9 @@ class TestTrainAndEval:
         trace = [json.loads(line) for line in (workdir / f"{task}.ckpt.trace.jsonl").read_text().splitlines()]
         assert [r["step"] for r in trace] == [int(step) for step, _ in log] == [1, 2, 3, 4]
         for record, (_, loss) in zip(trace, log):
-            assert set(record) == {"step", "loss", "grad_norm", "lr", "cpu_ms"}
+            assert set(record) == {"step", "loss", "grad_norm", "lr", "cpu_ms", "tokens", "active_fraction"}
             assert f"{record['loss']:.8f}" == loss
+            assert record["tokens"] > 0 and record["active_fraction"] == 1.0  # full depth
             assert record["lr"] == 1e-3
             assert np.isfinite(record["grad_norm"]) and record["grad_norm"] > 0
             assert record["cpu_ms"] > 0
@@ -240,6 +241,29 @@ class TestTrainAndEval:
             "--out", str(out), "--steps", "3", "--batch-size", "8", "--seed", "1", *TINY_MODEL,
         ]) == 0
         assert out.exists()
+
+    def test_adaptive_trace_counts_one_epoch(self, workdir, tmp_path):
+        import json
+
+        from depthformer.train import length_buckets
+
+        # as many steps as one epoch has batches: each document is seen once
+        corpus = load_tsv(workdir / "data" / "train.tsv")
+        depth_maps = mi.read_depth_file(workdir / "mi" / "train.depths")
+        steps = len(length_buckets([len(d.tokens) for d in corpus.documents], 8))
+        out = tmp_path / "epoch.ckpt"
+        assert main([
+            "train", "--task", "cls", "--train-tsv", str(workdir / "data" / "train.tsv"),
+            "--depths", str(workdir / "mi" / "train.depths"),
+            "--out", str(out), "--steps", str(steps), "--batch-size", "8", "--seed", "1", *TINY_MODEL,
+        ]) == 0
+        trace = [json.loads(line) for line in Path(f"{out}.trace.jsonl").read_text().splitlines()]
+        assert len(trace) == steps
+        assert sum(r["tokens"] for r in trace) == sum(len(d.tokens) for d in corpus.documents)
+        n_layers = 2
+        applied = sum(r["active_fraction"] * r["tokens"] * n_layers for r in trace)
+        assert applied == pytest.approx(sum(int(m.sum()) for m in depth_maps), abs=1e-6)
+        assert any(r["active_fraction"] < 1.0 for r in trace)
 
     def test_eval_rejects_checkpoint_missing_a_tensor(self, workdir, tmp_path, capsys):
         import shutil

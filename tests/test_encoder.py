@@ -621,7 +621,8 @@ class TestLeanTape:
             tracemalloc.reset_peak()
 
         def batch_loss(_idx):
-            return enc.mlm_anytime_loss_graph(ids, masked, true_ids, train=True)[0]
+            loss, _, counts = enc.mlm_anytime_loss_graph(ids, masked, true_ids, train=True)
+            return loss, counts
 
         tracemalloc.start()
         try:
@@ -768,7 +769,7 @@ class TestGraphNodes:
         layers = [Tensor(x.copy(), requires_grad=True) for x in states]
         monkeypatch.setattr(enc, "forward_graph", lambda ids, depths, train: (layers, None))
         ref_layers = [Tensor(x.copy(), requires_grad=True) for x in states]
-        got, _ = enc.mlm_anytime_loss_graph(self.IDS, masked, true_ids)
+        got, _, _ = enc.mlm_anytime_loss_graph(self.IDS, masked, true_ids)
         want = per_op_mlm_loss(ref, ref_layers, masked, true_ids)
         assert got.data.dtype == want.data.dtype and got.data == want.data
         for e, loss in ((enc, got), (ref, want)):
@@ -893,6 +894,102 @@ class TestGraphSize:
         self.assert_tapes_released(loss)
 
 
+class TestDropoutStream:
+    """Keep-masks are raw 16-bit generator output against a threshold, one
+    ``random_raw`` call per mask, drawn in forward order."""
+
+    @staticmethod
+    def step_masks(monkeypatch, precision="f32", rate=0.1):
+        """Every keep-mask one adaptive training step draws, with its shape."""
+        cfg = small_config(
+            vocab_size=30, n_layers=2, d_model=32, n_heads=4, d_ff=64, dropout=rate, max_len=32, precision=precision
+        )
+        enc = AdaptiveEncoder(cfg, head="cls", seed=3)
+        ids = token_batch((8, 32), vocab=30, seed=4)
+        depths = np.full(ids.shape, 2)
+        depths[:, 20:] = 1  # layer 2's corner is (8, 20)
+        masks = []
+        draw = ad.dropout_mask
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "dropout_mask", lambda *args: masks.append(draw(*args)) or masks[-1])
+            layers, _ = enc.forward_graph(ids, depths, train=True)
+            ad.backward(enc.classifier_loss_graph(layers[-1], np.arange(8) % 2))
+        return masks
+
+    def test_training_draws_each_mask_in_its_layout(self, monkeypatch):
+        shapes = [m.shape for m in self.step_masks(monkeypatch)]
+        # embedding, then per layer probabilities (b, H, T, m), attention, FFN
+        assert shapes == [
+            (8, 32, 32),
+            (8, 4, 32, 32), (8, 32, 32), (8, 32, 32),
+            (8, 4, 32, 20), (8, 20, 32), (8, 20, 32),
+        ]
+
+    @pytest.mark.parametrize("rate", [0.1, 0.5])
+    def test_dropped_fraction_within_binomial_bounds(self, monkeypatch, rate):
+        p = round(rate * 65536) / 65536
+        for mask in self.step_masks(monkeypatch, rate=rate):
+            n, dropped = mask.size, mask.size - np.count_nonzero(mask)
+            assert abs(dropped - n * p) <= 5 * math.sqrt(n * p * (1 - p)), (mask.shape, dropped / n)
+
+    def test_rate_below_the_grid_drops_nothing(self):
+        rng = np.random.default_rng(0)
+        for rate in (0.0, 2.0**-18, 2.0**-17):
+            assert ad.dropout_mask((64, 1024), rate, rng).all(), rate
+
+    def test_rate_next_to_one_drops_everything(self):
+        # the threshold is 65536, one past the largest 16-bit value
+        mask = ad.dropout_mask((64, 1024), 1.0 - 2.0**-18, np.random.default_rng(0))
+        assert mask.dtype == bool and not mask.any()
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 1023, 8 * 4 * 32 * 20])
+    def test_mask_is_raw_output_read_as_16_bit_words(self, n):
+        # low 16 bits of each 64-bit word first; the generator moves as one
+        # random_raw(ceil(n/4)) call moves it
+        rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        mask = ad.dropout_mask((n,), 0.3, rng)
+        words = ref.bit_generator.random_raw(-(-n // 4))
+        u16 = ((words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)).ravel()[:n]
+        assert np.array_equal(mask, u16 >= round(0.3 * 65536))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_precision_does_not_change_the_masks(self, monkeypatch):
+        f32, f64 = self.step_masks(monkeypatch, "f32"), self.step_masks(monkeypatch, "f64")
+        assert len(f32) == len(f64) == 7
+        assert all(np.array_equal(a, b) for a, b in zip(f32, f64))
+
+
+class TestFit:
+    def test_no_documents_is_an_error_not_a_hang(self):
+        # in a child process: the loop this guards spun forever
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import depthformer
+
+        code = (
+            "import numpy as np\n"
+            "from depthformer.encoder import AdaptiveEncoder, EncoderConfig\n"
+            "from depthformer.train import FitSettings, fit\n"
+            "enc = AdaptiveEncoder(EncoderConfig(vocab_size=20, n_labels=2, n_layers=1, d_model=8, n_heads=2,"
+            " d_ff=16, max_len=8), head='cls')\n"
+            "try:\n"
+            "    fit(enc, None, [], FitSettings(1, 1e-3, 4), np.random.default_rng(0))\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(depthformer.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "no documents" in done.stdout
+
+    def test_zero_steps_need_no_documents(self):
+        enc = AdaptiveEncoder(small_config(), head="cls")
+        assert fit(enc, None, [], FitSettings(0, 1e-3, 4), np.random.default_rng(0)) == []
+
+
 class TestClassify:
     def test_zero_states_give_uniform_distribution(self, encoder):
         probs = encoder.classify_infer(np.zeros((2, 4, 16)))
@@ -973,19 +1070,19 @@ class TestMlmLoss:
 
     def test_untrained_loss_near_log_vocab(self, mlm):
         ids = token_batch((2, 6), vocab=50)
-        loss, per_layer = mlm.mlm_anytime_loss_graph(ids, np.array([1, 8]), np.array([4, 9]))
+        loss, per_layer, _ = mlm.mlm_anytime_loss_graph(ids, np.array([1, 8]), np.array([4, 9]))
         expected = 3 * np.log(50)  # n_layers * ln V
         assert abs(float(loss.data) / expected - 1) < 0.25
         assert np.all(np.abs(per_layer / np.log(50) - 1) < 0.4)
 
     def test_single_position_total_is_layer_sum(self, mlm):
         ids = token_batch((1, 5), vocab=50)
-        loss, per_layer = mlm.mlm_anytime_loss_graph(ids, np.array([2]), np.array([7]))
+        loss, per_layer, _ = mlm.mlm_anytime_loss_graph(ids, np.array([2]), np.array([7]))
         assert float(loss.data) == pytest.approx(per_layer.sum(), rel=1e-9)
 
     def test_loss_strictly_positive(self, mlm):
         ids = token_batch((2, 4), vocab=50)
-        loss, per_layer = mlm.mlm_anytime_loss_graph(ids, np.array([0, 5]), np.array([3, 3]))
+        loss, per_layer, _ = mlm.mlm_anytime_loss_graph(ids, np.array([0, 5]), np.array([3, 3]))
         assert float(loss.data) > 0
         assert np.all(per_layer > 0)
 
@@ -996,9 +1093,9 @@ class TestMlmLoss:
     def test_averaged_over_masked_positions(self, mlm):
         # duplicating the batch and its masks must not change the loss
         ids = token_batch((1, 6), vocab=50)
-        loss1, _ = mlm.mlm_anytime_loss_graph(ids, np.array([1, 3]), np.array([5, 6]))
+        loss1, _, _ = mlm.mlm_anytime_loss_graph(ids, np.array([1, 3]), np.array([5, 6]))
         twice = np.concatenate([ids, ids])
-        loss2, _ = mlm.mlm_anytime_loss_graph(twice, np.array([1, 3, 7, 9]), np.array([5, 6, 5, 6]))
+        loss2, _, _ = mlm.mlm_anytime_loss_graph(twice, np.array([1, 3, 7, 9]), np.array([5, 6, 5, 6]))
         assert float(loss1.data) == pytest.approx(float(loss2.data), rel=1e-9)
 
 

@@ -4,7 +4,7 @@ import pytest
 from depthformer import autodiff as ad
 from depthformer.autodiff import Tensor
 from depthformer.encoder import AdaptiveEncoder, EncoderConfig
-from depthformer.optim import ParamStore, adam_step, clip_gradients
+from depthformer.optim import ADAM_BLOCK, ParamStore, adam_step
 
 import reference_graph as ops
 
@@ -48,11 +48,12 @@ class TestParamStore:
 
 
 class TestClipping:
+    # adam_step clips the gradient in place before it updates
     def test_norm_below_threshold_untouched(self):
         store = make_store()
         store.zero_grad()
         store.params["a"].grad[:] = [3.0, 0.0, 0.0]
-        norm = clip_gradients(store, 5.0)
+        norm = adam_step(store, lr=1e-3, clip=5.0)
         assert norm == pytest.approx(3.0)
         np.testing.assert_allclose(store.params["a"].grad, [3.0, 0.0, 0.0])
 
@@ -60,7 +61,7 @@ class TestClipping:
         store = ParamStore({"w": (4,)}, dtype=np.float64)
         store.zero_grad()
         store.params["w"].grad[:] = [30.0, 40.0, 0.0, 0.0]  # norm 50
-        norm = clip_gradients(store, 5.0)
+        norm = adam_step(store, lr=1e-3, clip=5.0)
         assert norm == pytest.approx(50.0)
         np.testing.assert_allclose(store.params["w"].grad, [3.0, 4.0, 0.0, 0.0])
 
@@ -68,8 +69,10 @@ class TestClipping:
         store = make_store()
         store.zero_grad()
         store.params["a"].grad[0] = np.nan
+        before = store.data.copy()
         with pytest.raises(FloatingPointError):
-            clip_gradients(store, 5.0)
+            adam_step(store, lr=1e-3, clip=5.0)
+        assert np.array_equal(store.data, before) and not store.m.any() and store.step_count == 0
 
 
 class TestAdam:
@@ -182,6 +185,33 @@ class TestFlatArena:
             assert p.data.tobytes() == ref.data[name].tobytes(), name
         assert store.m.tobytes() == np.concatenate([a.ravel() for a in ref.m.values()]).tobytes()
         assert store.v.tobytes() == np.concatenate([a.ravel() for a in ref.v.values()]).tobytes()
+
+    @pytest.mark.parametrize("precision", [np.float32, np.float64])
+    def test_blocked_update_matches_the_per_parameter_loop_bit_for_bit(self, precision):
+        # a store spanning one full block and a partial one, 60 steps that
+        # alternate between clipping and not
+        shapes = {"w1": (257, 300), "b1": (300,), "w2": (300, 97)}
+        store = ParamStore(shapes, dtype=precision)
+        assert store.data.size > ADAM_BLOCK and store.data.size % ADAM_BLOCK
+        gen = np.random.default_rng(11)
+        for p in store.params.values():
+            p.data[...] = gen.normal(0.0, 0.1, size=p.shape)
+        ref = PerParameterAdam(store.state_arrays())
+        clipped = 0
+        for step in range(60):
+            store.zero_grad()
+            ref.zero_grad()
+            for name, p in store.params.items():
+                g = gen.normal(0.0, 0.5 if step % 2 else 0.005, size=p.shape).astype(precision)
+                p.grad += g
+                ref.grad[name] += g
+            lr = 1e-3 * min(1.0, (step + 1) / 5)
+            norm = adam_step(store, lr=lr, clip=5.0)
+            assert norm == ref.adam_step(lr=lr, clip=5.0), step
+            clipped += norm > 5.0
+            for flat, parts in ((store.grad, ref.grad), (store.m, ref.m), (store.v, ref.v), (store.data, ref.data)):
+                assert np.array_equal(flat, np.concatenate([a.ravel() for a in parts.values()])), step
+        assert clipped == 30
 
     def test_tensors_stay_views_of_the_flat_arrays(self):
         store = encoder_store("f32")

@@ -382,7 +382,7 @@ class TestAnytimeLossEval:
         for idx in length_buckets([len(t) for t in docs], 8):
             ids = np.stack([docs[i] for i in idx])
             corrupted, flat_idx, true_ids = mask_batch(ids, corpus.vocab.mask_id, len(corpus.vocab), rng)
-            loss, _ = result.encoder.mlm_anytime_loss_graph(corrupted, flat_idx, true_ids, train=False)
+            loss, _, _ = result.encoder.mlm_anytime_loss_graph(corrupted, flat_idx, true_ids, train=False)
             total += float(loss.data) * flat_idx.size
             n_masked += flat_idx.size
         assert anytime_loss_on_docs(result.encoder, docs, corpus.vocab, seed=5, batch_size=8) == total / n_masked
