@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,8 @@ MASK_TOKEN = "<MASK>"
 SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN)
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+# the ASCII characters that are word characters or str.split() whitespace
+_ASCII_WORD_OR_SPACE = bytes(c for c in range(128) if chr(c).isalnum() or chr(c).isspace() or chr(c) == "_")
 
 
 class CorpusError(ValueError):
@@ -51,6 +53,20 @@ def parse_field(text: str, kind: type, name: str, where: str):
         raise CorpusError(f"{where}: {name} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array in ascending order, as
+    ``np.unique`` gives them, found by sorting and comparing neighbours.
+
+    On numpy 2.4 ``np.unique`` ran 8-9x slower than this on the same
+    int64 keys (19.7 against 2.3 ms on 166 k presence keys).
+    """
+    values = np.sort(values)
+    first = np.empty(values.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 @dataclass(frozen=True)
 class TokenizerConfig:
     """Corpus-level settings. ``max_len`` clips long documents."""
@@ -75,6 +91,25 @@ def tokenize(text: str, lowercase: bool = True) -> list[str]:
     if "".join(chunks).replace("_", "a").isalnum():
         return chunks
     return _TOKEN_RE.findall(text)
+
+
+def tokenize_split(texts: list[str], lowercase: bool = True) -> list[list[str]]:
+    """``[tokenize(text, lowercase) for text in texts]``, with the
+    lowercasing and the exactness check done once for the whole split
+    when the split is ASCII and holds only word characters and whitespace.
+
+    That check runs on the ``"\\n"``-joined texts before lowercasing, which
+    maps ASCII letters to ASCII letters and leaves every other character
+    as it is. When it holds, the joined string is lowercased and split
+    at ``"\\n"``, and every text is its whitespace-separated chunks. When it
+    fails, each text goes through ``tokenize`` on its own.
+    """
+    text = "\n".join(texts)
+    if not (text.isascii() and not text.encode("ascii").translate(None, _ASCII_WORD_OR_SPACE)):
+        return [tokenize(t, lowercase) for t in texts]
+    if lowercase:
+        text = text.lower()
+    return [part.split() for part in text.split("\n")] if texts else []
 
 
 class Vocab:
@@ -142,7 +177,7 @@ class Vocab:
 
 @dataclass
 class Document:
-    tokens: np.ndarray  # int64 token ids, non-empty, len <= max_len
+    tokens: np.ndarray  # int64 token ids, non-empty, len <= max_len; a view of the split's ids
     label: int
 
 
@@ -177,33 +212,44 @@ def load_tsv(
     if not is_train and labels is None:
         raise ValueError("test split needs the training label set")
 
-    rows: list[tuple[str, list[str]]] = []
+    row_labels: list[str] = []
+    texts: list[str] = []
+    fault = None  # the first line with a bad label field; later lines are not read
     for lineno, raw in enumerate(read_lines(path), 1):
-        if "\t" not in raw:
-            raise CorpusError(f"{path}:{lineno}: expected label<TAB>text")
-        label, text = raw.split("\t", 1)
+        label, tab, text = raw.partition("\t")
         label = label.strip()
-        if not label:
-            raise CorpusError(f"{path}:{lineno}: empty label")
-        tokens = tokenize(text, lowercase=config.lowercase)
-        if not tokens:
-            raise CorpusError(f"{path}:{lineno}: empty text")
-        rows.append((label, tokens[: config.max_len]))
-    if not rows:
+        if not tab or not label:
+            fault = f"{path}:{lineno}: {'empty label' if tab else 'expected label<TAB>text'}"
+            break
+        row_labels.append(label)
+        texts.append(text)
+    docs = tokenize_split(texts, lowercase=config.lowercase)
+    if not all(docs):  # an empty text before the faulty line is the earlier fault
+        raise CorpusError(f"{path}:{list(map(bool, docs)).index(False) + 1}: empty text")
+    if fault:
+        raise CorpusError(fault)
+    if not docs:
         raise CorpusError(f"{path}: no documents")
+    max_len = config.max_len  # a slice copies, so only longer documents are cut
+    docs = [tokens if len(tokens) <= max_len else tokens[:max_len] for tokens in docs]
 
     if is_train:
-        labels = sorted({label for label, _ in rows})
-        vocab = Vocab.build([toks for _, toks in rows], min_freq=config.min_freq)
+        labels = sorted(set(row_labels))
+        vocab = Vocab.build(docs, min_freq=config.min_freq)
     label_to_id = {name: i for i, name in enumerate(labels)}
+    label_ids = list(map(label_to_id.get, row_labels))
+    if None in label_ids:
+        lineno = label_ids.index(None) + 1
+        raise CorpusError(f"{path}:{lineno}: unknown label {row_labels[lineno - 1]!r}")
 
-    lookup, unk = vocab.word_to_id.get, vocab.unk_id
-    documents = []
-    for lineno, (label, tokens) in enumerate(rows, 1):
-        if label not in label_to_id:
-            raise CorpusError(f"{path}:{lineno}: unknown label {label!r}")
-        ids = np.fromiter(map(lookup, tokens, repeat(unk)), np.int64, count=len(tokens))
-        documents.append(Document(tokens=ids, label=label_to_id[label]))
+    # the whole split is mapped to ids at once; each document's tokens are a
+    # view of that array
+    lengths = list(map(len, docs))
+    words = chain.from_iterable(docs)
+    ids = np.fromiter(map(vocab.word_to_id.get, words, repeat(vocab.unk_id)), np.int64, count=sum(lengths))
+    documents = [
+        Document(tokens=ids[end - n : end], label=y) for n, end, y in zip(lengths, accumulate(lengths), label_ids)
+    ]
 
     return Corpus(
         documents=documents,
@@ -240,7 +286,7 @@ def collect_stats(corpus: Corpus) -> CorpusStats:
     labels = np.fromiter((doc.label for doc in docs), np.int64, count=len(docs))
     doc_index = np.repeat(np.arange(len(docs), dtype=np.int64), [len(doc.tokens) for doc in docs])
     # one key per distinct (document, word) pair: a word counts once per document
-    present = np.unique(doc_index * n_words + np.concatenate([doc.tokens for doc in docs]))
+    present = sorted_unique(doc_index * n_words + np.concatenate([doc.tokens for doc in docs]))
     cells = present % n_words * n_labels + labels[present // n_words]
     joint = np.bincount(cells, minlength=n_words * n_labels).reshape(n_words, n_labels)
     label_counts = np.bincount(labels, minlength=n_labels)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusStats, Vocab, parse_field, read_lines
+from .corpus import Corpus, CorpusStats, Vocab, parse_field, read_lines, sorted_unique
 
 DEFAULT_SMOOTHING = 0.1
 
@@ -178,11 +178,18 @@ def corpus_depth_maps(table: MiTable, corpus: Corpus) -> list[np.ndarray]:
 def write_depth_file(path: str | Path, depth_maps: list[np.ndarray]) -> None:
     """One line per sentence, space-separated integer depths."""
     rows = [np.asarray(depths, dtype=np.int64) for depths in depth_maps]
-    # a depth file holds few distinct values, so each is formatted once
-    values = np.unique(np.concatenate(rows)).tolist() if rows else []
-    text = dict(zip(values, map(str, values))).__getitem__
-    lines = (" ".join(map(text, row.tolist())) + "\n" for row in rows)
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    lengths = np.fromiter(map(len, rows), np.int64, count=len(rows))
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *rows])
+    # a depth file holds few distinct values, so each is formatted once: as
+    # a word that a space ends and, for the last value of a row, one that a
+    # newline ends; an empty row is a bare newline
+    values = sorted_unique(flat).tolist()
+    words = np.array([*(f"{v} " for v in values), *(f"{v}\n" for v in values), "\n"], dtype=object)
+    codes = np.searchsorted(values, flat)
+    ends = np.cumsum(lengths)
+    codes[ends[lengths > 0] - 1] += len(values)
+    codes = np.insert(codes, ends[lengths == 0], 2 * len(values))
+    Path(path).write_text("".join(words[codes].tolist()), encoding="utf-8")
 
 
 def read_depth_file(path: str | Path) -> list[np.ndarray]:

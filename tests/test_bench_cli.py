@@ -1,5 +1,9 @@
 """End-to-end CLI runs on a tiny synthetic dataset, plus bench helpers."""
 
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,28 @@ def batch_coupled_kv(depth_rows, batch_size):
         chunk = np.stack(depth_rows[lo : lo + batch_size])
         total += int(chunk.max()) * chunk.size
     return total
+
+
+def within(seconds, fn):
+    """``fn()``, run in a daemon thread so that a call which blocks fails
+    the test after ``seconds`` instead of hanging it."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, fn()))
+        except BaseException as exc:  # re-raised in the calling thread
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if not outcome:
+        pytest.fail(f"still blocked after {seconds} s")
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
 
 
 def first_tensor_layout(blob: bytes) -> tuple[str, int]:
@@ -610,6 +636,34 @@ class TestDepthsRecon:
             "--out-dir", str(out), "--mlm-ckpt", str(workdir / "mlm.ckpt"),
         ]) == 0
         assert (out / "summary.tsv").read_text().split("\t")[0] == "0.1"
+
+    def test_stdout_closed_after_the_first_line_exits_quietly(self, workdir, tmp_path):
+        """As ``depthformer ... | head -1``: the reader closes the pipe after
+        the first line. The test split is a FIFO, which the command reads
+        after printing the train line, and it is fed only once the pipe is
+        closed, so the test line is always written to a closed pipe. The
+        child runs unbuffered (``-u``), so the train line reaches the pipe
+        before the child blocks on the FIFO."""
+        fifo = tmp_path / "test.tsv"
+        os.mkfifo(fifo)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "depthformer.cli", "depths", "--mode", "recon",
+             "--train-tsv", str(workdir / "data" / "test.tsv"), "--test-tsv", str(fifo),
+             "--out-dir", str(tmp_path / "recon"), "--mlm-ckpt", str(workdir / "mlm.ckpt")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            first = within(120, proc.stdout.readline)
+            proc.stdout.close()
+            assert first.startswith(b"train\tavg_depth\t")
+            within(120, lambda: fifo.write_bytes((workdir / "data" / "test.tsv").read_bytes()))
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()  # ends a blocked readline with end of file
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # lets a blocked FIFO writer go on
+        assert proc.returncode == 1 and err == b""
 
 
 class TestSweepLambda:

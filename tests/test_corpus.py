@@ -16,6 +16,7 @@ from depthformer.corpus import (
     collect_stats,
     load_tsv,
     tokenize,
+    tokenize_split,
 )
 
 
@@ -40,9 +41,10 @@ class TestTokenize:
 
 
 # characters on which the regex and a whitespace split could part: Unicode
-# spaces, '_', digits of several scripts, punctuation, combining marks and
-# a capital whose lowercase form is two code points
-TRICKY_CHARS = [*"aZq9_ \t.,!?'-", "\u00a0", "\u2003", "\x1c", "\u0301", "\u0307", "İ", "É", "ß", "٣", "²", "中"]
+# spaces, '_', digits of several scripts, punctuation, combining marks, a
+# capital whose lowercase form is two code points, and Σ, whose lowercase
+# depends on its neighbours; "\n" parts the texts of a split
+TRICKY_CHARS = [*"aZq9_ \t\n.,!?'-", "\u00a0", "\u2003", "\x1c", "\u0301", "\u0307", "İ", "É", "ß", "٣", "²", "中", "Σ"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -52,6 +54,8 @@ TRICKY_CHARS = [*"aZq9_ \t.,!?'-", "\u00a0", "\u2003", "\x1c", "\u0301", "\u0307
 )
 def test_tokenize_matches_the_token_regex(text, lowercase):
     assert tokenize(text, lowercase=lowercase) == _TOKEN_RE.findall(text.lower() if lowercase else text)
+    texts = text.split("\n")
+    assert tokenize_split(texts, lowercase) == [_TOKEN_RE.findall(t.lower() if lowercase else t) for t in texts]
 
 
 def test_word_and_space_classes_agree_with_str_methods_on_every_code_point():
@@ -69,8 +73,8 @@ def reference_split(path, config, words=None, labels=None):
     ``np.unique`` per document. Returns (words, doc_freq, labels, ids,
     doc_labels, joint); ``joint`` only for a training split."""
     rows = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        label, text = raw.split("\t", 1)
+    for raw in path.read_text(encoding="utf-8").removesuffix("\n").split("\n"):
+        label, text = raw.removesuffix("\r").split("\t", 1)
         tokens = _TOKEN_RE.findall(text.lower() if config.lowercase else text)
         rows.append((label.strip(), tokens[: config.max_len]))
     is_train = words is None
@@ -149,15 +153,25 @@ class TestLoaderMatchesReference:
             "pos\tgood--movie 'quoted' (paren) a_b_c",
             "neg\t  leading and trailing spaces  ",
             "pos\tGood movie",
+            # Σ opening and closing texts: a final sigma must not see the
+            # neighbouring text, and "\r" before "\n" ends a line
+            "neg\tΣΟΦΟΣ ΑΣ\r",
+            "pos\tΣΑ plot\x0bbad\x0cdull\x1cx\x1dy\x1ez\x1fwΣ\r",
         ]
-        test_lines = [
-            "neg\tunseen words only",
-            "pos\tGOOD Movie zzz_oov!",
-            "neg\tİ bad\u00a0plot",
+        test_splits = [
+            # ASCII, one punctuated text: each text takes its own check
+            ["neg\tunseen words only", "pos\tGOOD Movie zzz_oov!", "neg\tbad\x0bplot\r"],
+            # ASCII word characters and whitespace only: split at whitespace
+            ["pos\tGOOD\x0bmovie\x0cbad\x1cplot\x1d_\x1ex\x1fy\r", "neg\tunseen words"],
+            # not ASCII
+            ["neg\tİ bad\u00a0plot", "pos\tΣ goodΣ ΑΣ\x1fmovie"],
         ]
         train_path = write(tmp_path, "train.tsv", train_lines)
-        test_path = write(tmp_path, "test.tsv", test_lines)
-        train, test = assert_matches_reference(train_path, test_path, config)
+        results = [
+            assert_matches_reference(train_path, write(tmp_path, f"test{i}.tsv", lines), config)
+            for i, lines in enumerate(test_splits)
+        ]
+        train, test = results[0]
         assert test.documents[0].tokens.tolist() == [train.vocab.unk_id] * 3
 
 
@@ -173,6 +187,20 @@ class TestLoadTsv:
         path = write(tmp_path, "t.tsv", ["pos\tgood", "neg\t"])
         with pytest.raises(CorpusError, match=":2:"):
             load_tsv(path)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["pos\tgood", "neg\t \x0b", "\tbad plot"], ":2: empty text"),
+            (["pos\tgood", " \tbad plot", "neg\t"], ":2: empty label"),
+            (["pos\tgood", "neg\t", "no tab"], ":2: empty text"),
+            (["pos\tgood", "no tab", "neg\t"], ":2: expected label<TAB>text"),
+        ],
+        ids=["text-then-label", "label-then-text", "text-then-tab", "tab-then-text"],
+    )
+    def test_earliest_faulty_line_is_reported(self, tmp_path, lines, message):
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            load_tsv(write(tmp_path, "t.tsv", lines))
 
     def test_missing_tab_rejected(self, tmp_path):
         path = write(tmp_path, "t.tsv", ["pos good"])
