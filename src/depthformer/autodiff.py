@@ -133,7 +133,10 @@ def dropout_scale(dtype, rate: float):
 
 
 def apply_dropout(x: np.ndarray, keep: np.ndarray, scale) -> np.ndarray:
-    """``x`` times the keep-mask, then the scale, as a new array."""
-    out = x * keep
+    """``x`` times the keep-mask, then the scale, as a new array. The mask
+    is cast to ``x``'s dtype first, so both multiplies are of one dtype:
+    ``1·x`` is ``x·1`` and ``0·x`` is ``x·0``, sign included."""
+    out = keep.astype(x.dtype)
+    out *= x
     out *= scale
     return out

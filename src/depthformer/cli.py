@@ -121,6 +121,7 @@ def cmd_depths(args) -> int:
         if not args.mlm_ckpt or not Path(args.mlm_ckpt).exists():
             raise FileNotFoundError(f"reconstruction mode needs a trained MLM checkpoint, got {args.mlm_ckpt!r}")
     else:
+        config = _tokenizer_config(args)
         for name in ("n_bins", "hist_bins"):
             if getattr(args, name) < 1:
                 raise ValueError(f"{name.replace('_', '-')} must be >= 1, got {getattr(args, name)}")
@@ -130,7 +131,6 @@ def cmd_depths(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.mode == "mi":
-        config = _tokenizer_config(args)
         train = load_tsv(args.train_tsv, config)
         test = load_tsv(args.test_tsv, config, vocab=train.vocab, labels=train.labels)
         stats = collect_stats(train)

@@ -69,11 +69,18 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TokenizerConfig:
-    """Corpus-level settings. ``max_len`` clips long documents."""
+    """Corpus-level settings, checked when made. ``max_len`` clips long
+    documents; words in fewer than ``min_freq`` training documents stay
+    out of the vocabulary."""
 
     max_len: int = 512
     lowercase: bool = True
     min_freq: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("max_len", "min_freq"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def tokenize(text: str, lowercase: bool = True) -> list[str]:

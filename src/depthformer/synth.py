@@ -53,35 +53,44 @@ def generate(n_docs: int, seed: int = 0, doc_len: int = 12) -> list[tuple[str, s
         weights[1, i] = 1.0 + FILLER_TILT if leans_pos else 1.0 - FILLER_TILT
         weights[0, i] = 1.0 - FILLER_TILT if leans_pos else 1.0 + FILLER_TILT
     weights /= weights.sum(axis=1, keepdims=True)
+    # their cumulative sums, normalised as Generator.choice normalises them
+    cdf = weights.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
 
     labels = np.array([i % 2 for i in range(n_docs)])
     rng.shuffle(labels)
 
     rows: list[tuple[str, str]] = []
     n_fill = doc_len - 3
-    for label in labels:
-        words = [cues[label][int(i)] for i in rng.integers(0, N_CUES_PER_LABEL, size=2)]
+    for label in labels.tolist():
+        words = [cues[label][i] for i in rng.integers(0, N_CUES_PER_LABEL, size=2).tolist()]
         words.append(commons[int(rng.integers(0, N_COMMONS))])
-        fill = [fillers[int(i)] for i in rng.choice(N_FILLERS, size=n_fill, p=weights[label])]
-        if rng.random() < RARE_DOC_PROB:
+        # the fillers, then the rare-word test, from one call: the stream and
+        # the lookup of rng.choice(N_FILLERS, size=n_fill, p=weights[label])
+        # followed by rng.random()
+        draws = rng.random(n_fill + 1)
+        fill = [fillers[i] for i in cdf[label].searchsorted(draws[:n_fill], side="right").tolist()]
+        if draws[n_fill] < RARE_DOC_PROB:
             fill[0] = rares[int(rng.integers(0, N_RARES))]
         words.extend(fill)
-        order = rng.permutation(len(words))
-        text = " ".join(words[int(i)] for i in order)
+        text = " ".join([words[i] for i in rng.permutation(len(words)).tolist()])
         rows.append((LABELS[label], text))
     return rows
 
 
 def write_tsv(path: str | Path, rows: list[tuple[str, str]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for label, text in rows:
-            fh.write(f"{label}\t{text}\n")
+        fh.write("".join(f"{label}\t{text}\n" for label, text in rows))
 
 
 def make_dataset(
     out_dir: str | Path, n_train: int = 400, n_test: int = 100, seed: int = 0, doc_len: int = 12
 ) -> tuple[Path, Path]:
-    """Write train/test TSVs drawn from the same distribution."""
+    """Write train/test TSVs drawn from the same distribution. The sizes
+    are checked before ``out_dir`` is made."""
+    for name, value, least in (("n_train", n_train, 1), ("n_test", n_test, 1), ("doc_len", doc_len, 4)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_path = out_dir / "train.tsv"

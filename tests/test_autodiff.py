@@ -182,6 +182,23 @@ class TestRoutingOps:
         with pytest.raises(ValueError):
             ops.dropout(Tensor(np.ones(3)), 1.0, np.random.default_rng(0), train=True)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_apply_dropout_matches_the_boolean_mask_multiply_bit_for_bit(self, dtype):
+        gen = rng()
+        x = gen.standard_normal(4000) * 10.0 ** gen.uniform(-300, 300, size=4000)
+        x[:8] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]
+        keep = ad.dropout_mask((8, 25, 20), 0.3, gen)
+        scale = ad.dropout_scale(dtype, 0.3)
+        # f32 casts past the range, inf·0 and x·scale past the range
+        with np.errstate(invalid="ignore", over="ignore"):
+            x = x.astype(dtype).reshape(keep.shape)
+            got = ad.apply_dropout(x, keep, scale)
+            want = x * keep * scale
+        assert got.dtype == x.dtype and not np.shares_memory(got, x)
+        assert np.array_equal(got, want, equal_nan=True)
+        numbers = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
 
 class TestBackward:
     def test_linear_map_gradient_structure(self):

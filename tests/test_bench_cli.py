@@ -99,6 +99,23 @@ class TestGenData:
         assert len(train) == 60 and len(test) == 20
         assert all("\t" in line for line in train)
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # a negative count wrote two empty files and reported "-3 docs"
+            pytest.param(["--n-train", "-3", "--n-test", "0"], "n_train must be >= 1, got -3", id="n-train-neg"),
+            pytest.param(["--n-train", "0"], "n_train must be >= 1, got 0", id="n-train-0"),
+            pytest.param(["--n-test", "0"], "n_test must be >= 1, got 0", id="n-test-0"),
+            # rejected, but only after --out-dir was made
+            pytest.param(["--doc-len", "2"], "doc_len must be >= 4, got 2", id="doc-len-2"),
+        ],
+    )
+    def test_invalid_size_is_an_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["gen-data", "--out-dir", str(out), *flags]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDepthsMi:
     def test_outputs_written(self, workdir):
@@ -134,6 +151,10 @@ class TestDepthsMi:
             pytest.param("--n-bins", "0", "n-bins must be >= 1, got 0", id="n-bins-0"),
             pytest.param("--hist-bins", "0", "hist-bins must be >= 1, got 0", id="hist-bins-0"),
             pytest.param("--smoothing", "0", "smoothing must be > 0, got 0.0", id="smoothing-0"),
+            # a negative length cut every document short by that many tokens
+            pytest.param("--max-len", "-2", "max_len must be >= 1, got -2", id="max-len-neg"),
+            pytest.param("--max-len", "0", "max_len must be >= 1, got 0", id="max-len-0"),
+            pytest.param("--min-freq", "0", "min_freq must be >= 1, got 0", id="min-freq-0"),
         ],
     )
     def test_invalid_setting_is_an_error(self, workdir, tmp_path, capsys, monkeypatch, flag, value, message):
@@ -407,6 +428,8 @@ class TestTrainAndEval:
             pytest.param("--d-model", "0", "d_model must be >= 1, got 0", id="d-model-0"),
             pytest.param("--d-ff", "0", "d_ff must be >= 1, got 0", id="d-ff-0"),
             pytest.param("--max-len", "0", "max_len must be >= 1, got 0", id="max-len-0"),
+            pytest.param("--max-len", "-2", "max_len must be >= 1, got -2", id="max-len-neg"),
+            pytest.param("--min-freq", "0", "min_freq must be >= 1, got 0", id="min-freq-0"),
             pytest.param("--dropout", "1", "dropout must be in [0, 1), got 1.0", id="dropout-1"),
             pytest.param("--dropout", "-0.1", "dropout must be in [0, 1), got -0.1", id="dropout-neg"),
         ],

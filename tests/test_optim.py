@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,78 @@ class TestFlatArena:
         store.load_arrays({name: np.full(a.shape, 0.25) for name, a in store.state_arrays().items()})
         assert_bound()
         assert np.all(store.data == 0.25)
+
+
+def whole_store_grad_norm(store):
+    """The clip norm as it was computed from one float64 square of the
+    whole flat gradient: per-tensor sums of that array, in tensor order."""
+    squares = np.square(store.grad, dtype=np.float64)
+    total = 0.0
+    for span in store._spans:
+        total += float(np.add.reduce(squares[span]))
+    return float(np.sqrt(total))
+
+
+class TestGradNorm:
+    @pytest.mark.parametrize("precision", [np.float32, np.float64])
+    def test_matches_the_whole_store_square_bit_for_bit(self, precision):
+        shapes = {"one": (1,), "w": (ADAM_BLOCK + 777,), "b": (1,), "m": (33, 9), "last": (1,)}
+        store = ParamStore(shapes, dtype=precision)
+        gen = np.random.default_rng(3)
+        for _ in range(5):
+            scale = 10.0 ** gen.uniform(-20, 15, size=store.grad.size)
+            store.grad[:] = gen.standard_normal(store.grad.size) * scale
+            assert store.global_grad_norm() == whole_store_grad_norm(store)
+
+
+def short_pipeline_classifier():
+    # the short-pipeline benchmark's classifier: 603,202 parameters
+    config = EncoderConfig(vocab_size=49, n_labels=2, n_layers=12, d_model=64, n_heads=4, d_ff=256, max_len=32)
+    return AdaptiveEncoder(config, head="cls", seed=0).store
+
+
+class TestStepMemory:
+    def test_traced_peak_is_one_tensor_not_the_store(self):
+        store = short_pipeline_classifier()
+        assert store.data.size == 603_202
+        store.grad[:] = np.random.default_rng(0).standard_normal(store.grad.size)
+        largest = max(p.data.size for p in store.params.values())
+        scratch = sum(x.nbytes for x in store._scratch) + store._below.nbytes
+        tracemalloc.start()
+        try:
+            adam_step(store, lr=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole-store float64 square alone was 8 bytes per parameter
+        assert peak < 8 * largest + scratch < 8 * store.data.size
+
+
+class TestSubnormalFlush:
+    @pytest.mark.parametrize(
+        "precision, n_params, zero_steps",
+        # m decays by beta1 from about 1e-3 and reaches the bottom of the
+        # subnormal range after about 1,100 steps in f32, 7,000 in f64
+        [(np.float32, 128_000, 1_200), (np.float64, 2_000, 7_200)],
+    )
+    def test_no_subnormal_moment_survives_and_parameters_keep_their_bits(self, precision, n_params, zero_steps):
+        store = ParamStore({"w": (n_params,)}, dtype=precision)
+        gen = np.random.default_rng(9)
+        store.data[:] = gen.standard_normal(n_params)
+        ref = PerParameterAdam(store.state_arrays())
+        tiny = np.finfo(precision).tiny
+        g = (gen.standard_normal(n_params) * 1e-2).astype(precision)
+        for step in range(1 + zero_steps):
+            store.zero_grad()
+            ref.zero_grad()
+            if step == 0:
+                store.grad[:] = g
+                ref.grad["w"] += g
+            adam_step(store, lr=1e-3)
+            ref.adam_step(lr=1e-3, clip=5.0)
+        # without the flush every first moment is stuck among the subnormals
+        assert np.all((ref.m["w"] != 0) & (np.abs(ref.m["w"]) < tiny))
+        for moment in (store.m, store.v):
+            assert not np.any((moment != 0) & (np.abs(moment) < tiny))
+        assert not store.m.any()
+        assert store.data.tobytes() == ref.data["w"].tobytes()
