@@ -21,18 +21,16 @@ class ParamStore:
     Adam moments, each parameter at the same offset in all four. Every
     tensor's ``.data`` and ``.grad`` are views of ``data`` and ``grad``,
     bound here and never replaced: training and loading write in place.
-    Two float scratch blocks and one boolean one, each of ``ADAM_BLOCK``
-    elements, hold the update's temporaries, so a step allocates no
-    memory in proportion to the parameter count.
+    Two scratch blocks of ``ADAM_BLOCK`` elements hold the update's
+    temporaries, so a step allocates no memory in proportion to the
+    parameter count.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], dtype=np.float64):
         self.dtype = np.dtype(dtype)
         total = sum(math.prod(shape) for shape in shapes.values())
         self.data, self.grad, self.m, self.v = (np.zeros(total, dtype=self.dtype) for _ in range(4))
-        block = min(total, ADAM_BLOCK)
-        self._scratch = tuple(np.empty(block, self.dtype) for _ in range(2))
-        self._below = np.empty(block, dtype=bool)
+        self._scratch = tuple(np.empty(min(total, ADAM_BLOCK), self.dtype) for _ in range(2))
         self.params: dict[str, Tensor] = {}
         self._spans: list[slice] = []
         offset = 0
@@ -77,14 +75,6 @@ class ParamStore:
             self.params[name].data[...] = data
 
 
-def _flush_subnormals(x: np.ndarray, magnitude: np.ndarray, tiny: float, below: np.ndarray) -> None:
-    """Zero the entries of ``x`` whose ``magnitude`` is below ``tiny``;
-    ``below`` is boolean scratch of ``x``'s size."""
-    np.less(magnitude, tiny, out=below)
-    if below.any():
-        x[below] = 0
-
-
 def adam_step(
     store: ParamStore,
     lr: float,
@@ -101,15 +91,6 @@ def adam_step(
     Clipping and the update run block by block over the flat arrays, each
     step elementwise and in the order of the whole-array form, so every
     bit is that form's.
-
-    Moments below the dtype's smallest normal magnitude are set to zero.
-    Under zero gradients ``m`` decays by ``beta1`` into the subnormal range
-    and stays there (0.9 times the smallest subnormal rounds back to it),
-    and every pass over subnormals is several times slower. The flush
-    leaves ``sqrt(v / bc2) + eps`` unchanged, because ``eps`` dominates it,
-    and changes an update by less than ``lr * tiny / (bc1 * eps)``, about
-    1e-32 at lr 1e-3 in float32, so only a parameter within about 1e-25 of
-    zero can move.
     """
     norm = store.global_grad_norm()
     if not np.isfinite(norm):
@@ -119,21 +100,17 @@ def adam_step(
     t = store.step_count
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    tiny = np.finfo(store.dtype).tiny
     for start in range(0, store.data.size, ADAM_BLOCK):
         span = slice(start, start + ADAM_BLOCK)
         g, m, v = store.grad[span], store.m[span], store.v[span]
         a, b = (x[: g.size] for x in store._scratch)
-        below = store._below[: g.size]
         if factor is not None:
             g *= factor
         m *= beta1
         m += np.multiply(1.0 - beta1, g, out=a)
-        _flush_subnormals(m, np.abs(m, out=a), tiny, below)
         v *= beta2
         np.multiply(1.0 - beta2, g, out=a)
         v += np.multiply(a, g, out=a)
-        _flush_subnormals(v, v, tiny, below)  # v is never negative
         # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(v, bc2, out=a)
         np.sqrt(a, out=a)

@@ -41,6 +41,8 @@ def _word_lists() -> tuple[list[list[str]], list[str], list[str], list[str]]:
 
 def generate(n_docs: int, seed: int = 0, doc_len: int = 12) -> list[tuple[str, str]]:
     """Balanced labeled documents, deterministic for a given seed."""
+    if n_docs < 1:
+        raise ValueError(f"n_docs must be >= 1, got {n_docs}")
     if doc_len < 4:
         raise ValueError(f"doc_len must be >= 4, got {doc_len}")
     rng = np.random.default_rng(seed)
@@ -86,15 +88,14 @@ def write_tsv(path: str | Path, rows: list[tuple[str, str]]) -> None:
 def make_dataset(
     out_dir: str | Path, n_train: int = 400, n_test: int = 100, seed: int = 0, doc_len: int = 12
 ) -> tuple[Path, Path]:
-    """Write train/test TSVs drawn from the same distribution. The sizes
-    are checked before ``out_dir`` is made."""
-    for name, value, least in (("n_train", n_train, 1), ("n_test", n_test, 1), ("doc_len", doc_len, 4)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    """Write train/test TSVs drawn from the same distribution. Both are
+    generated, and so checked, before ``out_dir`` is made."""
+    train = generate(n_train, seed=seed, doc_len=doc_len)
+    test = generate(n_test, seed=seed + 1, doc_len=doc_len)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_path = out_dir / "train.tsv"
     test_path = out_dir / "test.tsv"
-    write_tsv(train_path, generate(n_train, seed=seed, doc_len=doc_len))
-    write_tsv(test_path, generate(n_test, seed=seed + 1, doc_len=doc_len))
+    write_tsv(train_path, train)
+    write_tsv(test_path, test)
     return train_path, test_path

@@ -103,9 +103,9 @@ class TestGenData:
         "flags, message",
         [
             # a negative count wrote two empty files and reported "-3 docs"
-            pytest.param(["--n-train", "-3", "--n-test", "0"], "n_train must be >= 1, got -3", id="n-train-neg"),
-            pytest.param(["--n-train", "0"], "n_train must be >= 1, got 0", id="n-train-0"),
-            pytest.param(["--n-test", "0"], "n_test must be >= 1, got 0", id="n-test-0"),
+            pytest.param(["--n-train", "-3", "--n-test", "0"], "n_docs must be >= 1, got -3", id="n-train-neg"),
+            pytest.param(["--n-train", "0"], "n_docs must be >= 1, got 0", id="n-train-0"),
+            pytest.param(["--n-test", "0"], "n_docs must be >= 1, got 0", id="n-test-0"),
             # rejected, but only after --out-dir was made
             pytest.param(["--doc-len", "2"], "doc_len must be >= 4, got 2", id="doc-len-2"),
         ],

@@ -55,8 +55,8 @@ def test_tsv_holds_one_line_per_row(tmp_path):
 @pytest.mark.parametrize(
     "sizes, message",
     [
-        ({"n_train": 0}, "n_train must be >= 1, got 0"),
-        ({"n_test": -2}, "n_test must be >= 1, got -2"),
+        ({"n_train": 0}, "n_docs must be >= 1, got 0"),
+        ({"n_test": -2}, "n_docs must be >= 1, got -2"),
         ({"doc_len": 3}, "doc_len must be >= 4, got 3"),
     ],
 )
