@@ -23,6 +23,18 @@ def meta_path(path: str | Path) -> Path:
     return Path(str(path) + ".meta")
 
 
+class Meta(dict):
+    """A checkpoint's ``key = value`` metadata; reading a key it lacks
+    raises a ``ValueError`` naming the ``.meta`` file and the key."""
+
+    def __init__(self, path: Path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key: str):
+        raise ValueError(f"{self.path}: no key {key!r}")
+
+
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<B", FORMAT_VERSION))
@@ -42,7 +54,7 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict[
             fh.write(f"{key} = {value}\n")
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], Meta]:
     blob = Path(path).read_bytes()
     offset = 0
 
@@ -83,12 +95,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, 
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last tensor")
 
-    meta: dict[str, str] = {}
     mp = meta_path(path)
+    meta = Meta(mp)
     if mp.exists():
-        for line in mp.read_text(encoding="utf-8").splitlines():
+        for lineno, line in enumerate(mp.read_text(encoding="utf-8").splitlines(), 1):
             if not line.strip():
                 continue
-            key, value = line.split("=", 1)
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"{mp}:{lineno}: expected 'key = value', got {line!r}")
             meta[key.strip()] = value.strip()
     return arrays, meta

@@ -202,9 +202,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"reps must be >= 1, got {args.reps}")
     encoder, meta = AdaptiveEncoder.load(args.ckpt)
     if args.precision and args.precision != encoder.config.precision:
-        cast = AdaptiveEncoder(replace(encoder.config, precision=args.precision), encoder.head, seed=0)
-        cast.store.load_arrays(encoder.store.state_arrays())
-        encoder = cast
+        config = replace(encoder.config, precision=args.precision)
+        encoder = AdaptiveEncoder.from_arrays(config, encoder.head, encoder.store.state_arrays())
     corpus = _load_eval_corpus(args.ckpt, args.data_tsv, meta)
     depth_maps = mi.read_depth_file(args.depths) if args.depths else None
 
@@ -412,6 +411,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except OSError as exc:  # a directory or an unreadable file; the message names it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

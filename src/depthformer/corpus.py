@@ -32,16 +32,23 @@ class CorpusError(ValueError):
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file, split at "\\n" only and each without
-    one trailing "\\r"; a final newline ends the last line, not a new one.
+    """The lines of a UTF-8 text file, ended as text-mode reading ends them:
+    at "\\n", "\\r\\n" or a lone "\\r", each without its ending; a final
+    line ending ends the last line, not a new one.
 
     ``str.splitlines`` would also split at U+0085, U+2028, U+2029 and
-    \\x1c-\\x1e, which a document's text may hold.
+    \\x1c-\\x1e, which a document's text may hold. Bytes that are not
+    UTF-8 raise a ``CorpusError`` naming the path and line.
     """
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(f"{path}:{lineno}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
     if lines[-1] == "":
         lines.pop()
-    return [line[:-1] if line.endswith("\r") else line for line in lines]
+    return lines
 
 
 def parse_field(text: str, kind: type, name: str, where: str):

@@ -12,8 +12,11 @@ layer's active rows lie in one leading corner of the depth-sorted batch,
 on which everything but the keys and values runs as a single block.
 Inference calls the kernel directly; the speed benchmarks measure that
 path. Training wraps each call in one graph node, with the layer's dropout
-masks and a tape of the intermediates that its hand-written backward,
-``_layer_backward``, reads, so gradients flow through the copy routing.
+masks and a tape that its hand-written backward, ``_layer_backward``,
+reads, so gradients flow through the copy routing. The tape keeps only
+what no single product of the forward remakes, with the masks bit-packed;
+the backward remakes Q, K, V, the context and the first norm's output with
+the forward's own operations, bit for bit.
 
 The rest of the model is written once too. The embedding, the permutation
 into routed order and back, the classifier loss and the anytime MLM loss
@@ -235,28 +238,60 @@ def _heads_to_rows(ctx: np.ndarray) -> np.ndarray:
     return ctx.transpose(0, 3, 1, 2).reshape(b, m, heads * d_head)
 
 
+def _qkv_heads(h: np.ndarray, block: tuple[int, int], heads: int, weights: tuple) -> tuple[np.ndarray, ...]:
+    """The head views attention reads: Q of the ``block`` = (b, m) corner,
+    scaled by 1/√d_head, as (b, H, d_head, m), and K and V projected from
+    every row and read in the first ``b`` sentences, as (b, H, T, d_head)
+    and (b, H, d_head, T). The forward makes them and the backward remakes
+    them with these same operations, so the bits match."""
+    wq, bq, wk, bk, wv, bv = weights[:6]
+    _, time, d = h.shape
+    b, m = block
+    d_head = d // heads
+    k = h @ wk
+    k += bk
+    v = h @ wv
+    v += bv
+    q = h[:b, :m] @ wq
+    q += bq
+    q *= 1.0 / math.sqrt(d_head)
+    qh = q.reshape(b, m, heads, d_head).transpose(0, 2, 3, 1)
+    kh = k[:b].reshape(b, time, heads, d_head).transpose(0, 2, 1, 3)
+    vh = v[:b].reshape(b, time, heads, d_head).transpose(0, 2, 3, 1)
+    return qh, kh, vh
+
+
 def _layer_backward(
-    h: np.ndarray, block: tuple[int, int], active: np.ndarray | None, tape: dict, g: np.ndarray
+    h: np.ndarray, weights: tuple, block: tuple[int, int], active: np.ndarray | None, tape: dict, g: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """The VJP of one ``_layer_infer`` call on ``h`` that filled ``tape``:
-    from the gradient ``g`` of its output, the gradients of ``h`` and of the
-    layer's weights in ``_LAYER_PARAMS`` order. Attention is key-major, as
-    in the forward. Keys and values take gradient only in the first ``b``
-    sentences, the ones they were read in; stopped rows pass ``g`` straight
-    through, and active corner rows take only what flows back through the
-    block. The dropped probabilities and the context rows are remade from
-    the tape with the forward's own operations. No array on the tape is
+    """The VJP of one ``_layer_infer`` call on ``h`` with ``weights`` that
+    filled ``tape``: from the gradient ``g`` of its output, the gradients of
+    ``h`` and of the layer's weights in ``_LAYER_PARAMS`` order. Attention
+    is key-major, as in the forward. Keys and values take gradient only in
+    the first ``b`` sentences, the ones they were read in; stopped rows pass
+    ``g`` straight through, and active corner rows take only what flows back
+    through the block.
+
+    The tape holds only what no single product of the forward remakes; the
+    rest is remade here with the forward's own operations on the forward's
+    own rows, so every bit matches: the first norm's output from its
+    normalized rows, Q, K and V by ``_qkv_heads``, the dropped probabilities
+    and the context from the exponentiated scores and their key sums, and
+    the boolean keep-masks from their packed bits. No array on the tape is
     written, and neither is ``g``; the tape is emptied once read, so the
     graph keeps no intermediates once its backward has run."""
-    wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = tape["w"]
-    qh, kh, vh, ctx, hr, hid = tape["qh"], tape["kh"], tape["vh"], tape["ctx"], tape["hr"], tape["hid"]
-    scores, key_sums = tape["scores"], tape["key_sums"]
+    wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = weights
+    scores, key_sums, hid, drop = tape["scores"], tape["key_sums"], tape["hid"], tape["drop"]
     xhat1, std1, xhat2, std2 = tape["ln"]
-    drop = tape["drop"]
     tape.clear()
     batch, time, d = h.shape
     b, m = block
-    _, heads, d_head, _ = qh.shape
+    heads = key_sums.shape[1]
+    d_head = d // heads
+    if drop is not None:
+        shapes = ((b, heads, time, m), (b, m, d), (b, m, d))
+        masks = (np.unpackbits(bits, count=math.prod(s)).view(bool).reshape(s) for bits, s in zip(drop, shapes))
+        drop = (*masks, drop[3])
 
     g_out = g[:b, :m] if active is None else g[:b, :m] * active[..., None]
     g_ln2_g, g_ln2_b, g_hr = _layer_norm_backward(g_out, ln2_g, xhat2, std2)
@@ -264,10 +299,17 @@ def _layer_backward(
     g_w2, g_b2 = _weight_grad(hid, g_ff), g_ff.sum(axis=(0, 1))
     g_hid = g_ff @ w2.T
     g_hid *= hid > 0
+    hr = xhat1 * ln1_g  # the first norm's output, as _layer_norm_np made it
+    hr += ln1_b
     g_w1, g_b1 = _weight_grad(hr, g_hid), g_hid.sum(axis=(0, 1))
+    del hr
     g_hr += g_hid @ w1.T
     g_ln1_g, g_ln1_b, g_hq = _layer_norm_backward(g_hr, ln1_g, xhat1, std1)
     g_attn = g_hq if drop is None else ad.apply_dropout(g_hq, drop[1], drop[3])
+    qh, kh, vh = _qkv_heads(h, block, heads, weights)
+    kept = scores if drop is None else ad.apply_dropout(scores, drop[0], drop[3])
+    ctx = np.matmul(vh, kept)
+    ctx /= key_sums
     g_wo, g_bo = _weight_grad(_heads_to_rows(ctx), g_attn), g_attn.sum(axis=(0, 1))
     g_ctx = (g_attn @ wo.T).reshape(b, m, heads, d_head).transpose(0, 2, 3, 1)
 
@@ -276,11 +318,11 @@ def _layer_backward(
     # dS = P⊙(dP − Σ_k P·dP), with Σ_k P·dP = Σ_j ctx·dctx; both it and
     # dctx are divided by s here, on (b, H, ·, m) blocks, not on P.
     inner = (g_ctx * ctx).sum(axis=-2, keepdims=True)
+    del ctx
     inner /= key_sums
     g_ctx = g_ctx / key_sums
     # the head gradients are written straight into (b, rows, H, d_head)
     g_q, g_k, g_v = (np.empty((b, rows, heads, d_head), dtype=h.dtype) for rows in (m, time, time))
-    kept = scores if drop is None else ad.apply_dropout(scores, drop[0], drop[3])
     np.matmul(g_ctx, kept.transpose(0, 1, 3, 2), out=g_v.transpose(0, 2, 3, 1))
     del kept  # before g_scores, an array of the same size, is made
     g_scores = np.matmul(vh.transpose(0, 1, 3, 2), g_ctx)
@@ -318,6 +360,21 @@ class AdaptiveEncoder:
     """Encoder stack plus one task head (pooled classifier or shared MLM)."""
 
     def __init__(self, config: EncoderConfig, head: str, seed: int = 0):
+        self._init_params(self._build(config, head, seed))
+
+    @classmethod
+    def from_arrays(cls, config: EncoderConfig, head: str, arrays: dict[str, np.ndarray]) -> "AdaptiveEncoder":
+        """An encoder holding ``arrays``, one per parameter, cast to
+        ``config``'s precision; built without the initializer's draws, its
+        dropout generator seeded as ``seed=0`` seeds it."""
+        enc = cls.__new__(cls)
+        enc._build(config, head, seed=0)
+        enc.store.load_arrays(arrays)
+        return enc
+
+    def _build(self, config: EncoderConfig, head: str, seed: int) -> np.random.Generator:
+        """Everything but the parameter values, which stay the store's
+        zeros; returns the generator the initializer draws from."""
         if head not in (HEAD_CLASSIFIER, HEAD_MLM):
             raise ValueError(f"unknown head {head!r}")
         self.config = config
@@ -325,13 +382,13 @@ class AdaptiveEncoder:
         self.store = ParamStore(self._param_shapes(), dtype=config.dtype)
         init_seed, dropout_seed = np.random.SeedSequence(seed).spawn(2)
         self._dropout_rng = np.random.default_rng(dropout_seed)
-        self._init_params(np.random.default_rng(init_seed))
         self._pe = sinusoidal_encoding(config.max_len, config.d_model, config.dtype)
         self._layer_tensors = [
             tuple(self.store[f"layer{i}.{name}"] for name in _LAYER_PARAMS) for i in range(config.n_layers)
         ]
         # the store's views, never replaced: training and loading write into them
         self._layer_weights = [tuple(t.data for t in tensors) for tensors in self._layer_tensors]
+        return np.random.default_rng(init_seed)
 
     # ------------------------------------------------------------------
     # parameters
@@ -430,8 +487,8 @@ class AdaptiveEncoder:
         """One layer as one graph node: ``_layer_infer`` runs the forward,
         with the layer's dropout keep-masks when training, and keeps on a
         tape what ``_layer_backward``, the node's VJP, reads and then
-        releases; after the backward the node holds only its output and
-        gradient."""
+        releases. The tape keeps the masks bit-packed, one bit per entry;
+        after the backward the node holds only its output and gradient."""
         cfg = self.config
         drop = None
         if train and cfg.dropout > 0.0:
@@ -443,7 +500,12 @@ class AdaptiveEncoder:
             drop = (*masks, ad.dropout_scale(cfg.dtype, cfg.dropout))
         tape = {"drop": drop, "ln": []}
         out = self._layer_infer(h.data, i, block, active, tape)
-        return ad.op(out, (h, *self._layer_tensors[i]), lambda g: _layer_backward(h.data, block, active, tape, g))
+        if drop is not None:
+            tape["drop"] = (*(np.packbits(mask, axis=None) for mask in drop[:3]), drop[3])
+        weights = self._layer_weights[i]
+        return ad.op(
+            out, (h, *self._layer_tensors[i]), lambda g: _layer_backward(h.data, weights, block, active, tape, g)
+        )
 
     def forward_graph(
         self, ids: np.ndarray, depths: np.ndarray | None = None, train: bool = False
@@ -580,31 +642,21 @@ class AdaptiveEncoder:
         dict whose "drop" entry is None or holds the layer's boolean dropout
         keep-masks (attention probabilities key-major as (b, H, T, m),
         attention output, FFN output) and the ``1/(1 - p)`` scale, applied
-        after each mask, and whose "ln" entry is an empty list; the
-        intermediates ``_layer_backward`` reads are stored in it. Products it
-        can remake cheaply (the dropped probabilities, the context rows) are
-        not. Without a tape nothing extra is computed or kept.
+        after each mask, and whose "ln" entry is an empty list. Only what no
+        single product of this forward remakes is stored in it: the
+        exponentiated scores and their key sums, the FFN's ReLU output, and
+        each layer norm's normalized rows and standard deviations.
+        ``_layer_backward`` remakes Q, K, V, the context and the first
+        norm's output. Without a tape nothing extra is computed or kept.
         """
-        cfg = self.config
         batch, time, _ = h.shape
         b, m = block
-        heads, d_head = cfg.n_heads, cfg.d_head
         weights = self._layer_weights[i]
-        wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = weights
+        wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = weights[6:]
         drop = None if tape is None else tape["drop"]
         saved = () if tape is None else (tape["ln"],)
-        k = h @ wk
-        k += bk
-        v = h @ wv
-        v += bv
         # every elementwise step below writes into an array this layer made
-        hq = h[:b, :m]
-        q = hq @ wq
-        q += bq
-        q *= 1.0 / math.sqrt(d_head)
-        qh = q.reshape(b, m, heads, d_head).transpose(0, 2, 3, 1)
-        kh = k[:b].reshape(b, time, heads, d_head).transpose(0, 2, 1, 3)
-        vh = v[:b].reshape(b, time, heads, d_head).transpose(0, 2, 3, 1)
+        qh, kh, vh = _qkv_heads(h, block, self.config.n_heads, weights)
         scores = np.matmul(kh, qh)
         scores -= np.maximum.reduce(scores, axis=-2, keepdims=True)
         np.exp(scores, out=scores)
@@ -616,7 +668,7 @@ class AdaptiveEncoder:
         if drop is not None:
             attn *= drop[1]
             attn *= drop[3]
-        attn += hq
+        attn += h[:b, :m]
         hr = _layer_norm_np(attn, ln1_g, ln1_b, *saved)
         hid = hr @ w1
         hid += b1
@@ -629,7 +681,7 @@ class AdaptiveEncoder:
         out += hr
         _layer_norm_np(out, ln2_g, ln2_b, *saved)
         if tape is not None:
-            tape.update(w=weights, qh=qh, kh=kh, vh=vh, scores=scores, key_sums=key_sums, ctx=ctx, hr=hr, hid=hid)
+            tape.update(scores=scores, key_sums=key_sums, hid=hid)
         if active is None and (b, m) == (batch, time):
             return out
         new = h.copy()
@@ -705,7 +757,4 @@ class AdaptiveEncoder:
     @classmethod
     def load(cls, path) -> tuple["AdaptiveEncoder", dict[str, str]]:
         arrays, meta = load_checkpoint(path)
-        config = EncoderConfig.from_meta(meta)
-        enc = cls(config, head=meta["head"], seed=0)
-        enc.store.load_arrays(arrays)
-        return enc, meta
+        return cls.from_arrays(EncoderConfig.from_meta(meta), meta["head"], arrays), meta

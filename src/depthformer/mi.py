@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -171,8 +171,12 @@ def build_mi_table(
 
 
 def corpus_depth_maps(table: MiTable, corpus: Corpus) -> list[np.ndarray]:
-    """One depth map per document, in corpus order."""
-    return [table.sentence_depths(doc.tokens) for doc in corpus.documents]
+    """One depth map per document, in corpus order: one lookup over the
+    whole split's ids, cut into views at the document boundaries."""
+    docs = corpus.documents
+    lengths = [len(doc.tokens) for doc in docs]
+    flat = table.sentence_depths(np.concatenate([np.zeros(0, dtype=np.int64), *(doc.tokens for doc in docs)]))
+    return [flat[end - n : end] for n, end in zip(lengths, accumulate(lengths))]
 
 
 def write_depth_file(path: str | Path, depth_maps: list[np.ndarray]) -> None:
@@ -206,6 +210,9 @@ def read_depth_file(path: str | Path) -> list[np.ndarray]:
             maps.append(np.fromiter(map(value.__getitem__, tokens), np.int64, count=len(tokens)))
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: depth must be an integer, got {exc.args[0]!r}") from None
+        except OverflowError:
+            big = max(tokens, key=lambda token: abs(value[token]))
+            raise ValueError(f"{path}:{lineno}: depth {big} does not fit in 64 bits") from None
     return maps
 
 

@@ -243,6 +243,6 @@ def corpus_profiles(encoder: AdaptiveEncoder, corpus: Corpus) -> list[np.ndarray
 
 
 def average_depth(depth_maps: list[np.ndarray]) -> float:
-    total = sum(int(d.sum()) for d in depth_maps)
-    count = sum(len(d) for d in depth_maps)
-    return total / count if count else 0.0
+    """The mean depth over every token of every map, from one sum."""
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *depth_maps])
+    return int(flat.sum()) / flat.size if flat.size else 0.0

@@ -584,6 +584,63 @@ class TestTrainAndEval:
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
+class TestFailuresNameTheirFile:
+    """A bad input file fails with ``error: <file>…`` and exit 2, never a
+    traceback."""
+
+    @staticmethod
+    def copy_checkpoint(workdir, tmp_path, edit_meta):
+        """A copy of the trained classifier whose ``.meta`` text is
+        ``edit_meta`` of the original's."""
+        import shutil
+
+        ckpt = tmp_path / "c.ckpt"
+        for suffix in ("", ".vocab.tsv"):
+            shutil.copy(str(workdir / "cls.ckpt") + suffix, str(ckpt) + suffix)
+        meta = (workdir / "cls.ckpt.meta").read_text(encoding="utf-8")
+        Path(f"{ckpt}.meta").write_text(edit_meta(meta), encoding="utf-8")
+        return ckpt
+
+    def eval_args(self, workdir, ckpt=None, data=None):
+        return ["eval", "--ckpt", str(ckpt or workdir / "cls.ckpt"),
+                "--data-tsv", str(data or workdir / "data" / "test.tsv"), "--reps", "1"]
+
+    @pytest.mark.parametrize("big", ["99999999999999999999", "-99999999999999999999"])
+    def test_depth_too_large_for_int64_names_file_and_line(self, workdir, tmp_path, capsys, big):
+        lines = (workdir / "mi" / "test.depths").read_text().splitlines()
+        lines[2] = lines[2].replace(" ", f" {big} ", 1)
+        bad = tmp_path / "big.depths"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main([*self.eval_args(workdir), "--depths", str(bad)]) == 2
+        assert f"error: {bad}:3: depth {big} does not fit in 64 bits" in capsys.readouterr().err
+
+    def test_directory_for_a_corpus_is_an_error(self, workdir, tmp_path, capsys):
+        assert main(self.eval_args(workdir, data=tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_meta_without_a_key_names_file_and_key(self, workdir, tmp_path, capsys):
+        def drop_width(text):
+            return "".join(line for line in text.splitlines(True) if not line.startswith("d_model "))
+
+        ckpt = self.copy_checkpoint(workdir, tmp_path, drop_width)
+        assert main(self.eval_args(workdir, ckpt)) == 2
+        assert f"error: {ckpt}.meta: no key 'd_model'" in capsys.readouterr().err
+
+    def test_meta_line_without_a_separator_names_file_and_line(self, workdir, tmp_path, capsys):
+        ckpt = self.copy_checkpoint(workdir, tmp_path, lambda text: "vocab_size 12\n" + text)
+        assert main(self.eval_args(workdir, ckpt)) == 2
+        assert f"error: {ckpt}.meta:1: expected 'key = value', got 'vocab_size 12'" in capsys.readouterr().err
+
+    def test_corpus_not_utf8_names_file_and_line(self, workdir, tmp_path, capsys):
+        lines = (workdir / "data" / "test.tsv").read_bytes().split(b"\n")
+        lines[3] = lines[3][:4] + b"\xff" + lines[3][4:]
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"\n".join(lines))
+        assert main(self.eval_args(workdir, data=bad)) == 2
+        assert f"error: {bad}:4: not UTF-8 text (byte 0xff)" in capsys.readouterr().err
+
+
 class TestDepthsRecon:
     def test_missing_checkpoint_is_an_error(self, workdir, tmp_path, capsys):
         code = main([

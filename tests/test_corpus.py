@@ -15,6 +15,7 @@ from depthformer.corpus import (
     Vocab,
     collect_stats,
     load_tsv,
+    read_lines,
     tokenize,
     tokenize_split,
 )
@@ -249,6 +250,20 @@ class TestLoadTsv:
         crlf = load_tsv(crlf_path)
         assert crlf.labels == lf.labels and crlf.vocab.id_to_word == lf.vocab.id_to_word
         assert [d.tokens.tolist() for d in crlf.documents] == [d.tokens.tolist() for d in lf.documents]
+
+    def test_lone_carriage_return_ends_a_line_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "cr.tsv"
+        path.write_bytes(b"pos\tgreat movie\rneg\tbad plot\r\npos\tgreat fun\n")
+        assert read_lines(path) == ["pos\tgreat movie", "neg\tbad plot", "pos\tgreat fun"]
+        with open(path, encoding="utf-8") as fh:
+            assert read_lines(path) == fh.read().splitlines()
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+    def test_bytes_not_utf8_name_path_and_line(self, tmp_path, ending):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(ending.join([b"pos\tgood", b"neg\tbad", b"pos\tgo\xc3od"]) + ending)
+        with pytest.raises(CorpusError, match=r"bad\.tsv:3: not UTF-8 text \(byte 0xc3\)"):
+            load_tsv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "e.tsv"

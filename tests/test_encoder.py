@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from depthformer.encoder import _LAYER_PARAMS, AdaptiveEncoder, EncoderConfig
 from depthformer.optim import adam_step
 from depthformer.train import FitSettings, fit, train_classifier
 
+from storing_tape import storing_layer_node
 from reference_graph import (
     per_op_classifier_loss,
     per_op_embed,
@@ -568,9 +570,14 @@ class TestGatheredGraphLayer:
 
 
 class TestLeanTape:
-    """What a training step keeps: each layer node's tape holds boolean
-    dropout masks and no product the backward can remake, and the backward
-    empties it, so a finished step's graph holds only states and gradients."""
+    """What a training step keeps: each layer node's tape holds the
+    exponentiated scores and their key sums, the FFN's ReLU output, each
+    layer norm's normalized rows and standard deviations and the bit-packed
+    dropout masks, and no product the backward can remake; the backward
+    empties it, so a finished step's graph holds only states and gradients.
+    The remade products give the storing tape's gradients bit for bit."""
+
+    KEYS = {"scores", "key_sums", "hid", "ln", "drop"}
 
     @staticmethod
     def recorded_tapes(enc, monkeypatch):
@@ -595,14 +602,89 @@ class TestLeanTape:
     def test_tape_keeps_boolean_masks_and_is_emptied_by_the_backward(self, monkeypatch, precision, depths):
         enc = AdaptiveEncoder(small_config(dropout=0.1, precision=precision), head="cls", seed=3)
         tapes = self.recorded_tapes(enc, monkeypatch)
+        drawn: list[np.ndarray] = []
+        draw = ad.dropout_mask
+        monkeypatch.setattr(ad, "dropout_mask", lambda *args: drawn.append(draw(*args)) or drawn[-1])
         layers, _ = enc.forward_graph(token_batch((3, 5), seed=31), depths, train=True)
-        assert len(tapes) == 3
+        assert len(tapes) == 3 and len(drawn) == 1 + 3 * 3  # the embedding's mask, then three per layer
         for n, tape in enumerate(tapes):
-            assert {mask.dtype for mask in tape["drop"][:3]} == {np.dtype(bool)}, f"layer {n}"
-            assert "kept" not in tape and "ctx_rows" not in tape, f"layer {n}"
+            assert set(tape) == self.KEYS, f"layer {n}"
+            assert len(tape["ln"]) == 4, f"layer {n}"
+            *packed, scale = tape["drop"]
+            assert scale == ad.dropout_scale(enc.config.dtype, 0.1)
+            for bits, mask in zip(packed, drawn[1 + 3 * n : 4 + 3 * n], strict=True):
+                assert bits.dtype == np.uint8 and bits.shape == (-(-mask.size // 8),), f"layer {n}"
+                unpacked = np.unpackbits(bits, count=mask.size).view(bool).reshape(mask.shape)
+                assert np.array_equal(unpacked, mask), f"layer {n}"
         enc.store.zero_grad()
         ad.backward(enc.classifier_loss_graph(layers[-1], np.array([0, 1, 1])))
         assert tapes == [{}, {}, {}]
+
+    def test_tape_holds_exactly_its_formula_in_bytes(self, monkeypatch):
+        # a full-depth MLM step at batch 16 x 64 tokens: per layer, the
+        # exponentiated scores (B, H, T, T), their key sums (B, H, 1, T), the
+        # ReLU output (B, T, ff), two normalized copies of the rows (B, T, d)
+        # and two standard deviations (B, T, 1), all f32, and three masks of
+        # one bit per entry; every array owns its memory
+        batch, time, heads, d, ff = 16, 64, 4, 32, 64
+        cfg = small_config(n_layers=2, d_model=d, n_heads=heads, d_ff=ff, dropout=0.1, max_len=time, precision="f32")
+        enc = AdaptiveEncoder(cfg, head="mlm", seed=4)
+        tapes = self.recorded_tapes(enc, monkeypatch)
+        enc.mlm_anytime_loss_graph(token_batch((batch, time), seed=5), np.array([3, 70]), np.array([4, 5]), train=True)
+        rows = batch * time
+        floats = batch * heads * time * time + batch * heads * time + rows * ff + 2 * rows * d + 2 * rows
+        bits = -(-batch * heads * time * time // 8) + 2 * -(-rows * d // 8)
+        assert len(tapes) == 2
+        for tape in tapes:
+            arrays = [tape["scores"], tape["key_sums"], tape["hid"], *tape["ln"], *tape["drop"][:3]]
+            assert all(a.base is None for a in arrays)
+            assert sum(a.nbytes for a in arrays) == 4 * floats + bits == 1_638_400
+
+    @staticmethod
+    def fit_steps(enc, head, ids, depths, steps=5):
+        """``steps`` clipped Adam steps on one batch through ``train.fit``:
+        the step records and the clipped gradients after each step."""
+        masked, true_ids = np.array([1, 7, 13]), np.array([4, 9, 5])
+        gold = np.arange(len(ids)) % 2
+
+        def batch_loss(_idx):
+            if head == "mlm":
+                loss, _, counts = enc.mlm_anytime_loss_graph(ids, masked, true_ids, train=True)
+                return loss, counts
+            layers, counts = enc.forward_graph(ids, depths, train=True)
+            return enc.classifier_loss_graph(layers[-1], gold), counts
+
+        grads: list[np.ndarray] = []
+        settings = FitSettings(steps=steps, lr=1e-2, batch_size=len(ids), clip=1e-3)
+        records = fit(enc, batch_loss, [ids.shape[1]] * len(ids), settings, np.random.default_rng(0),
+                      lambda _step: grads.append(enc.store.grad.copy()))
+        return records, grads
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize(
+        "head, depths",
+        [
+            pytest.param("mlm", None, id="mlm"),
+            pytest.param("cls", None, id="cls-full"),
+            pytest.param("cls", [[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]], id="cls-uneven"),
+            # 1-token documents: layers 2 and 3 run (2, 1) and (1, 1) corners of 4 sentences
+            pytest.param("cls", [[1], [3], [2], [1]], id="cls-one-token"),
+        ],
+    )
+    def test_remade_products_give_the_storing_tapes_steps_bit_for_bit(self, monkeypatch, precision, head, depths):
+        enc, ref = perturbed_twins(head, precision)
+        monkeypatch.setattr(ref, "_layer_node", partial(storing_layer_node, ref))
+        shape = (3, 5) if depths is None else np.shape(depths)
+        ids = token_batch(shape, seed=33)
+        depths = None if depths is None else np.array(depths)
+        got_records, got_grads = self.fit_steps(enc, head, ids, depths)
+        want_records, want_grads = self.fit_steps(ref, head, ids, depths)
+        assert all(r.grad_norm > 1e-3 for r in want_records)  # every step clips
+        assert [(r.loss, r.grad_norm) for r in got_records] == [(r.loss, r.grad_norm) for r in want_records]
+        for n, (got, want) in enumerate(zip(got_grads, want_grads, strict=True), start=1):
+            assert np.array_equal(got, want), f"step {n}"
+        assert np.array_equal(enc.store.data, ref.store.data)
+        assert enc._dropout_rng.bit_generator.state == ref._dropout_rng.bit_generator.state
 
     def test_second_step_peak_stays_near_the_first(self):
         # fit keeps the first step's loss, and with it that step's graph,
@@ -1158,3 +1240,23 @@ class TestPersistence:
         assert np.array_equal(before, after)
         assert meta["labels"] == "neg,pos"
         assert loaded.config == encoder.config
+
+    @pytest.mark.parametrize("head", ["cls", "mlm"])
+    def test_load_and_cast_draw_no_initial_values(self, tmp_path, monkeypatch, head):
+        enc = AdaptiveEncoder(small_config(dropout=0.1), head=head, seed=11)
+        path = tmp_path / "enc.ckpt"
+        enc.save(path)
+        fresh = AdaptiveEncoder(enc.config, head=head, seed=0)
+
+        def no_draws(self, rng):
+            raise AssertionError("the initializer ran")
+
+        monkeypatch.setattr(AdaptiveEncoder, "_init_params", no_draws)
+        loaded, _ = AdaptiveEncoder.load(path)
+        cast = AdaptiveEncoder.from_arrays(replace(enc.config, precision="f32"), head, loaded.store.state_arrays())
+        for name, want in enc.store.state_arrays().items():
+            assert np.array_equal(loaded.store[name].data, want), name
+            assert cast.store[name].data.dtype == np.float32
+            assert np.array_equal(cast.store[name].data, want.astype(np.float32)), name
+        for e in (loaded, cast):
+            assert e._dropout_rng.bit_generator.state == fresh._dropout_rng.bit_generator.state

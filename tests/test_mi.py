@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthformer import mi, synth
+from depthformer import mi, recon, synth
 from depthformer.corpus import collect_stats, load_tsv
 
 from oracles import oracle_mi
@@ -304,6 +304,19 @@ class TestDepthFileIO:
         for corpus in (train, test):
             maps = mi.corpus_depth_maps(table, corpus)
             assert_written_as_reference(tmp_path, maps)
+
+    def test_split_wide_maps_and_average_match_the_per_document_form(self, tmp_path):
+        lines = [f"{'pos' if i % 3 else 'neg'}\t{' '.join(f'w{(i * j) % 17}' for j in range(1 + i % 9))}"
+                 for i in range(40)]
+        corpus = corpus_from_lines(tmp_path, lines)
+        table = mi.build_mi_table(collect_stats(corpus), corpus.vocab, 5)
+        maps = mi.corpus_depth_maps(table, corpus)
+        want = [table.sentence_depths(doc.tokens) for doc in corpus.documents]
+        assert len({len(m) for m in maps}) == 9
+        assert len(maps) == len(want) and all(np.array_equal(a, b) for a, b in zip(maps, want))
+        per_document = sum(int(d.sum()) for d in want) / sum(len(d) for d in want)
+        assert recon.average_depth(maps) == per_document
+        assert recon.average_depth([]) == recon.average_depth([np.zeros(0, dtype=np.int64)]) == 0.0
 
     @pytest.mark.parametrize(
         "maps",
