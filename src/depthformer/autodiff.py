@@ -6,10 +6,11 @@ order and accumulates gradients into every tensor that requires them.
 There are no per-operation nodes: ``op`` adds a node whose forward and
 hand-written vector-Jacobian product live with the model. The encoder makes
 one for the embedding, one per layer, one per permutation of the rows and
-one for each task loss, each forward being the inference code. The
-inverted-dropout helpers draw and apply the boolean keep-masks those nodes
-share; a mask is drawn as raw 16-bit integers from the generator's output,
-compared with a threshold, and never as floats.
+one for each task loss, each forward being the inference code and each
+VJP's closure holding what it reads. The inverted-dropout helpers draw and
+apply the boolean keep-masks those nodes share; a mask is drawn as raw
+16-bit integers from the generator's output, compared with a threshold,
+and never as floats.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def _accumulate(tensor: Tensor, grad: np.ndarray, node: Tensor, grads: tuple) ->
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of everything reachable from a scalar loss."""
+    """Populate gradients of everything reachable from a scalar loss,
+    dropping each node's VJP, and all its closure holds, once it has run."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if loss._backward_done:
@@ -86,6 +88,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._parents and node.requires_grad and node._vjp is None:
+            raise RuntimeError("backward already ran through this graph; rebuild the graph first")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -94,13 +98,12 @@ def backward(loss: Tensor) -> None:
 
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
-            continue
-        grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            _accumulate(parent, g, node, grads)
+        if node._vjp is not None and node.grad is not None:
+            grads = node._vjp(node.grad)
+            for parent, g in zip(node._parents, grads):
+                if g is not None and parent.requires_grad:
+                    _accumulate(parent, g, node, grads)
+        node._vjp = None
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,25 @@ class Meta(dict):
         raise ValueError(f"{self.path}: no key {key!r}")
 
 
+def parse_bool(text: str) -> bool:
+    """``True`` or ``False``, as ``str`` writes a bool; nothing else."""
+    if text not in ("True", "False"):
+        raise ValueError(f"expected True or False, got {text!r}")
+    return text == "True"
+
+
+def meta_value(meta: dict[str, str], key: str, parse, default: str | None = None):
+    """``meta[key]`` (or ``default``, if given, when the key is missing)
+    read by ``parse``; a value it rejects raises a ValueError naming the
+    key and, for a ``Meta``, its file."""
+    text = meta[key] if default is None else meta.get(key, default)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        where = f"{meta.path}: " if isinstance(meta, Meta) else ""
+        raise ValueError(f"{where}{key}: {exc}") from None
+
+
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<B", FORMAT_VERSION))

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, mi, recon, synth
+from .checkpoint import meta_value, parse_bool
 from .corpus import TokenizerConfig, Vocab, collect_stats, load_tsv
 from .encoder import AdaptiveEncoder, EncoderConfig
 from .recon import train_mlm
@@ -67,11 +68,32 @@ def _corpus_meta(corpus) -> dict[str, str]:
 
 def _config_from_meta(meta: dict[str, str]) -> TokenizerConfig:
     # checkpoints trained with a tokenizer max_len of its own carry it
+    max_len = "tokenizer_max_len" if "tokenizer_max_len" in meta else "max_len"
     return TokenizerConfig(
-        max_len=int(meta.get("tokenizer_max_len", meta["max_len"])),
-        lowercase=meta.get("lowercase", "True") == "True",
-        min_freq=int(meta.get("min_freq", "1")),
+        max_len=meta_value(meta, max_len, int),
+        lowercase=meta_value(meta, "lowercase", parse_bool, default="True"),
+        min_freq=meta_value(meta, "min_freq", int, default="1"),
     )
+
+
+def _read_depths(path: Path, lengths: list[int], n_layers: int) -> list[np.ndarray]:
+    """The depth maps of ``path``, checked against the sentence lengths
+    they route and the model's depth; each failure names the file, and the
+    line when one is at fault."""
+    maps = mi.read_depth_file(path)
+    if len(maps) != len(lengths):
+        raise ValueError(f"{path}: depth file has {len(maps)} sentences, expected {len(lengths)}")
+    counts = np.fromiter(map(len, maps), np.int64, count=len(maps))
+    misfit = np.flatnonzero(counts != lengths)
+    if misfit.size:
+        i = int(misfit[0])
+        raise ValueError(f"{path}:{i + 1}: {counts[i]} depths for {lengths[i]} tokens")
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *maps])
+    bad = np.flatnonzero((flat < 1) | (flat > n_layers))
+    if bad.size:
+        line = np.searchsorted(np.cumsum(counts), bad[0], side="right") + 1
+        raise ValueError(f"{path}:{line}: depth {flat[bad[0]]} outside [1, {n_layers}]")
+    return maps
 
 
 def _load_eval_corpus(ckpt_path: str | Path, data_tsv: Path, meta: dict[str, str]):
@@ -181,12 +203,18 @@ def cmd_train(args) -> int:
     enc_config = _encoder_config(args, len(corpus.vocab), corpus.n_labels, args.max_len)
 
     if args.task == "cls":
-        depth_maps = mi.read_depth_file(args.depths) if args.depths else None
+        depth_maps = None
+        if args.depths:
+            depth_maps = _read_depths(args.depths, [len(d.tokens) for d in corpus.documents], enc_config.n_layers)
         encoder, log = train_classifier(corpus, enc_config, settings, seed=args.seed, depth_maps=depth_maps)
     else:
         result = train_mlm(corpus, enc_config, settings, seed=args.seed, **mlm_settings)
         encoder, log = result.encoder, result.log
         print(f"heldout_anytime_loss\tinitial\t{result.heldout_initial:.4f}\tfinal\t{result.heldout_final:.4f}")
+        every = mlm_settings.get("eval_every", 0)
+        for step, loss in result.heldout_log[1:]:
+            if every and step % every == 0:  # the scores --eval-every asked for, not the final one
+                print(f"heldout_anytime_loss_at_step\t{step}\t{loss:.4f}")
 
     encoder.save(args.out, extra_meta=_corpus_meta(corpus))
     corpus.vocab.write(_vocab_path(args.out))
@@ -205,7 +233,9 @@ def cmd_eval(args) -> int:
         config = replace(encoder.config, precision=args.precision)
         encoder = AdaptiveEncoder.from_arrays(config, encoder.head, encoder.store.state_arrays())
     corpus = _load_eval_corpus(args.ckpt, args.data_tsv, meta)
-    depth_maps = mi.read_depth_file(args.depths) if args.depths else None
+    depth_maps = None
+    if args.depths:
+        depth_maps = _read_depths(args.depths, [len(d.tokens) for d in corpus.documents], encoder.config.n_layers)
 
     runs = [bench.evaluate_classifier(encoder, corpus, depth_maps, batch_size=args.batch_size) for _ in range(args.reps)]
     (accuracy, counts), totals = runs[0], [sum(rep.wall_ns) for _, rep in runs]
@@ -259,7 +289,8 @@ def cmd_sweep_lambda(args) -> int:
         accuracy = "-"
         if settings is not None:
             train_maps = recon.depths_from_profiles(train_profiles, penalty)
-            enc_config = _encoder_config(args, len(train.vocab), train.n_labels, int(meta["max_len"]), n_layers)
+            max_len = meta_value(meta, "max_len", int)
+            enc_config = _encoder_config(args, len(train.vocab), train.n_labels, max_len, n_layers)
             cls, _ = train_classifier(train, enc_config, settings, seed=args.seed, depth_maps=train_maps)
             acc, _ = bench.evaluate_classifier(cls, test, test_maps, batch_size=args.batch_size)
             accuracy = f"{acc:.4f}"
@@ -276,9 +307,7 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     ids = rng.integers(3, args.vocab_size, size=(args.n_sentences, args.seq_len))
     if args.depths:
-        depth_rows = mi.read_depth_file(args.depths)
-        if len(depth_rows) != args.n_sentences or any(len(r) != args.seq_len for r in depth_rows):
-            raise ValueError("depth file does not match --n-sentences/--seq-len")
+        depth_rows = _read_depths(args.depths, [args.seq_len] * args.n_sentences, args.n_layers)
     else:
         depth_rows = bench.make_bench_depths(
             args.n_sentences, args.seq_len, args.n_layers, args.target_avg_depth, seed=args.seed

@@ -23,8 +23,8 @@ into routed order and back, the classifier loss and the anytime MLM loss
 are one graph node each, whose forward is the inference code
 (``embed_infer``, a row gather, ``classify_infer``, ``masked_nll_infer``)
 and whose VJP is written beside it. A training step's graph is those
-nodes and the layer nodes; each node releases what its VJP read once
-that VJP has run.
+nodes and the layer nodes; each VJP's closure holds what it reads, and
+``autodiff.backward`` drops it once the VJP has run.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, meta_value, save_checkpoint
 from .optim import ParamStore
 
 HEAD_CLASSIFIER = "cls"
@@ -87,7 +87,7 @@ class EncoderConfig:
     @classmethod
     def from_meta(cls, meta: dict[str, str]) -> "EncoderConfig":
         parse = {"int": int, "float": float, "str": str}  # field annotations, as strings
-        return cls(**{f.name: parse[f.type](meta[f.name]) for f in fields(cls)})
+        return cls(**{f.name: meta_value(meta, f.name, parse[f.type]) for f in fields(cls)})
 
 
 @dataclass
@@ -278,12 +278,10 @@ def _layer_backward(
     normalized rows, Q, K and V by ``_qkv_heads``, the dropped probabilities
     and the context from the exponentiated scores and their key sums, and
     the boolean keep-masks from their packed bits. No array on the tape is
-    written, and neither is ``g``; the tape is emptied once read, so the
-    graph keeps no intermediates once its backward has run."""
+    written, and neither is ``g``."""
     wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = weights
     scores, key_sums, hid, drop = tape["scores"], tape["key_sums"], tape["hid"], tape["drop"]
     xhat1, std1, xhat2, std2 = tape["ln"]
-    tape.clear()
     batch, time, d = h.shape
     b, m = block
     heads = key_sums.shape[1]
@@ -454,24 +452,28 @@ class AdaptiveEncoder:
     # ------------------------------------------------------------------
     # graph (training) path
 
+    def _draw_dropout(self, train: bool, *shapes: tuple[int, ...]) -> tuple | None:
+        """When training with dropout, a keep-mask per shape, drawn in order,
+        then the ``1/(1 - p)`` scale; otherwise None."""
+        cfg = self.config
+        if not (train and cfg.dropout > 0.0):
+            return None
+        masks = [ad.dropout_mask(shape, cfg.dropout, self._dropout_rng) for shape in shapes]
+        return (*masks, ad.dropout_scale(cfg.dtype, cfg.dropout))
+
     def embed(self, ids: np.ndarray, train: bool = False) -> Tensor:
         """Layer-0 states as one graph node: ``embed_infer``, then, when
         training, inverted dropout with a boolean keep-mask. The VJP scatters
-        the gradient into the token table and releases the ids and the mask."""
+        the gradient into the token table."""
         ids, _ = self._check_inputs(ids, None)
         cfg = self.config
         h = self.embed_infer(ids)
-        tape = {"ids": ids, "drop": None}
-        if train and cfg.dropout > 0.0:
-            tape["drop"] = (
-                ad.dropout_mask(h.shape, cfg.dropout, self._dropout_rng),
-                ad.dropout_scale(cfg.dtype, cfg.dropout),
-            )
-            h = ad.apply_dropout(h, *tape["drop"])
+        drop = self._draw_dropout(train, h.shape)
+        if drop is not None:
+            h = ad.apply_dropout(h, *drop)
         table = self.store["embed.tokens"]
 
         def vjp(g):
-            ids, drop = tape.pop("ids"), tape.pop("drop")
             if drop is not None:
                 g = ad.apply_dropout(g, *drop)
             g = g * math.sqrt(cfg.d_model)
@@ -486,18 +488,14 @@ class AdaptiveEncoder:
     ) -> Tensor:
         """One layer as one graph node: ``_layer_infer`` runs the forward,
         with the layer's dropout keep-masks when training, and keeps on a
-        tape what ``_layer_backward``, the node's VJP, reads and then
-        releases. The tape keeps the masks bit-packed, one bit per entry;
-        after the backward the node holds only its output and gradient."""
+        tape what ``_layer_backward``, the node's VJP, reads. The tape keeps
+        the masks bit-packed, one bit per entry; it lives in the VJP's
+        closure, which the backward drops once the VJP has run."""
         cfg = self.config
-        drop = None
-        if train and cfg.dropout > 0.0:
-            # drawn in forward order, the attention probabilities key-major
-            # as (b, H, T, m), the layout of the scores they multiply
-            b, m = block
-            shapes = ((b, cfg.n_heads, h.shape[1], m), (b, m, cfg.d_model), (b, m, cfg.d_model))
-            masks = (ad.dropout_mask(s, cfg.dropout, self._dropout_rng) for s in shapes)
-            drop = (*masks, ad.dropout_scale(cfg.dtype, cfg.dropout))
+        b, m = block
+        # drawn in forward order, the attention probabilities key-major as
+        # (b, H, T, m), the layout of the scores they multiply
+        drop = self._draw_dropout(train, (b, cfg.n_heads, h.shape[1], m), (b, m, cfg.d_model), (b, m, cfg.d_model))
         tape = {"drop": drop, "ln": []}
         out = self._layer_infer(h.data, i, block, active, tape)
         if drop is not None:
@@ -529,18 +527,15 @@ class AdaptiveEncoder:
         """Mean negative log-probability of the gold labels under
         ``classify_infer``, as one graph node over the final states and the
         head. The VJP goes back through the softmax, the head, the ReLU and
-        both poolings (a max takes its gradient at its first position) and
-        releases the features and probabilities it read."""
+        both poolings (a max takes its gradient at its first position)."""
         gold = np.asarray(gold, dtype=np.int64)
         if gold.size and (gold.min() < 0 or gold.max() >= self.config.n_labels):
             raise ValueError(f"gold label out of range for {self.config.n_labels} labels")
         w, b = self.store["cls.w"], self.store["cls.b"]
         feats, probs = self._classify(h_last.data)
         rows = np.arange(gold.size)
-        tape = {"feats": feats, "probs": probs}
 
         def vjp(g):
-            feats, probs = tape.pop("feats"), tape.pop("probs")
             h = h_last.data
             time, d = h.shape[1:]
             # the VJPs of the mean, negation, log and gold pick, then of the
@@ -570,9 +565,8 @@ class AdaptiveEncoder:
         indexes the flattened (batch*time) positions being predicted. Runs
         every layer: depth adaptivity is never used while training the MLM.
         The loss is one graph node over every layer state and the head, its
-        forward ``masked_nll_infer`` and ``anytime_loss``; the VJP releases
-        the log-probabilities it read. Also returns the per-layer mean
-        losses as plain floats and the forward's work counts.
+        forward ``masked_nll_infer`` and ``anytime_loss``. Also returns the
+        per-layer mean losses as plain floats and the forward's work counts.
         """
         masked_flat_idx = np.asarray(masked_flat_idx, dtype=np.int64)
         true_ids = np.asarray(true_ids, dtype=np.int64)
@@ -582,11 +576,10 @@ class AdaptiveEncoder:
         w, b = self.store["mlm.w"], self.store["mlm.b"]
         n_masked = masked_flat_idx.size
         rows = np.arange(n_masked)
-        tape: dict = {"log_probs": []}
-        sums = []
+        kept, sums = [], []
         for h in layers:
             log_probs, nll = self.masked_nll_infer(h.data, masked_flat_idx, true_ids)
-            tape["log_probs"].append(log_probs)
+            kept.append(log_probs)
             sums.append(nll.sum())
 
         def vjp(g):
@@ -594,7 +587,7 @@ class AdaptiveEncoder:
             # log-softmax VJP makes that softmax·c - c there, softmax·c elsewhere
             c = g * (1.0 / n_masked)
             g_layers, g_w, g_b = [], None, None
-            for h, log_probs in zip(layers, tape.pop("log_probs")):
+            for h, log_probs in zip(layers, kept):
                 flat = h.data.reshape(-1, h.shape[-1])
                 g_logits = np.exp(log_probs, out=log_probs)
                 g_logits *= c
@@ -638,11 +631,12 @@ class AdaptiveEncoder:
         holds a few dozen queries. ``q`` carries the 1/√d_head scale and the
         context is normalized after the ``P·V`` product.
 
-        This is the layer's only forward. The graph path passes ``tape``, a
-        dict whose "drop" entry is None or holds the layer's boolean dropout
-        keep-masks (attention probabilities key-major as (b, H, T, m),
-        attention output, FFN output) and the ``1/(1 - p)`` scale, applied
-        after each mask, and whose "ln" entry is an empty list. Only what no
+        This is the layer's only forward. The graph path passes ``tape``,
+        its one channel to the node's VJP: a dict whose "drop" entry is None
+        or holds the layer's boolean dropout keep-masks (attention
+        probabilities key-major as (b, H, T, m), attention output, FFN
+        output) and the ``1/(1 - p)`` scale, applied after each mask, and
+        whose "ln" entry is an empty list. Only what no
         single product of this forward remakes is stored in it: the
         exponentiated scores and their key sums, the FFN's ReLU output, and
         each layer norm's normalized rows and standard deviations.

@@ -13,6 +13,7 @@ covers the test split and unlabeled text.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -206,39 +207,49 @@ def check_penalty(penalty: float) -> None:
         raise ValueError(f"penalty must be >= 0, got {penalty}")
 
 
-def select_depth(profile: np.ndarray, penalty: float) -> int:
-    """Penalized argmin over layers, 1-based; ties go to the shallowest.
+def _penalized_argmin(profiles: np.ndarray, penalty: float) -> np.ndarray:
+    """The depth of each row of an (n, N) float64 array of profiles: the
+    1-based argmin of the row plus ``penalty`` per layer, the shallowest of
+    ties. The linear term charges each extra layer ``penalty``, so raising
+    the penalty can only move the choice shallower."""
+    if not np.all(np.isfinite(profiles)):
+        raise ValueError("profile contains non-finite losses")
+    scores = profiles + penalty * np.arange(1, profiles.shape[1] + 1, dtype=np.float64)
+    return scores.argmin(axis=1) + 1
 
-    The linear term charges each extra layer ``penalty``, so raising the
-    penalty can only move the choice shallower.
-    """
+
+def select_depth(profile: np.ndarray, penalty: float) -> int:
+    """Penalized argmin over the layers of one profile, 1-based; ties go to
+    the shallowest (``_penalized_argmin``)."""
     check_penalty(penalty)
     profile = np.asarray(profile, dtype=np.float64)
     if profile.ndim != 1 or profile.size < 1:
         raise ValueError(f"profile must be a non-empty vector, got shape {profile.shape}")
-    if not np.all(np.isfinite(profile)):
-        raise ValueError("profile contains non-finite losses")
-    scores = profile + penalty * np.arange(1, profile.size + 1, dtype=np.float64)
-    return int(scores.argmin()) + 1
+    return int(_penalized_argmin(profile[None, :], penalty)[0])
 
 
 def depths_from_profiles(profiles: list[np.ndarray], penalty: float) -> list[np.ndarray]:
-    return [
-        np.asarray([select_depth(p, penalty) for p in sentence], dtype=np.int64)
-        for sentence in profiles
-    ]
+    """Each sentence's depths from its (T, N) profiles: one penalized
+    argmin over the split's profiles, cut into one view per sentence."""
+    check_penalty(penalty)
+    if not profiles:
+        return []
+    lengths = [len(p) for p in profiles]
+    stacked = np.concatenate(profiles, dtype=np.float64)
+    if stacked.ndim != 2 or stacked.shape[1] < 1:
+        raise ValueError(f"profiles must be (tokens, layers) arrays with a layer, got shape {stacked.shape}")
+    flat = _penalized_argmin(stacked, penalty)
+    return [flat[end - n : end] for n, end in zip(lengths, accumulate(lengths))]
 
 
 def corpus_profiles(encoder: AdaptiveEncoder, corpus: Corpus) -> list[np.ndarray]:
     """Loss profiles for every sentence of a split, in corpus order; the
     sentences of each length are profiled together. Label-free."""
-    by_length: dict[int, list[int]] = {}
-    for i, doc in enumerate(corpus.documents):
-        by_length.setdefault(len(doc.tokens), []).append(i)
+    lengths = [len(doc.tokens) for doc in corpus.documents]
     profiles: dict[int, np.ndarray] = {}
-    for idx in by_length.values():
+    for idx in length_buckets(lengths, max(len(lengths), 1)):
         stack = np.stack([corpus.documents[i].tokens for i in idx])
-        profiles.update(zip(idx, sentence_profiles(encoder, stack, corpus.vocab.mask_id)))
+        profiles.update(zip(idx.tolist(), sentence_profiles(encoder, stack, corpus.vocab.mask_id)))
     return [profiles[i] for i in range(len(corpus.documents))]
 
 

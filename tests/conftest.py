@@ -8,9 +8,16 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from depthformer import synth  # noqa: E402
 from depthformer.corpus import load_tsv  # noqa: E402
+
+# every run draws the same property-test examples, and no failure found in
+# one run is replayed from a database in the next; each test keeps its own
+# max_examples
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import pytest
 
 from depthformer import autodiff as ad
 from depthformer.autodiff import Tensor
+from depthformer.encoder import AdaptiveEncoder, EncoderConfig
 
 import reference_graph as ops
 
@@ -245,6 +246,29 @@ class TestBackward:
         ad.backward(loss)
         with pytest.raises(RuntimeError, match="already ran"):
             ad.backward(loss)
+        # an encoder loss, whose nodes no longer hold their VJPs
+        cfg = EncoderConfig(vocab_size=12, n_labels=2, n_layers=2, d_model=8, n_heads=2, d_ff=16, max_len=8)
+        enc = AdaptiveEncoder(cfg, head="mlm", seed=0)
+        loss, _, _ = enc.mlm_anytime_loss_graph(np.arange(3, 9)[None], np.array([2]), np.array([7]), train=True)
+        ad.backward(loss)
+        with pytest.raises(RuntimeError, match="already ran"):
+            ad.backward(loss)
+
+    def test_backward_through_a_finished_graph_rejected(self):
+        # a second loss on states whose graph the first backward consumed
+        a = Tensor(np.ones(3), requires_grad=True)
+        h = ops.relu(a)
+        ad.backward(ops.sum_all(h))
+        with pytest.raises(RuntimeError, match="already ran through this graph"):
+            ad.backward(ops.sum_all(h))
+        cfg = EncoderConfig(vocab_size=12, n_labels=2, n_layers=2, d_model=8, n_heads=2, d_ff=16, max_len=8)
+        enc = AdaptiveEncoder(cfg, head="cls", seed=0)
+        layers, _ = enc.forward_graph(np.arange(3, 9)[None], None, train=True)
+        ad.backward(enc.classifier_loss_graph(layers[-1], np.array([1])))
+        grad = enc.store.grad.copy()
+        with pytest.raises(RuntimeError, match="already ran through this graph"):
+            ad.backward(enc.classifier_loss_graph(layers[-1], np.array([1])))
+        assert np.array_equal(enc.store.grad, grad)  # rejected before any gradient moved
 
     def test_unreached_tensor_keeps_none_grad(self):
         a = Tensor(np.ones(3), requires_grad=True)

@@ -217,6 +217,23 @@ class TestTrainAndEval:
         assert [r.grad_norm for r in records] == norms and min(norms) > 1e-3
         assert [r.lr for r in records] == [5e-4, 1e-3, 1e-3]
 
+    @pytest.mark.parametrize("eval_every, steps", [(2, [2, 4]), (5, [5]), (6, [])])
+    def test_eval_every_prints_each_score_it_asked_for(self, workdir, tmp_path, capsys, monkeypatch, eval_every, steps):
+        # the scores were computed and thrown away; without the flag the
+        # output is unchanged
+        results = []
+        monkeypatch.setattr(cli, "train_mlm", lambda *a, **k: results.append(recon.train_mlm(*a, **k)) or results[-1])
+        args = ["train", "--task", "mlm", "--train-tsv", str(workdir / "data" / "train.tsv"), "--out",
+                str(tmp_path / "m.ckpt"), "--steps", "5", "--batch-size", "8", "--seed", "0", *TINY_MODEL]
+        assert main(args) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main([*args, "--eval-every", str(eval_every)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        scores = dict(results[1].heldout_log)
+        want = [f"heldout_anytime_loss_at_step\t{step}\t{scores[step]:.4f}" for step in steps]
+        assert lines == [plain[0], *want, *plain[1:]]
+        assert plain[0].split("\t")[0] == "heldout_anytime_loss"
+
     def test_eval_reports_counts(self, workdir, capsys):
         assert main([
             "eval", "--ckpt", str(workdir / "cls.ckpt"),
@@ -627,6 +644,21 @@ class TestFailuresNameTheirFile:
         assert main(self.eval_args(workdir, ckpt)) == 2
         assert f"error: {ckpt}.meta: no key 'd_model'" in capsys.readouterr().err
 
+    def test_meta_value_that_does_not_parse_names_file_and_key(self, workdir, tmp_path, capsys):
+        # it failed with int()'s message alone
+        ckpt = self.copy_checkpoint(workdir, tmp_path, lambda text: text.replace("n_heads = 2\n", "n_heads = two\n"))
+        assert main(self.eval_args(workdir, ckpt)) == 2
+        assert f"error: {ckpt}.meta: n_heads: invalid literal for int() with base 10: 'two'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["true", "1", ""])
+    def test_meta_lowercase_must_be_true_or_false(self, workdir, tmp_path, capsys, monkeypatch, value):
+        # anything but "True" was read as False, and eval ran without lowercasing
+        monkeypatch.setattr(bench, "evaluate_classifier", never_called)
+        edit = lambda text: text.replace("lowercase = True\n", f"lowercase = {value}\n")  # noqa: E731
+        ckpt = self.copy_checkpoint(workdir, tmp_path, edit)
+        assert main(self.eval_args(workdir, ckpt)) == 2
+        assert f"error: {ckpt}.meta: lowercase: expected True or False, got {value!r}" in capsys.readouterr().err
+
     def test_meta_line_without_a_separator_names_file_and_line(self, workdir, tmp_path, capsys):
         ckpt = self.copy_checkpoint(workdir, tmp_path, lambda text: "vocab_size 12\n" + text)
         assert main(self.eval_args(workdir, ckpt)) == 2
@@ -639,6 +671,66 @@ class TestFailuresNameTheirFile:
         bad.write_bytes(b"\n".join(lines))
         assert main(self.eval_args(workdir, data=bad)) == 2
         assert f"error: {bad}:4: not UTF-8 text (byte 0xff)" in capsys.readouterr().err
+
+
+class TestDepthFilesCheckedOnRead:
+    """``train``, ``eval`` and ``bench`` check a depth file against the
+    model's depth and the sentences it routes before any step runs or any
+    output is written. A bad depth failed only when a batch holding it was
+    formed, and no failure named the file."""
+
+    DEFECTS = ["too-deep", "zero", "short-line", "missing-line"]
+
+    @staticmethod
+    def write_defect(rows, defect, path):
+        """``rows`` with ``defect`` written to ``path``; returns the error
+        text after the file's name."""
+        if defect == "too-deep":
+            rows[2][1] = "13"
+            message = ":3: depth 13 outside [1, 2]"
+        elif defect == "zero":
+            rows[-1][-1] = "0"
+            message = f":{len(rows)}: depth 0 outside [1, 2]"
+        elif defect == "short-line":
+            n = len(rows[3])
+            rows[3].pop()
+            message = f":4: {n - 1} depths for {n} tokens"
+        else:
+            n = len(rows)
+            rows.pop()
+            message = f": depth file has {n - 1} sentences, expected {n}"
+        path.write_text("".join(" ".join(row) + "\n" for row in rows), encoding="utf-8")
+        return message
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_train_and_eval(self, workdir, tmp_path, capsys, monkeypatch, command, defect):
+        rows = [line.split() for line in (workdir / "mi" / "test.depths").read_text().splitlines()]
+        bad = tmp_path / "bad.depths"
+        message = self.write_defect(rows, defect, bad)
+        monkeypatch.setattr(cli, "train_classifier", never_called)
+        monkeypatch.setattr(bench, "evaluate_classifier", never_called)
+        out = tmp_path / "out"
+        if command == "train":
+            args = ["train", "--task", "cls", "--train-tsv", str(workdir / "data" / "test.tsv"),
+                    "--out", str(out), "--steps", "1", *TINY_MODEL]
+        else:
+            args = ["eval", "--ckpt", str(workdir / "cls.ckpt"), "--data-tsv", str(workdir / "data" / "test.tsv"),
+                    "--reps", "1", "--report", str(out)]
+        assert main([*args, "--depths", str(bad)]) == 2
+        assert f"error: {bad}{message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_bench(self, tmp_path, capsys, monkeypatch, defect):
+        bad = tmp_path / "bad.depths"
+        message = self.write_defect([["1", "2", "2", "1", "2", "1"] for _ in range(5)], defect, bad)
+        monkeypatch.setattr(bench, "bench_compare", never_called)
+        out = tmp_path / "bench.tsv"
+        args = ["bench", "--seq-len", "6", "--n-sentences", "5", "--reps", "1", "--out", str(out), *TINY_NET]
+        assert main([*args, "--depths", str(bad)]) == 2
+        assert f"error: {bad}{message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDepthsRecon:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -574,8 +575,9 @@ class TestLeanTape:
     exponentiated scores and their key sums, the FFN's ReLU output, each
     layer norm's normalized rows and standard deviations and the bit-packed
     dropout masks, and no product the backward can remake; the backward
-    empties it, so a finished step's graph holds only states and gradients.
-    The remade products give the storing tape's gradients bit for bit."""
+    drops the node's VJP and with it the tape, so a finished step's graph
+    holds only states and gradients. The remade products give the storing
+    tape's gradients bit for bit."""
 
     KEYS = {"scores", "key_sums", "hid", "ln", "drop"}
 
@@ -617,8 +619,16 @@ class TestLeanTape:
                 unpacked = np.unpackbits(bits, count=mask.size).view(bool).reshape(mask.shape)
                 assert np.array_equal(unpacked, mask), f"layer {n}"
         enc.store.zero_grad()
-        ad.backward(enc.classifier_loss_graph(layers[-1], np.array([0, 1, 1])))
-        assert tapes == [{}, {}, {}]
+        loss = enc.classifier_loss_graph(layers[-1], np.array([0, 1, 1]))
+        ad.backward(loss)
+        nodes = op_nodes(loss)
+        assert len(nodes) == 3 + (2 if depths is None else 4)  # the layers, embedding, loss and permutations
+        assert all(node._vjp is None for node in nodes)
+        # the layer nodes no longer hold their VJPs, so once this test lets
+        # go of the tapes nothing holds their arrays
+        arrays = [weakref.ref(a) for t in tapes for a in (t["scores"], t["key_sums"], t["hid"], *t["ln"], *t["drop"][:3])]
+        del tape, packed, bits, tapes[:]  # the loop above still names the last tape's arrays
+        assert all(ref() is None for ref in arrays)
 
     def test_tape_holds_exactly_its_formula_in_bytes(self, monkeypatch):
         # a full-depth MLM step at batch 16 x 64 tokens: per layer, the
@@ -689,7 +699,8 @@ class TestLeanTape:
     def test_second_step_peak_stays_near_the_first(self):
         # fit keeps the first step's loss, and with it that step's graph,
         # until the second step's loss is built; once the backward has
-        # emptied the tapes that graph holds only states and gradients
+        # dropped the VJPs, and their tapes, that graph holds only states
+        # and gradients
         cfg = small_config(vocab_size=46, n_layers=6, d_model=32, n_heads=4, d_ff=64, dropout=0.1, max_len=32)
         enc = AdaptiveEncoder(replace(cfg, precision="f32"), head="mlm", seed=7)
         rng = np.random.default_rng(8)
@@ -906,10 +917,10 @@ class TestGraphNodes:
         assert enc._dropout_rng.bit_generator.state == ref._dropout_rng.bit_generator.state
 
 
-def graph_nodes(loss) -> Counter:
-    """The op nodes reachable from ``loss``, counted by the function whose
-    VJP each carries; leaves (parameters, inputs) are not counted."""
-    names: list[str] = []
+def op_nodes(loss) -> list[Tensor]:
+    """The op nodes reachable from ``loss``; leaves (parameters, inputs)
+    are not listed."""
+    nodes: list[Tensor] = []
     seen: set[int] = set()
     stack = [loss]
     while stack:
@@ -917,42 +928,44 @@ def graph_nodes(loss) -> Counter:
         if id(node) in seen or not node._parents:
             continue
         seen.add(id(node))
-        names.append(node._vjp.__qualname__.split(".<locals>")[0])
+        nodes.append(node)
         stack.extend(node._parents)
-    return Counter(names)
+    return nodes
+
+
+def graph_nodes(loss) -> Counter:
+    """The op nodes reachable from ``loss``, counted by the function whose
+    VJP each carries; read before the backward, which drops the VJPs."""
+    return Counter(node._vjp.__qualname__.split(".<locals>")[0] for node in op_nodes(loss))
 
 
 class TestGraphSize:
     """One training step's graph: the embedding, one node per layer and the
     loss; adaptive classifier training adds the two permutations the loss
-    reaches. Once the backward has run, no node's tape holds anything."""
+    reaches. Once the backward has run, no node holds its VJP, and so none
+    holds a tape, a mask or an index array."""
 
     @pytest.fixture
-    def losses(self, monkeypatch):
+    def graphs(self, monkeypatch):
+        """(loss, its node counts before the backward) per backward run."""
         seen: list = []
         backward = ad.backward
 
         def recording(loss):
+            counts = graph_nodes(loss)
             backward(loss)
-            seen.append(loss)
+            seen.append((loss, counts))
 
         monkeypatch.setattr(ad, "backward", recording)
         return seen
 
     @staticmethod
-    def assert_tapes_released(loss):
-        stack, seen = [loss], set()
-        while stack:
-            node = stack.pop()
-            if id(node) in seen or not node._parents:
-                continue
-            seen.add(id(node))
-            cells = [c.cell_contents for c in node._vjp.__closure__ or ()]
-            assert all(c == {} for c in cells if isinstance(c, dict)), node._vjp.__qualname__
-            stack.extend(node._parents)
+    def assert_vjps_released(loss):
+        for node in op_nodes(loss):
+            assert node._vjp is None, node.data.shape
 
     @pytest.mark.parametrize("task", ["mlm", "cls", "cls-adaptive"])
-    def test_one_step_holds_a_node_per_part(self, synth_train, losses, task):
+    def test_one_step_holds_a_node_per_part(self, synth_train, graphs, task):
         cfg = EncoderConfig(
             vocab_size=len(synth_train.vocab), n_labels=synth_train.n_labels, n_layers=3,
             d_model=16, n_heads=2, d_ff=32, dropout=0.1, max_len=32,
@@ -966,14 +979,25 @@ class TestGraphSize:
                 gen = np.random.default_rng(0)
                 maps = [gen.integers(1, 4, size=len(d.tokens)) for d in synth_train.documents]
             train_classifier(synth_train, cfg, settings, depth_maps=maps)
-        (loss,) = losses
+        ((loss, counts),) = graphs
         head = "mlm_anytime_loss_graph" if task == "mlm" else "classifier_loss_graph"
         want = {"AdaptiveEncoder.embed": 1, "AdaptiveEncoder._layer_node": 3, f"AdaptiveEncoder.{head}": 1}
         if task == "cls-adaptive":
             want["_permute"] = 2
-        assert graph_nodes(loss) == want
+        assert counts == want
         assert sum(want.values()) == cfg.n_layers + (4 if task == "cls-adaptive" else 2)
-        self.assert_tapes_released(loss)
+        self.assert_vjps_released(loss)
+
+    @pytest.mark.parametrize("depths", [None, [[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]]], ids=["full", "uneven"])
+    def test_graph_without_dropout_is_released_too(self, depths):
+        # train=False: no masks are drawn, but every node still keeps a VJP
+        # until the backward runs it
+        enc = AdaptiveEncoder(small_config(dropout=0.1), head="cls", seed=4)
+        layers, _ = enc.forward_graph(token_batch((3, 5), seed=6), depths, train=False)
+        loss = enc.classifier_loss_graph(layers[-1], np.array([0, 1, 0]))
+        assert sum(graph_nodes(loss).values()) == 3 + (4 if depths else 2)
+        ad.backward(loss)
+        self.assert_vjps_released(loss)
 
 
 class TestDropoutStream:

@@ -110,6 +110,50 @@ class TestSelectDepth:
         assert 1 <= select_depth(np.asarray(profile), penalty) <= len(profile)
 
 
+def per_token_depths(profiles, penalty):
+    """Reference for ``depths_from_profiles``: each token's penalized
+    argmin taken on its own, in Python floats, the first minimum winning."""
+    maps = []
+    for sentence in profiles:
+        depths = []
+        for row in sentence:
+            scores = [loss + penalty * layer for layer, loss in enumerate(row.tolist(), start=1)]
+            depths.append(scores.index(min(scores)) + 1)
+        maps.append(np.array(depths, dtype=np.int64))
+    return maps
+
+
+@st.composite
+def split_profiles(draw):
+    """A split's profiles: sentences of 0 to 6 tokens over 1 to 6 layers,
+    the losses mostly on a coarse dyadic grid, so layers often tie."""
+    n_layers = draw(st.integers(1, 6))
+    loss = st.sampled_from([0.25, 0.5, 0.75, 1.0, 2.0]) | st.floats(0, 10)
+    token = st.lists(loss, min_size=n_layers, max_size=n_layers)
+    sentences = draw(st.lists(st.lists(token, max_size=6), max_size=6))
+    return [np.array(s, dtype=np.float64).reshape(len(s), n_layers) for s in sentences]
+
+
+class TestDepthsFromProfiles:
+    @settings(max_examples=200, deadline=None)
+    @given(split_profiles(), st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0, 2))
+    def test_matches_the_per_token_argmin(self, profiles, penalty):
+        got = depths_from_profiles(profiles, penalty)
+        want = per_token_depths(profiles, penalty)
+        assert len(got) == len(want)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == np.int64 and np.array_equal(g, w)
+
+    def test_tie_goes_to_the_shallower_layer(self):
+        # scores 1.25, 1.25, 1.25 and 2.25, 1.25, 1.25: the first of the tied layers wins
+        maps = depths_from_profiles([np.array([[1.0, 0.75, 0.5]]), np.array([[2.0, 0.75, 0.5]])], 0.25)
+        assert [m.tolist() for m in maps] == [[1], [2]]
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            depths_from_profiles([np.array([[1.0, 2.0]]), np.array([[np.inf, 1.0]])], 0.1)
+
+
 class TestReconConfig:
     def test_negative_penalty_rejected(self):
         profiles = [np.array([[1.0, 0.5], [0.2, 0.9]])]
