@@ -7,15 +7,10 @@ There are no per-operation nodes: ``op`` adds a node whose forward and
 hand-written vector-Jacobian product live with the model. The encoder makes
 one for the embedding, one per layer, one per permutation of the rows and
 one for each task loss, each forward being the inference code and each
-VJP's closure holding what it reads. The inverted-dropout helpers draw and
-apply the boolean keep-masks those nodes share; a mask is drawn as raw
-16-bit integers from the generator's output, compared with a threshold,
-and never as floats.
+VJP's closure holding what it reads.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -105,41 +100,3 @@ def backward(loss: Tensor) -> None:
                     _accumulate(parent, g, node, grads)
         node._vjp = None
 
-
-# ---------------------------------------------------------------------------
-# regularization
-
-
-def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Boolean keep-mask for inverted dropout: False with probability
-    ``round(rate·65536)/65536``, within 2⁻¹⁷ of ``rate``.
-
-    One ``random_raw`` call draws ``ceil(n/4)`` 64-bit words, read
-    little-endian as ``n`` 16-bit integers, one per entry; an entry is kept
-    when its integer reaches the threshold. The mask does not depend on the
-    precision or on the byte order, and a threshold of 65536 (a rate of
-    ``1 - 2⁻¹⁷`` or more) drops every entry. Kept entries are still scaled
-    by ``dropout_scale``, from ``rate`` itself.
-    """
-    n = math.prod(shape)
-    raw = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False)
-    return (raw.view("<u2")[:n] >= round(rate * 65536)).reshape(shape)
-
-
-def dropout_scale(dtype, rate: float):
-    """The ``1 / (1 - rate)`` that kept entries are multiplied by, in ``dtype``.
-    Applied after the keep-mask, as its own multiply: ``x·1·s`` rounds
-    exactly like ``x·s`` and ``x·0·s`` is ``x·0``, so the result is that of
-    one multiply by a mask of 0s and scales."""
-    dtype = np.dtype(dtype).type
-    return dtype(1.0) / dtype(1.0 - rate)
-
-
-def apply_dropout(x: np.ndarray, keep: np.ndarray, scale) -> np.ndarray:
-    """``x`` times the keep-mask, then the scale, as a new array. The mask
-    is cast to ``x``'s dtype first, so both multiplies are of one dtype:
-    ``1·x`` is ``x·1`` and ``0·x`` is ``x·0``, sign included."""
-    out = keep.astype(x.dtype)
-    out *= x
-    out *= scale
-    return out

@@ -42,6 +42,11 @@ def parse_bool(text: str) -> bool:
     return text == "True"
 
 
+def meta_where(meta: dict[str, str]) -> str:
+    """``"<file>: "``, the start of an error about a ``Meta``; "" for a plain dict."""
+    return f"{meta.path}: " if isinstance(meta, Meta) else ""
+
+
 def meta_value(meta: dict[str, str], key: str, parse, default: str | None = None):
     """``meta[key]`` (or ``default``, if given, when the key is missing)
     read by ``parse``; a value it rejects raises a ValueError naming the
@@ -50,8 +55,7 @@ def meta_value(meta: dict[str, str], key: str, parse, default: str | None = None
     try:
         return parse(text)
     except ValueError as exc:
-        where = f"{meta.path}: " if isinstance(meta, Meta) else ""
-        raise ValueError(f"{where}{key}: {exc}") from None
+        raise ValueError(f"{meta_where(meta)}{key}: {exc}") from None
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> None:

@@ -210,7 +210,7 @@ def cmd_train(args) -> int:
     else:
         result = train_mlm(corpus, enc_config, settings, seed=args.seed, **mlm_settings)
         encoder, log = result.encoder, result.log
-        print(f"heldout_anytime_loss\tinitial\t{result.heldout_initial:.4f}\tfinal\t{result.heldout_final:.4f}")
+        print(f"heldout_anytime_loss\tinitial\t{result.heldout_log[0][1]:.4f}\tfinal\t{result.heldout_log[-1][1]:.4f}")
         every = mlm_settings.get("eval_every", 0)
         for step, loss in result.heldout_log[1:]:
             if every and step % every == 0:  # the scores --eval-every asked for, not the final one

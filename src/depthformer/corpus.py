@@ -174,7 +174,7 @@ class Vocab:
 
     @classmethod
     def read(cls, path: str | Path) -> "Vocab":
-        words: list[str] = []
+        lines: dict[str, int] = {}  # word -> its line, in id order
         freqs: list[int] = []
         for lineno, raw in enumerate(read_lines(path), 1):
             parts = raw.split("\t")
@@ -182,11 +182,12 @@ class Vocab:
                 raise CorpusError(f"{path}:{lineno}: expected word<TAB>id<TAB>doc_freq")
             word, idx, freq = parts
             where = f"{path}:{lineno}"
-            if parse_field(idx, int, "id", where) != len(words):
+            if parse_field(idx, int, "id", where) != len(lines):
                 raise CorpusError(f"{where}: ids must be contiguous from 0")
-            words.append(word)
+            if lines.setdefault(word, lineno) != lineno:
+                raise CorpusError(f"{where}: duplicate word {word!r}, first on line {lines[word]}")
             freqs.append(parse_field(freq, int, "doc_freq", where))
-        return cls(words, np.asarray(freqs, dtype=np.int64))
+        return cls(list(lines), np.asarray(freqs, dtype=np.int64))
 
 
 @dataclass

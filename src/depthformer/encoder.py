@@ -16,14 +16,16 @@ masks and a tape that its hand-written backward, ``_layer_backward``,
 reads, so gradients flow through the copy routing. The tape keeps only
 what no single product of the forward remakes, with the masks bit-packed;
 the backward remakes Q, K, V, the context and the first norm's output with
-the forward's own operations, bit for bit.
+the forward's own operations, bit for bit. The dropout keep-masks are
+drawn, applied and packed here too.
 
 The rest of the model is written once too. The embedding, the permutation
 into routed order and back, the classifier loss and the anytime MLM loss
 are one graph node each, whose forward is the inference code
 (``embed_infer``, a row gather, ``classify_infer``, ``masked_nll_infer``)
 and whose VJP is written beside it. A training step's graph is those
-nodes and the layer nodes; each VJP's closure holds what it reads, and
+nodes and the layer nodes, with one gather out, of the top layer only,
+when depths differ. Each VJP's closure holds what it reads, and
 ``autodiff.backward`` drops it once the VJP has run.
 """
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_checkpoint, meta_value, save_checkpoint
+from .checkpoint import load_checkpoint, meta_value, meta_where, save_checkpoint
 from .optim import ParamStore
 
 HEAD_CLASSIFIER = "cls"
@@ -86,8 +88,14 @@ class EncoderConfig:
 
     @classmethod
     def from_meta(cls, meta: dict[str, str]) -> "EncoderConfig":
+        """The config of a checkpoint's metadata; a value that does not parse
+        or that the config rejects fails naming the file of a ``Meta``."""
         parse = {"int": int, "float": float, "str": str}  # field annotations, as strings
-        return cls(**{f.name: meta_value(meta, f.name, parse[f.type]) for f in fields(cls)})
+        values = {f.name: meta_value(meta, f.name, parse[f.type]) for f in fields(cls)}
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ValueError(f"{meta_where(meta)}{exc}") from None
 
 
 @dataclass
@@ -261,6 +269,48 @@ def _qkv_heads(h: np.ndarray, block: tuple[int, int], heads: int, weights: tuple
     return qh, kh, vh
 
 
+def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Boolean keep-mask for inverted dropout: False with probability
+    ``round(rate·65536)/65536``, within 2⁻¹⁷ of ``rate``.
+
+    One ``random_raw`` call draws ``ceil(n/4)`` 64-bit words, read
+    little-endian as ``n`` 16-bit integers, one per entry; an entry is kept
+    when its integer reaches the threshold. The mask does not depend on the
+    precision or on the byte order, and a threshold of 65536 (a rate of
+    ``1 - 2⁻¹⁷`` or more) drops every entry. Kept entries are still scaled
+    by ``dropout_scale``, from ``rate`` itself.
+    """
+    n = math.prod(shape)
+    raw = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False)
+    return (raw.view("<u2")[:n] >= round(rate * 65536)).reshape(shape)
+
+
+def dropout_scale(dtype, rate: float):
+    """The ``1 / (1 - rate)`` that kept entries are multiplied by, in ``dtype``.
+    Applied after the keep-mask, as its own multiply: ``x·1·s`` rounds
+    exactly like ``x·s`` and ``x·0·s`` is ``x·0``, so the result is that of
+    one multiply by a mask of 0s and scales."""
+    dtype = np.dtype(dtype).type
+    return dtype(1.0) / dtype(1.0 - rate)
+
+
+def apply_dropout(x: np.ndarray, keep: np.ndarray, scale) -> np.ndarray:
+    """``x`` times the keep-mask, then the scale, as a new array. The mask
+    is cast to ``x``'s dtype first, so both multiplies are of one dtype:
+    ``1·x`` is ``x·1`` and ``0·x`` is ``x·0``, sign included."""
+    out = keep.astype(x.dtype)
+    out *= x
+    out *= scale
+    return out
+
+
+def _layer_mask_shapes(b: int, m: int, heads: int, time: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The keep-mask shapes of a layer on a (b, m) corner, in draw order: the
+    attention probabilities key-major as (b, H, T, m), like the scores they
+    multiply, then the attention and FFN outputs as (b, m, d)."""
+    return (b, heads, time, m), (b, m, d), (b, m, d)
+
+
 def _layer_backward(
     h: np.ndarray, weights: tuple, block: tuple[int, int], active: np.ndarray | None, tape: dict, g: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -287,13 +337,13 @@ def _layer_backward(
     heads = key_sums.shape[1]
     d_head = d // heads
     if drop is not None:
-        shapes = ((b, heads, time, m), (b, m, d), (b, m, d))
+        shapes = _layer_mask_shapes(*block, heads, time, d)
         masks = (np.unpackbits(bits, count=math.prod(s)).view(bool).reshape(s) for bits, s in zip(drop, shapes))
         drop = (*masks, drop[3])
 
     g_out = g[:b, :m] if active is None else g[:b, :m] * active[..., None]
     g_ln2_g, g_ln2_b, g_hr = _layer_norm_backward(g_out, ln2_g, xhat2, std2)
-    g_ff = g_hr if drop is None else ad.apply_dropout(g_hr, drop[2], drop[3])
+    g_ff = g_hr if drop is None else apply_dropout(g_hr, drop[2], drop[3])
     g_w2, g_b2 = _weight_grad(hid, g_ff), g_ff.sum(axis=(0, 1))
     g_hid = g_ff @ w2.T
     g_hid *= hid > 0
@@ -303,9 +353,9 @@ def _layer_backward(
     del hr
     g_hr += g_hid @ w1.T
     g_ln1_g, g_ln1_b, g_hq = _layer_norm_backward(g_hr, ln1_g, xhat1, std1)
-    g_attn = g_hq if drop is None else ad.apply_dropout(g_hq, drop[1], drop[3])
+    g_attn = g_hq if drop is None else apply_dropout(g_hq, drop[1], drop[3])
     qh, kh, vh = _qkv_heads(h, block, heads, weights)
-    kept = scores if drop is None else ad.apply_dropout(scores, drop[0], drop[3])
+    kept = scores if drop is None else apply_dropout(scores, drop[0], drop[3])
     ctx = np.matmul(vh, kept)
     ctx /= key_sums
     g_wo, g_bo = _weight_grad(_heads_to_rows(ctx), g_attn), g_attn.sum(axis=(0, 1))
@@ -354,6 +404,12 @@ def _layer_backward(
     )
 
 
+def _known_head(head: str) -> str:
+    if head not in (HEAD_CLASSIFIER, HEAD_MLM):
+        raise ValueError(f"unknown head {head!r}")
+    return head
+
+
 class AdaptiveEncoder:
     """Encoder stack plus one task head (pooled classifier or shared MLM)."""
 
@@ -373,10 +429,8 @@ class AdaptiveEncoder:
     def _build(self, config: EncoderConfig, head: str, seed: int) -> np.random.Generator:
         """Everything but the parameter values, which stay the store's
         zeros; returns the generator the initializer draws from."""
-        if head not in (HEAD_CLASSIFIER, HEAD_MLM):
-            raise ValueError(f"unknown head {head!r}")
         self.config = config
-        self.head = head
+        self.head = _known_head(head)
         self.store = ParamStore(self._param_shapes(), dtype=config.dtype)
         init_seed, dropout_seed = np.random.SeedSequence(seed).spawn(2)
         self._dropout_rng = np.random.default_rng(dropout_seed)
@@ -426,6 +480,8 @@ class AdaptiveEncoder:
     # shared input checks
 
     def _check_inputs(self, ids: np.ndarray, depths: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """A forward's ids and depths (all ``n_layers`` when None) as checked
+        (batch, time) int64 arrays: each forward checks once, then trusts them."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim == 1:
             ids = ids[None, :]
@@ -447,6 +503,8 @@ class AdaptiveEncoder:
                 raise ValueError(f"depth map shape {depths.shape} does not match tokens {ids.shape}")
             if depths.min() < 1 or depths.max() > n:
                 raise ValueError(f"depths must lie in [1, {n}], got [{depths.min()}, {depths.max()}]")
+        if ids.min() < 0 or ids.max() >= self.config.vocab_size:
+            raise ValueError(f"token id out of range: max id {ids.max()} for vocab {self.config.vocab_size}")
         return ids, depths
 
     # ------------------------------------------------------------------
@@ -458,24 +516,24 @@ class AdaptiveEncoder:
         cfg = self.config
         if not (train and cfg.dropout > 0.0):
             return None
-        masks = [ad.dropout_mask(shape, cfg.dropout, self._dropout_rng) for shape in shapes]
-        return (*masks, ad.dropout_scale(cfg.dtype, cfg.dropout))
+        masks = [dropout_mask(shape, cfg.dropout, self._dropout_rng) for shape in shapes]
+        return (*masks, dropout_scale(cfg.dtype, cfg.dropout))
 
     def embed(self, ids: np.ndarray, train: bool = False) -> Tensor:
-        """Layer-0 states as one graph node: ``embed_infer``, then, when
-        training, inverted dropout with a boolean keep-mask. The VJP scatters
-        the gradient into the token table."""
-        ids, _ = self._check_inputs(ids, None)
+        """Layer-0 states of ids checked by ``_check_inputs``, as one graph
+        node: ``embed_infer``, then, when training, inverted dropout with a
+        boolean keep-mask. The VJP scatters the gradient into the token
+        table."""
         cfg = self.config
         h = self.embed_infer(ids)
         drop = self._draw_dropout(train, h.shape)
         if drop is not None:
-            h = ad.apply_dropout(h, *drop)
+            h = apply_dropout(h, *drop)
         table = self.store["embed.tokens"]
 
         def vjp(g):
             if drop is not None:
-                g = ad.apply_dropout(g, *drop)
+                g = apply_dropout(g, *drop)
             g = g * math.sqrt(cfg.d_model)
             g_table = np.zeros_like(table.data)
             np.add.at(g_table, ids.reshape(-1), g.reshape(-1, cfg.d_model))
@@ -492,10 +550,7 @@ class AdaptiveEncoder:
         the masks bit-packed, one bit per entry; it lives in the VJP's
         closure, which the backward drops once the VJP has run."""
         cfg = self.config
-        b, m = block
-        # drawn in forward order, the attention probabilities key-major as
-        # (b, H, T, m), the layout of the scores they multiply
-        drop = self._draw_dropout(train, (b, cfg.n_heads, h.shape[1], m), (b, m, cfg.d_model), (b, m, cfg.d_model))
+        drop = self._draw_dropout(train, *_layer_mask_shapes(*block, cfg.n_heads, h.shape[1], cfg.d_model))
         tape = {"drop": drop, "ln": []}
         out = self._layer_infer(h.data, i, block, active, tape)
         if drop is not None:
@@ -508,8 +563,10 @@ class AdaptiveEncoder:
     def forward_graph(
         self, ids: np.ndarray, depths: np.ndarray | None = None, train: bool = False
     ) -> tuple[list[Tensor], LayerCounts]:
-        """All executed layer states (1..n_max), in input order, with exact
-        work counts; routed as ``forward_infer`` routes them."""
+        """Every executed layer's states (1..n_max), with exact work counts. A
+        batch that ``_route`` sorts returns only the top layer's, the one the
+        pooled loss reads, gathered back to input order; each layer node's
+        first parent is the layer below it, in routed order."""
         ids, depths = self._check_inputs(ids, depths)
         order, inverse, plan, counts = _route(depths)
         h = self.embed(ids, train)
@@ -520,7 +577,7 @@ class AdaptiveEncoder:
             h = self._layer_node(h, i, block, active, train)
             layers.append(h)
         if order is not None:
-            layers = [_permute(x, inverse, order) for x in layers]
+            layers = [_permute(h, inverse, order)]
         return layers, counts
 
     def classifier_loss_graph(self, h_last: Tensor, gold: np.ndarray) -> Tensor:
@@ -610,10 +667,8 @@ class AdaptiveEncoder:
     # inference path (no graph, eval mode, actually skips stopped tokens)
 
     def embed_infer(self, ids: np.ndarray) -> np.ndarray:
-        ids, _ = self._check_inputs(ids, None)
+        """Layer-0 states of ids checked by ``_check_inputs``."""
         table = self.store["embed.tokens"].data
-        if ids.min() < 0 or ids.max() >= table.shape[0]:
-            raise ValueError(f"token id out of range: max id {ids.max()} for vocab {table.shape[0]}")
         return table[ids] * self.config.dtype.type(math.sqrt(self.config.d_model)) + self._pe[: ids.shape[1]]
 
     def _layer_infer(
@@ -654,7 +709,7 @@ class AdaptiveEncoder:
         scores = np.matmul(kh, qh)
         scores -= np.maximum.reduce(scores, axis=-2, keepdims=True)
         np.exp(scores, out=scores)
-        ctx = np.matmul(vh, scores if drop is None else ad.apply_dropout(scores, drop[0], drop[3]))
+        ctx = np.matmul(vh, scores if drop is None else apply_dropout(scores, drop[0], drop[3]))
         key_sums = np.add.reduce(scores, axis=-2, keepdims=True)
         ctx /= key_sums
         attn = _heads_to_rows(ctx) @ wo
@@ -751,4 +806,4 @@ class AdaptiveEncoder:
     @classmethod
     def load(cls, path) -> tuple["AdaptiveEncoder", dict[str, str]]:
         arrays, meta = load_checkpoint(path)
-        return cls.from_arrays(EncoderConfig.from_meta(meta), meta["head"], arrays), meta
+        return cls.from_arrays(EncoderConfig.from_meta(meta), meta_value(meta, "head", _known_head), arrays), meta

@@ -12,6 +12,8 @@ from .autodiff import Tensor
 # cache through its 14 elementwise passes, where whole-array passes stream
 # each one through memory
 ADAM_BLOCK = 1 << 16
+# Adam's moment decays and the denominator's guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class ParamStore:
@@ -75,14 +77,7 @@ class ParamStore:
             self.params[name].data[...] = data
 
 
-def adam_step(
-    store: ParamStore,
-    lr: float,
-    clip: float = 5.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> float:
+def adam_step(store: ParamStore, lr: float, clip: float = 5.0) -> float:
     """One Adam update with bias correction, after the gradients are scaled
     to a global norm of at most ``clip``. Returns the pre-clip norm.
     Non-finite gradients abort before anything is written rather than
@@ -98,23 +93,23 @@ def adam_step(
     factor = clip / norm if norm > clip else None
     store.step_count += 1
     t = store.step_count
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for start in range(0, store.data.size, ADAM_BLOCK):
         span = slice(start, start + ADAM_BLOCK)
         g, m, v = store.grad[span], store.m[span], store.v[span]
         a, b = (x[: g.size] for x in store._scratch)
         if factor is not None:
             g *= factor
-        m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=a)
-        v *= beta2
-        np.multiply(1.0 - beta2, g, out=a)
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=a)
+        v *= BETA2
+        np.multiply(1.0 - BETA2, g, out=a)
         v += np.multiply(a, g, out=a)
-        # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        # data -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
         np.divide(v, bc2, out=a)
         np.sqrt(a, out=a)
-        a += eps
+        a += EPS
         np.divide(m, bc1, out=b)
         b *= lr
         b /= a

@@ -97,9 +97,7 @@ def anytime_loss_on_docs(
 class MlmTrainResult:
     encoder: AdaptiveEncoder
     log: list[StepRecord]
-    heldout_log: list[tuple[int, float]]  # (step, held-out anytime loss)
-    heldout_initial: float
-    heldout_final: float
+    heldout_log: list[tuple[int, float]]  # (step, held-out anytime loss), from step 0 to the last
 
 
 def train_mlm(
@@ -137,8 +135,7 @@ def train_mlm(
     def heldout_loss() -> float:
         return anytime_loss_on_docs(encoder, heldout_docs, corpus.vocab, seed=eval_seed, mask_rate=mask_rate)
 
-    initial = heldout_loss()
-    heldout_log: list[tuple[int, float]] = [(0, initial)]
+    heldout_log: list[tuple[int, float]] = [(0, heldout_loss())]
 
     def batch_loss(idx: np.ndarray) -> tuple[ad.Tensor, LayerCounts]:
         ids = np.stack([train_docs[i] for i in idx])
@@ -154,19 +151,9 @@ def train_mlm(
 
     lengths = [len(t) for t in train_docs]
     log = fit(encoder, batch_loss, lengths, settings, data_rng, after_step)
-    step = len(log)
-    if heldout_log[-1][0] == step:
-        final = heldout_log[-1][1]
-    else:
-        final = heldout_loss()
-        heldout_log.append((step, final))
-    return MlmTrainResult(
-        encoder=encoder,
-        log=log,
-        heldout_log=heldout_log,
-        heldout_initial=initial,
-        heldout_final=final,
-    )
+    if heldout_log[-1][0] != len(log):
+        heldout_log.append((len(log), heldout_loss()))
+    return MlmTrainResult(encoder=encoder, log=log, heldout_log=heldout_log)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from depthformer.autodiff import Tensor, apply_dropout, dropout_mask, dropout_scale, op
-from depthformer.encoder import _route
+from depthformer.autodiff import Tensor, op
+from depthformer.encoder import _route, apply_dropout, dropout_mask, dropout_scale
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -11,7 +11,16 @@ import math
 import numpy as np
 
 from depthformer import autodiff as ad
-from depthformer.encoder import _heads_to_rows, _layer_norm_backward, _layer_norm_np, _weight_grad
+from depthformer.encoder import (
+    _heads_to_rows,
+    _layer_mask_shapes,
+    _layer_norm_backward,
+    _layer_norm_np,
+    _weight_grad,
+    apply_dropout,
+    dropout_mask,
+    dropout_scale,
+)
 
 
 def storing_layer_node(enc, h, i, block, active, train):
@@ -20,10 +29,9 @@ def storing_layer_node(enc, h, i, block, active, train):
     cfg = enc.config
     drop = None
     if train and cfg.dropout > 0.0:
-        b, m = block
-        shapes = ((b, cfg.n_heads, h.shape[1], m), (b, m, cfg.d_model), (b, m, cfg.d_model))
-        masks = (ad.dropout_mask(s, cfg.dropout, enc._dropout_rng) for s in shapes)
-        drop = (*masks, ad.dropout_scale(cfg.dtype, cfg.dropout))
+        shapes = _layer_mask_shapes(*block, cfg.n_heads, h.shape[1], cfg.d_model)
+        masks = (dropout_mask(s, cfg.dropout, enc._dropout_rng) for s in shapes)
+        drop = (*masks, dropout_scale(cfg.dtype, cfg.dropout))
     tape = {"drop": drop, "ln": []}
     out = _storing_layer(enc, h.data, i, block, active, tape)
     return ad.op(out, (h, *enc._layer_tensors[i]), lambda g: _storing_backward(h.data, block, active, tape, g))
@@ -51,7 +59,7 @@ def _storing_layer(enc, h, i, block, active, tape):
     scores = np.matmul(kh, qh)
     scores -= np.maximum.reduce(scores, axis=-2, keepdims=True)
     np.exp(scores, out=scores)
-    ctx = np.matmul(vh, scores if drop is None else ad.apply_dropout(scores, drop[0], drop[3]))
+    ctx = np.matmul(vh, scores if drop is None else apply_dropout(scores, drop[0], drop[3]))
     key_sums = np.add.reduce(scores, axis=-2, keepdims=True)
     ctx /= key_sums
     attn = _heads_to_rows(ctx) @ wo
@@ -92,14 +100,14 @@ def _storing_backward(h, block, active, tape, g):
 
     g_out = g[:b, :m] if active is None else g[:b, :m] * active[..., None]
     g_ln2_g, g_ln2_b, g_hr = _layer_norm_backward(g_out, ln2_g, xhat2, std2)
-    g_ff = g_hr if drop is None else ad.apply_dropout(g_hr, drop[2], drop[3])
+    g_ff = g_hr if drop is None else apply_dropout(g_hr, drop[2], drop[3])
     g_w2, g_b2 = _weight_grad(hid, g_ff), g_ff.sum(axis=(0, 1))
     g_hid = g_ff @ w2.T
     g_hid *= hid > 0
     g_w1, g_b1 = _weight_grad(hr, g_hid), g_hid.sum(axis=(0, 1))
     g_hr += g_hid @ w1.T
     g_ln1_g, g_ln1_b, g_hq = _layer_norm_backward(g_hr, ln1_g, xhat1, std1)
-    g_attn = g_hq if drop is None else ad.apply_dropout(g_hq, drop[1], drop[3])
+    g_attn = g_hq if drop is None else apply_dropout(g_hq, drop[1], drop[3])
     g_wo, g_bo = _weight_grad(_heads_to_rows(ctx), g_attn), g_attn.sum(axis=(0, 1))
     g_ctx = (g_attn @ wo.T).reshape(b, m, heads, d_head).transpose(0, 2, 3, 1)
 
@@ -107,7 +115,7 @@ def _storing_backward(h, block, active, tape, g):
     inner /= key_sums
     g_ctx = g_ctx / key_sums
     g_q, g_k, g_v = (np.empty((b, rows, heads, d_head), dtype=h.dtype) for rows in (m, time, time))
-    kept = scores if drop is None else ad.apply_dropout(scores, drop[0], drop[3])
+    kept = scores if drop is None else apply_dropout(scores, drop[0], drop[3])
     np.matmul(g_ctx, kept.transpose(0, 1, 3, 2), out=g_v.transpose(0, 2, 3, 1))
     del kept
     g_scores = np.matmul(vh.transpose(0, 1, 3, 2), g_ctx)

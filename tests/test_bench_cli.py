@@ -1,6 +1,7 @@
 """End-to-end CLI runs on a tiny synthetic dataset, plus bench helpers."""
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -658,6 +659,40 @@ class TestFailuresNameTheirFile:
         ckpt = self.copy_checkpoint(workdir, tmp_path, edit)
         assert main(self.eval_args(workdir, ckpt)) == 2
         assert f"error: {ckpt}.meta: lowercase: expected True or False, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_heads = 0", "n_heads must be >= 1, got 0"),
+            ("dropout = nan", "dropout must be in [0, 1), got nan"),
+            ("d_model = 15", "d_model 15 not divisible by n_heads 2"),
+            ("precision = f16", "precision must be one of ['f32', 'f64']"),
+        ],
+        ids=["n_heads", "dropout", "d_model", "precision"],
+    )
+    def test_meta_value_the_config_rejects_names_file(self, workdir, tmp_path, capsys, line, message):
+        # each parsed, and the config's message came without the file
+        key = line.split(" = ")[0]
+        edit = lambda text: re.sub(rf"^{key} = .*$", line, text, count=1, flags=re.M)  # noqa: E731
+        ckpt = self.copy_checkpoint(workdir, tmp_path, edit)
+        assert main(self.eval_args(workdir, ckpt)) == 2
+        assert f"error: {ckpt}.meta: {message}\n" == capsys.readouterr().err
+
+    def test_meta_head_the_encoder_rejects_names_file_and_key(self, workdir, tmp_path, capsys):
+        ckpt = self.copy_checkpoint(workdir, tmp_path, lambda text: text.replace("head = cls\n", "head = xyz\n"))
+        assert main(self.eval_args(workdir, ckpt)) == 2
+        assert f"error: {ckpt}.meta: head: unknown head 'xyz'\n" == capsys.readouterr().err
+
+    def test_vocabulary_with_a_repeated_word_names_file_and_line(self, workdir, tmp_path, capsys):
+        # it printed "duplicate words in vocabulary" alone
+        ckpt = self.copy_checkpoint(workdir, tmp_path, lambda text: text)
+        vocab = Path(f"{ckpt}.vocab.tsv")
+        lines = vocab.read_text(encoding="utf-8").splitlines(True)
+        word = lines[3].split("\t")[0]
+        lines[5] = lines[5].replace(lines[5].split("\t")[0], word, 1)
+        vocab.write_text("".join(lines), encoding="utf-8")
+        assert main(self.eval_args(workdir, ckpt)) == 2
+        assert f"error: {vocab}:6: duplicate word {word!r}, first on line 4\n" == capsys.readouterr().err
 
     def test_meta_line_without_a_separator_names_file_and_line(self, workdir, tmp_path, capsys):
         ckpt = self.copy_checkpoint(workdir, tmp_path, lambda text: "vocab_size 12\n" + text)

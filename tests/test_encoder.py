@@ -12,7 +12,7 @@ from depthformer import autodiff as ad
 from depthformer import encoder as enc_module
 from depthformer import recon
 from depthformer.autodiff import Tensor
-from depthformer.encoder import _LAYER_PARAMS, AdaptiveEncoder, EncoderConfig
+from depthformer.encoder import _LAYER_PARAMS, AdaptiveEncoder, EncoderConfig, _route
 from depthformer.optim import adam_step
 from depthformer.train import FitSettings, fit, train_classifier
 
@@ -52,6 +52,24 @@ def token_batch(shape, vocab=20, seed=0):
     return np.random.default_rng(seed).integers(3, vocab, size=shape)
 
 
+def input_order_states(layers, depths):
+    """Every layer's states from one ``forward_graph`` call, in input order.
+    A routed call returns only the top layer, gathered back; the layers
+    below are reached through the graph (each layer node's first parent is
+    the layer below, in routed order) and gathered by ``_route``'s inverse."""
+    inverse = None if depths is None else _route(np.asarray(depths))[1]
+    if inverse is None:
+        return [h.data for h in layers]
+    (gather,) = layers
+    routed = [gather._parents[0]]
+    while len(routed) < int(np.max(depths)):
+        routed.insert(0, routed[0]._parents[0])
+    shape, flat = gather.shape, (-1, gather.shape[-1])
+    states = [h.data.reshape(flat)[inverse].reshape(shape) for h in routed]
+    assert np.array_equal(states[-1], gather.data)
+    return states
+
+
 class TestConfig:
     def test_heads_must_divide_width(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -89,13 +107,17 @@ class TestEmbed:
         h = encoder.embed_infer(np.array([[5, 5]]))
         assert not np.allclose(h[0, 0], h[0, 1])
 
+    # the forwards check their ids once, before the embedding runs on them
     def test_zero_length_rejected(self, encoder):
-        with pytest.raises(ValueError, match="non-empty"):
-            encoder.embed_infer(np.zeros((1, 0), dtype=np.int64))
+        for forward in (encoder.forward_infer, encoder.forward_graph):
+            with pytest.raises(ValueError, match="non-empty"):
+                forward(np.zeros((1, 0), dtype=np.int64))
 
     def test_out_of_range_token_rejected(self, encoder):
-        with pytest.raises(ValueError, match="out of range"):
-            encoder.embed_infer(np.array([[25]]))
+        for forward in (encoder.forward_infer, encoder.forward_graph):
+            for ids in (np.array([[25]]), np.array([[3, -1]])):
+                with pytest.raises(ValueError, match="out of range"):
+                    forward(ids)
 
     def test_eval_mode_deterministic(self, encoder):
         ids = token_batch((2, 6))
@@ -104,8 +126,9 @@ class TestEmbed:
         assert np.array_equal(a.data, b.data)
 
     def test_too_long_sequence_rejected(self, encoder):
-        with pytest.raises(ValueError, match="max_len"):
-            encoder.embed_infer(token_batch((1, 17)))
+        for forward in (encoder.forward_infer, encoder.forward_graph):
+            with pytest.raises(ValueError, match="max_len"):
+                forward(token_batch((1, 17)))
 
 
 class TestAdaptiveForward:
@@ -374,11 +397,11 @@ class TestInPlaceKernel:
         # states agree bit for bit
         ids = token_batch((4, 9), seed=31)
         depths = self.unsorted_depths(4, 32) if mixed else None
-        layers, _ = perturbed.forward_graph(ids, depths, train=False)
+        layers = input_order_states(perturbed.forward_graph(ids, depths, train=False)[0], depths)
         want, _ = perturbed.forward_infer(ids, depths, collect_layers=True)
         assert len(layers) == len(want) == 4
         for n, (got, ref) in enumerate(zip(layers, want), start=1):
-            assert np.array_equal(got.data, ref), f"layer {n}"
+            assert np.array_equal(got, ref), f"layer {n}"
 
     def test_each_layer_runs_on_its_corner_block(self, encoder, monkeypatch):
         # the layer norms see the (b_n, m_n) corner: sentence 0 stops at
@@ -450,14 +473,14 @@ class TestGatheredGraphLayer:
         ids = token_batch(depths.shape, seed=21)
         gold = np.array([0, 1, 1])
 
-        def run(layers):
+        def run(layers, routed_by=None):
             loss = enc.classifier_loss_graph(layers[-1], gold)
             enc.store.zero_grad()
             ad.backward(loss)
             grads = {name: p.grad.copy() for name, p in enc.store.params.items()}
-            return [h.data for h in layers], float(loss.data), grads
+            return input_order_states(layers, routed_by), float(loss.data), grads
 
-        got_states, got_loss, got = run(enc.forward_graph(ids, depths)[0])
+        got_states, got_loss, got = run(enc.forward_graph(ids, depths)[0], depths)
         ref_states, ref_loss, ref = run(reference_graph_layers(enc, ids, depths))
         assert len(got_states) == len(ref_states) == 3
         for n, (a, b) in enumerate(zip(got_states, ref_states), start=1):
@@ -521,11 +544,11 @@ class TestGatheredGraphLayer:
     def test_stopped_rows_copied_exactly(self, perturbed):
         ids = token_batch((3, 5), seed=22)
         depths = np.array([[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]])
-        layers, _ = perturbed.forward_graph(ids, depths)
+        layers = input_order_states(perturbed.forward_graph(ids, depths)[0], depths)
         for b, t in np.argwhere(depths < 3):
             stop = depths[b, t]
             for n in range(stop, 3):
-                assert np.array_equal(layers[n].data[b, t], layers[stop - 1].data[b, t])
+                assert np.array_equal(layers[n][b, t], layers[stop - 1][b, t])
 
     def test_ffn_rows_are_the_gathered_block(self, encoder, monkeypatch):
         # the graph-path counterpart of ffn_applications == sum of depths:
@@ -605,15 +628,15 @@ class TestLeanTape:
         enc = AdaptiveEncoder(small_config(dropout=0.1, precision=precision), head="cls", seed=3)
         tapes = self.recorded_tapes(enc, monkeypatch)
         drawn: list[np.ndarray] = []
-        draw = ad.dropout_mask
-        monkeypatch.setattr(ad, "dropout_mask", lambda *args: drawn.append(draw(*args)) or drawn[-1])
+        draw = enc_module.dropout_mask
+        monkeypatch.setattr(enc_module, "dropout_mask", lambda *args: drawn.append(draw(*args)) or drawn[-1])
         layers, _ = enc.forward_graph(token_batch((3, 5), seed=31), depths, train=True)
         assert len(tapes) == 3 and len(drawn) == 1 + 3 * 3  # the embedding's mask, then three per layer
         for n, tape in enumerate(tapes):
             assert set(tape) == self.KEYS, f"layer {n}"
             assert len(tape["ln"]) == 4, f"layer {n}"
             *packed, scale = tape["drop"]
-            assert scale == ad.dropout_scale(enc.config.dtype, 0.1)
+            assert scale == enc_module.dropout_scale(enc.config.dtype, 0.1)
             for bits, mask in zip(packed, drawn[1 + 3 * n : 4 + 3 * n], strict=True):
                 assert bits.dtype == np.uint8 and bits.shape == (-(-mask.size // 8),), f"layer {n}"
                 unpacked = np.unpackbits(bits, count=mask.size).view(bool).reshape(mask.shape)
@@ -941,8 +964,8 @@ def graph_nodes(loss) -> Counter:
 
 class TestGraphSize:
     """One training step's graph: the embedding, one node per layer and the
-    loss; adaptive classifier training adds the two permutations the loss
-    reaches. Once the backward has run, no node holds its VJP, and so none
+    loss; adaptive classifier training adds its two permutations, one gather
+    in and one out. Once the backward has run, no node holds its VJP, and so none
     holds a tape, a mask or an index array."""
 
     @pytest.fixture
@@ -1000,6 +1023,64 @@ class TestGraphSize:
         self.assert_vjps_released(loss)
 
 
+class TestGraphShape:
+    """What one forward builds and checks. Depths are fixed before the
+    forward, so a routed batch needs input order only at the top layer, the
+    one the pooled loss reads: one gather into routed order and one back.
+    An unrouted call, as every MLM step is, returns every layer and gathers
+    nothing. Each forward checks its ids and depths once."""
+
+    UNEVEN = np.array([[3, 3, 3, 1, 3], [1, 3, 1, 1, 2], [2, 3, 3, 3, 1]])
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_routed_forward_gathers_in_once_and_out_once(self, monkeypatch, precision):
+        enc = AdaptiveEncoder(small_config(precision=precision), head="cls", seed=4)
+        orders: list[np.ndarray] = []
+        permute = enc_module._permute
+        monkeypatch.setattr(enc_module, "_permute", lambda x, order, inv: orders.append(order) or permute(x, order, inv))
+        ids = token_batch(self.UNEVEN.shape, seed=6)
+        layers, _ = enc.forward_graph(ids, self.UNEVEN)
+        order, inverse, _, _ = _route(self.UNEVEN)
+        assert len(orders) == 2
+        assert np.array_equal(orders[0], order) and np.array_equal(orders[1], inverse)
+        (top,) = layers
+        assert top.data.dtype == enc.config.dtype
+        assert np.array_equal(top.data, enc.forward_infer(ids, self.UNEVEN)[0])
+
+    @pytest.mark.parametrize("depths", [None, np.full((3, 5), 2)], ids=["no-depths", "equal-depths"])
+    def test_unrouted_forward_returns_every_layer_without_a_gather(self, monkeypatch, depths):
+        enc = AdaptiveEncoder(small_config(), head="cls", seed=4)
+        monkeypatch.setattr(enc_module, "_permute", lambda *args: pytest.fail("an unrouted forward gathered"))
+        ids = token_batch((3, 5), seed=6)
+        layers, _ = enc.forward_graph(ids, depths)
+        want, _ = enc.forward_infer(ids, depths, collect_layers=True)
+        assert len(layers) == len(want) == (3 if depths is None else 2)
+        for n, (got, ref) in enumerate(zip(layers, want), start=1):
+            assert np.array_equal(got.data, ref), f"layer {n}"
+
+    @pytest.mark.parametrize(
+        "path, routed",
+        [
+            pytest.param(path, routed, id=f"{path}-{'routed' if routed else 'unrouted'}")
+            for path in ("forward_infer", "predict", "forward_graph")
+            for routed in (False, True)
+        ]
+        # the anytime MLM runs every layer on every row
+        + [pytest.param("mlm_anytime_loss_graph", False, id="mlm_anytime_loss_graph-unrouted")],
+    )
+    def test_each_forward_checks_its_inputs_once(self, monkeypatch, path, routed):
+        enc = AdaptiveEncoder(small_config(), head="mlm" if path.startswith("mlm") else "cls", seed=4)
+        calls = []
+        check = enc._check_inputs
+        monkeypatch.setattr(enc, "_check_inputs", lambda ids, depths: calls.append(ids) or check(ids, depths))
+        ids = token_batch(self.UNEVEN.shape, seed=6)
+        if path == "mlm_anytime_loss_graph":
+            enc.mlm_anytime_loss_graph(ids, np.array([1, 7]), np.array([4, 9]), train=True)
+        else:
+            getattr(enc, path)(ids, self.UNEVEN if routed else None)
+        assert len(calls) == 1
+
+
 class TestDropoutStream:
     """Keep-masks are raw 16-bit generator output against a threshold, one
     ``random_raw`` call per mask, drawn in forward order."""
@@ -1015,9 +1096,9 @@ class TestDropoutStream:
         depths = np.full(ids.shape, 2)
         depths[:, 20:] = 1  # layer 2's corner is (8, 20)
         masks = []
-        draw = ad.dropout_mask
+        draw = enc_module.dropout_mask
         with monkeypatch.context() as patch:
-            patch.setattr(ad, "dropout_mask", lambda *args: masks.append(draw(*args)) or masks[-1])
+            patch.setattr(enc_module, "dropout_mask", lambda *args: masks.append(draw(*args)) or masks[-1])
             layers, _ = enc.forward_graph(ids, depths, train=True)
             ad.backward(enc.classifier_loss_graph(layers[-1], np.arange(8) % 2))
         return masks
@@ -1041,11 +1122,11 @@ class TestDropoutStream:
     def test_rate_below_the_grid_drops_nothing(self):
         rng = np.random.default_rng(0)
         for rate in (0.0, 2.0**-18, 2.0**-17):
-            assert ad.dropout_mask((64, 1024), rate, rng).all(), rate
+            assert enc_module.dropout_mask((64, 1024), rate, rng).all(), rate
 
     def test_rate_next_to_one_drops_everything(self):
         # the threshold is 65536, one past the largest 16-bit value
-        mask = ad.dropout_mask((64, 1024), 1.0 - 2.0**-18, np.random.default_rng(0))
+        mask = enc_module.dropout_mask((64, 1024), 1.0 - 2.0**-18, np.random.default_rng(0))
         assert mask.dtype == bool and not mask.any()
 
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 1023, 8 * 4 * 32 * 20])
@@ -1053,7 +1134,7 @@ class TestDropoutStream:
         # low 16 bits of each 64-bit word first; the generator moves as one
         # random_raw(ceil(n/4)) call moves it
         rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
-        mask = ad.dropout_mask((n,), 0.3, rng)
+        mask = enc_module.dropout_mask((n,), 0.3, rng)
         words = ref.bit_generator.random_raw(-(-n // 4))
         u16 = ((words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)).ravel()[:n]
         assert np.array_equal(mask, u16 >= round(0.3 * 65536))

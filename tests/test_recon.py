@@ -216,7 +216,7 @@ class TestTrainMlm:
         )
         result = train_mlm(synth_train, config, FitSettings(steps=0, lr=1e-3, batch_size=16), seed=1)
         assert result.log == []
-        assert result.heldout_final == result.heldout_initial
+        assert result.heldout_log == [(0, result.heldout_log[0][1])]
 
     def test_mask_rate_zero_rejected(self, synth_train):
         config = EncoderConfig(
@@ -239,7 +239,7 @@ class TestTrainMlm:
 
     def test_heldout_loss_drops_after_training(self, toy_mlm):
         _, result = toy_mlm
-        assert result.heldout_final < result.heldout_initial
+        assert result.heldout_log[-1][1] < result.heldout_log[0][1]
 
 
 class TestLayerLosses:
