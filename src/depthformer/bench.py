@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .encoder import AdaptiveEncoder, LayerCounts
-from .train import check_depth_alignment, gather_batch, length_buckets
+from .train import check_depth_maps, gather_batch, length_buckets
 
 
 def blas_threads() -> str:
@@ -42,11 +42,11 @@ def evaluate_classifier(
 ) -> tuple[float, LayerCounts]:
     """Accuracy plus exact counts merged over the split's batches, with one
     wall-clock entry per batch; batches share a length."""
+    lengths = [len(d.tokens) for d in corpus.documents]
     if depth_maps is not None:
-        check_depth_alignment(corpus, depth_maps)
+        check_depth_maps(depth_maps, lengths, encoder.config.n_layers)
     total = LayerCounts()
     correct = 0
-    lengths = [len(d.tokens) for d in corpus.documents]
     for idx in length_buckets(lengths, batch_size):
         ids, gold, depths = gather_batch(corpus, idx, depth_maps)
         start = time.perf_counter_ns()

@@ -3,7 +3,7 @@
 Layout (all integers little-endian): a single version byte, then the
 tensor count (u32), then per tensor a u16 name length, the UTF-8 name,
 a dtype code byte, a rank byte, u32 dims, and the raw array payload.
-Metadata goes to ``<path>.meta`` as ``key = value`` lines.
+Metadata goes to ``<path>.meta`` as ``key = value`` lines (read by ``read_lines``).
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import struct
 from pathlib import Path
 
 import numpy as np
+
+from .corpus import read_lines
 
 FORMAT_VERSION = 1
 
@@ -121,7 +123,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], Meta]:
     mp = meta_path(path)
     meta = Meta(mp)
     if mp.exists():
-        for lineno, line in enumerate(mp.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_lines(mp), 1):
             if not line.strip():
                 continue
             key, sep, value = line.partition("=")

@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, mi, recon, synth
-from .checkpoint import meta_value, parse_bool
+from .checkpoint import meta_path, meta_value, parse_bool
 from .corpus import TokenizerConfig, Vocab, collect_stats, load_tsv
 from .encoder import AdaptiveEncoder, EncoderConfig
 from .recon import train_mlm
-from .train import DEFAULT_CLIP, FitSettings, train_classifier, write_step_files
+from .train import DEFAULT_CLIP, FitSettings, check_depth_maps, train_classifier, write_step_files
 
 
 def _add_model_flags(p: argparse.ArgumentParser, n_layers: bool = True) -> None:
@@ -57,7 +57,12 @@ def _vocab_path(ckpt: str | Path) -> Path:
     return Path(str(ckpt) + ".vocab.tsv")
 
 
-def _corpus_meta(corpus) -> dict[str, str]:
+def _corpus_meta(corpus, path: Path) -> dict[str, str]:
+    """The corpus's entries in a checkpoint's ``.meta``. A label holding the
+    list's separator "," fails naming the first line of ``path`` with it."""
+    for lineno, doc in enumerate(corpus.documents, 1):  # one document per line
+        if "," in (label := corpus.labels[doc.label]):
+            raise ValueError(f"{path}:{lineno}: label {label!r} holds a ',', which separates the checkpoint's labels")
     # the tokenizer's max_len is the encoder's, already in the meta
     return {
         "labels": ",".join(corpus.labels),
@@ -76,30 +81,20 @@ def _config_from_meta(meta: dict[str, str]) -> TokenizerConfig:
     )
 
 
-def _read_depths(path: Path, lengths: list[int], n_layers: int) -> list[np.ndarray]:
-    """The depth maps of ``path``, checked against the sentence lengths
-    they route and the model's depth; each failure names the file, and the
-    line when one is at fault."""
-    maps = mi.read_depth_file(path)
-    if len(maps) != len(lengths):
-        raise ValueError(f"{path}: depth file has {len(maps)} sentences, expected {len(lengths)}")
-    counts = np.fromiter(map(len, maps), np.int64, count=len(maps))
-    misfit = np.flatnonzero(counts != lengths)
-    if misfit.size:
-        i = int(misfit[0])
-        raise ValueError(f"{path}:{i + 1}: {counts[i]} depths for {lengths[i]} tokens")
-    flat = np.concatenate([np.zeros(0, dtype=np.int64), *maps])
-    bad = np.flatnonzero((flat < 1) | (flat > n_layers))
-    if bad.size:
-        line = np.searchsorted(np.cumsum(counts), bad[0], side="right") + 1
-        raise ValueError(f"{path}:{line}: depth {flat[bad[0]]} outside [1, {n_layers}]")
-    return maps
-
-
-def _load_eval_corpus(ckpt_path: str | Path, data_tsv: Path, meta: dict[str, str]):
-    """A split tokenized as the checkpoint's training corpus was."""
-    vocab = Vocab.read(_vocab_path(ckpt_path))
-    return load_tsv(data_tsv, _config_from_meta(meta), vocab=vocab, labels=meta["labels"].split(","))
+def _load_eval_corpus(ckpt_path: str | Path, data_tsv: Path, meta: dict[str, str], config: EncoderConfig):
+    """A split tokenized as the checkpoint's training corpus was, once the
+    checkpoint's vocabulary and label list are checked against ``config``,
+    its encoder's."""
+    vocab_path = _vocab_path(ckpt_path)
+    vocab = Vocab.read(vocab_path)
+    if len(vocab) != config.vocab_size:
+        raise ValueError(
+            f"{vocab_path}: {len(vocab)} words, but {meta_path(ckpt_path)} has vocab_size = {config.vocab_size}"
+        )
+    labels = meta["labels"].split(",")
+    if len(labels) != config.n_labels:
+        raise ValueError(f"{meta_path(ckpt_path)}: labels: {len(labels)} labels, but n_labels = {config.n_labels}")
+    return load_tsv(data_tsv, _config_from_meta(meta), vocab=vocab, labels=labels)
 
 
 def _emit(lines: list[str], path: Path | None) -> None:
@@ -168,9 +163,8 @@ def cmd_depths(args) -> int:
 
     # reconstruction mode
     encoder, meta = AdaptiveEncoder.load(args.mlm_ckpt)
-    summaries = []
     for split, path in (("train", args.train_tsv), ("test", args.test_tsv)):
-        corpus = _load_eval_corpus(args.mlm_ckpt, path, meta)
+        corpus = _load_eval_corpus(args.mlm_ckpt, path, meta, encoder.config)
         profiles = recon.corpus_profiles(encoder, corpus)
         maps = recon.depths_from_profiles(profiles, args.penalty)
         avg = recon.average_depth(maps)
@@ -180,11 +174,10 @@ def cmd_depths(args) -> int:
             np.concatenate(maps).astype(np.float64),
             n_bins=encoder.config.n_layers,
         )
-        summaries.append((split, avg, len(maps)))
         print(f"{split}\tavg_depth\t{avg:.4f}\tn_sentences\t{len(maps)}")
+    # the loop ends on the test split, whose values the summary holds
     with open(out_dir / "summary.tsv", "w", encoding="utf-8") as fh:
-        test_avg = [s for s in summaries if s[0] == "test"][0]
-        fh.write(f"{args.penalty}\t{test_avg[1]:.6f}\t{test_avg[2]}\n")
+        fh.write(f"{args.penalty}\t{avg:.6f}\t{len(maps)}\n")
     return 0
 
 
@@ -200,12 +193,14 @@ def cmd_train(args) -> int:
         raise ValueError(f"--{next(iter(mlm_settings)).replace('_', '-')} applies only to --task mlm")
     settings = FitSettings(args.steps, args.lr, args.batch_size, args.clip, args.warmup)
     corpus = load_tsv(args.train_tsv, _tokenizer_config(args))
+    corpus_meta = _corpus_meta(corpus, args.train_tsv)  # made first: it checks the labels
     enc_config = _encoder_config(args, len(corpus.vocab), corpus.n_labels, args.max_len)
 
     if args.task == "cls":
         depth_maps = None
         if args.depths:
-            depth_maps = _read_depths(args.depths, [len(d.tokens) for d in corpus.documents], enc_config.n_layers)
+            depth_maps = mi.read_depth_file(args.depths)
+            check_depth_maps(depth_maps, [len(d.tokens) for d in corpus.documents], enc_config.n_layers, args.depths)
         encoder, log = train_classifier(corpus, enc_config, settings, seed=args.seed, depth_maps=depth_maps)
     else:
         result = train_mlm(corpus, enc_config, settings, seed=args.seed, **mlm_settings)
@@ -216,7 +211,7 @@ def cmd_train(args) -> int:
             if every and step % every == 0:  # the scores --eval-every asked for, not the final one
                 print(f"heldout_anytime_loss_at_step\t{step}\t{loss:.4f}")
 
-    encoder.save(args.out, extra_meta=_corpus_meta(corpus))
+    encoder.save(args.out, extra_meta=corpus_meta)
     corpus.vocab.write(_vocab_path(args.out))
     write_step_files(args.out, log)
     if log:
@@ -232,10 +227,11 @@ def cmd_eval(args) -> int:
     if args.precision and args.precision != encoder.config.precision:
         config = replace(encoder.config, precision=args.precision)
         encoder = AdaptiveEncoder.from_arrays(config, encoder.head, encoder.store.state_arrays())
-    corpus = _load_eval_corpus(args.ckpt, args.data_tsv, meta)
+    corpus = _load_eval_corpus(args.ckpt, args.data_tsv, meta, encoder.config)
     depth_maps = None
     if args.depths:
-        depth_maps = _read_depths(args.depths, [len(d.tokens) for d in corpus.documents], encoder.config.n_layers)
+        depth_maps = mi.read_depth_file(args.depths)
+        check_depth_maps(depth_maps, [len(d.tokens) for d in corpus.documents], encoder.config.n_layers, args.depths)
 
     runs = [bench.evaluate_classifier(encoder, corpus, depth_maps, batch_size=args.batch_size) for _ in range(args.reps)]
     (accuracy, counts), totals = runs[0], [sum(rep.wall_ns) for _, rep in runs]
@@ -271,8 +267,8 @@ def cmd_sweep_lambda(args) -> int:
     if args.cls_steps > 0:
         settings = FitSettings(args.cls_steps, args.lr, args.batch_size, warmup=args.warmup)
     encoder, meta = AdaptiveEncoder.load(args.mlm_ckpt)
-    train = _load_eval_corpus(args.mlm_ckpt, args.train_tsv, meta)
-    test = _load_eval_corpus(args.mlm_ckpt, args.test_tsv, meta)
+    train = _load_eval_corpus(args.mlm_ckpt, args.train_tsv, meta, encoder.config)
+    test = _load_eval_corpus(args.mlm_ckpt, args.test_tsv, meta, encoder.config)
 
     # profiles do not depend on the penalty, so score each split once; the
     # train split's feed only the classifiers
@@ -289,8 +285,7 @@ def cmd_sweep_lambda(args) -> int:
         accuracy = "-"
         if settings is not None:
             train_maps = recon.depths_from_profiles(train_profiles, penalty)
-            max_len = meta_value(meta, "max_len", int)
-            enc_config = _encoder_config(args, len(train.vocab), train.n_labels, max_len, n_layers)
+            enc_config = _encoder_config(args, len(train.vocab), train.n_labels, encoder.config.max_len, n_layers)
             cls, _ = train_classifier(train, enc_config, settings, seed=args.seed, depth_maps=train_maps)
             acc, _ = bench.evaluate_classifier(cls, test, test_maps, batch_size=args.batch_size)
             accuracy = f"{acc:.4f}"
@@ -307,7 +302,8 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     ids = rng.integers(3, args.vocab_size, size=(args.n_sentences, args.seq_len))
     if args.depths:
-        depth_rows = _read_depths(args.depths, [args.seq_len] * args.n_sentences, args.n_layers)
+        depth_rows = mi.read_depth_file(args.depths)
+        check_depth_maps(depth_rows, [args.seq_len] * args.n_sentences, args.n_layers, args.depths)
     else:
         depth_rows = bench.make_bench_depths(
             args.n_sentences, args.seq_len, args.n_layers, args.target_avg_depth, seed=args.seed
@@ -430,9 +426,6 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader closed stdout (``| head``); what is left unwritten goes
         # to devnull, so the interpreter's flush at exit does not raise again
@@ -440,7 +433,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except OSError as exc:  # a directory or an unreadable file; the message names it
+    except (OSError, ValueError) as exc:  # a bad flag or input, a directory, an unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -129,13 +129,15 @@ def tokenize_split(texts: list[str], lowercase: bool = True) -> list[list[str]]:
 class Vocab:
     """word<->id bijection plus per-word document frequency.
 
-    Ids are contiguous from 0; the three special tokens occupy ids 0..2
-    and never collide with corpus words.
+    Ids are contiguous from 0 and start with ``SPECIAL_TOKENS`` in order,
+    which MLM masking and the MI table rely on; no corpus word is one.
     """
 
     def __init__(self, words: list[str], doc_freq: np.ndarray):
         if len(words) != len(doc_freq):
             raise ValueError(f"{len(words)} words but {len(doc_freq)} doc_freq entries")
+        if tuple(words[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
+            raise ValueError(f"a vocabulary starts with {', '.join(SPECIAL_TOKENS)}, got {words[:len(SPECIAL_TOKENS)]}")
         self.id_to_word = list(words)
         self.word_to_id = {w: i for i, w in enumerate(words)}
         if len(self.word_to_id) != len(words):
@@ -149,20 +151,11 @@ class Vocab:
         kept = [(w, c) for w, c in presence.items() if c >= min_freq]
         kept.sort(key=lambda wc: (-wc[1], wc[0]))
         words = list(SPECIAL_TOKENS) + [w for w, _ in kept]
-        freqs = [0, 0, 0] + [c for _, c in kept]
+        freqs = [0] * len(SPECIAL_TOKENS) + [c for _, c in kept]
         return cls(words, np.asarray(freqs, dtype=np.int64))
 
-    @property
-    def pad_id(self) -> int:
-        return self.word_to_id[PAD_TOKEN]
-
-    @property
-    def unk_id(self) -> int:
-        return self.word_to_id[UNK_TOKEN]
-
-    @property
-    def mask_id(self) -> int:
-        return self.word_to_id[MASK_TOKEN]
+    # fixed by SPECIAL_TOKENS, the words every vocabulary starts with
+    pad_id, unk_id, mask_id = map(SPECIAL_TOKENS.index, (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN))
 
     def __len__(self) -> int:
         return len(self.id_to_word)
@@ -184,9 +177,13 @@ class Vocab:
             where = f"{path}:{lineno}"
             if parse_field(idx, int, "id", where) != len(lines):
                 raise CorpusError(f"{where}: ids must be contiguous from 0")
+            if lineno <= len(SPECIAL_TOKENS) and word != SPECIAL_TOKENS[lineno - 1]:
+                raise CorpusError(f"{where}: expected {SPECIAL_TOKENS[lineno - 1]!r}, got {word!r}")
             if lines.setdefault(word, lineno) != lineno:
                 raise CorpusError(f"{where}: duplicate word {word!r}, first on line {lines[word]}")
             freqs.append(parse_field(freq, int, "doc_freq", where))
+        if len(lines) < len(SPECIAL_TOKENS):
+            raise CorpusError(f"{path}:{len(lines) + 1}: expected {SPECIAL_TOKENS[len(lines)]!r}, got end of file")
         return cls(list(lines), np.asarray(freqs, dtype=np.int64))
 
 

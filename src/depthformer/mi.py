@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusStats, Vocab, parse_field, read_lines, sorted_unique
+from .corpus import SPECIAL_TOKENS, Corpus, CorpusStats, Vocab, parse_field, read_lines, sorted_unique
 
 DEFAULT_SMOOTHING = 0.1
 
@@ -149,7 +149,7 @@ def build_mi_table(
     """
     if smoothing <= 0:
         raise ValueError(f"smoothing must be > 0, got {smoothing}")
-    word_ids = np.delete(np.arange(len(vocab), dtype=np.int64), [vocab.pad_id, vocab.unk_id, vocab.mask_id])
+    word_ids = np.arange(len(SPECIAL_TOKENS), len(vocab), dtype=np.int64)  # a vocabulary starts with them
     joint = stats.joint[word_ids]
     mi = _mi_from_counts(joint, joint.sum(axis=-1), stats.label_counts, stats.n_docs, smoothing)
     # a word with exactly symmetric counts across labels has MI 0 even after

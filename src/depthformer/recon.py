@@ -18,11 +18,9 @@ from itertools import accumulate
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Corpus, Vocab
+from .corpus import SPECIAL_TOKENS, Corpus, Vocab
 from .encoder import HEAD_MLM, AdaptiveEncoder, EncoderConfig, LayerCounts, anytime_loss
 from .train import FitSettings, StepRecord, fit, length_buckets
-
-N_SPECIAL_TOKENS = 3  # <PAD>, <UNK>, <MASK> are never sampled as replacements
 
 # masked variants per profile forward; 4 to 64 all timed alike at T=128
 PROFILE_CHUNK_ROWS = 32
@@ -36,13 +34,13 @@ def mask_batch(
     mask_rate: float = 0.15,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """BERT-style corruption: per sentence pick ~rate positions, then
-    80% become <MASK>, 10% a random word, 10% stay unchanged.
+    80% become <MASK>, 10% a random non-special word, 10% stay unchanged.
 
     Returns (corrupted ids, flat indices into batch*time, true ids).
     """
     if mask_rate <= 0 or mask_rate >= 1:
         raise ValueError(f"mask rate must be in (0, 1), got {mask_rate}")
-    if vocab_size <= N_SPECIAL_TOKENS:
+    if vocab_size <= len(SPECIAL_TOKENS):
         raise ValueError("vocabulary has no regular words to sample replacements from")
     batch, time = ids.shape
     corrupted = ids.copy()
@@ -58,7 +56,7 @@ def mask_batch(
             if roll < 0.8:
                 corrupted[b, t] = mask_id
             elif roll < 0.9:
-                corrupted[b, t] = rng.integers(N_SPECIAL_TOKENS, vocab_size)
+                corrupted[b, t] = rng.integers(len(SPECIAL_TOKENS), vocab_size)
     return corrupted, np.asarray(flat_idx, dtype=np.int64), np.asarray(true_ids, dtype=np.int64)
 
 

@@ -62,17 +62,27 @@ class FitSettings:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
 
 
-def check_depth_alignment(corpus: Corpus, depth_maps: list[np.ndarray]) -> None:
-    """Depth files must match the corpus sentence-for-sentence."""
-    if len(depth_maps) != len(corpus.documents):
-        raise ValueError(
-            f"depth file has {len(depth_maps)} sentences, corpus has {len(corpus.documents)}"
-        )
-    for i, (doc, depths) in enumerate(zip(corpus.documents, depth_maps)):
-        if len(depths) != len(doc.tokens):
-            raise ValueError(
-                f"sentence {i}: depth map length {len(depths)} != token count {len(doc.tokens)}"
-            )
+def check_depth_maps(maps: list[np.ndarray], lengths: list[int], n_layers: int, path=None) -> None:
+    """Depth maps checked against the sentences they route and the model's
+    depth before any of them is used: one map per sentence, one depth per
+    token, each in ``[1, n_layers]``. A failure names ``path`` and the line
+    when the maps were read from that file, else the sentence (from 0)."""
+    def where(i: int) -> str:
+        return f"sentence {i}" if path is None else f"{path}:{i + 1}"
+
+    if len(maps) != len(lengths):
+        what = "depth maps have" if path is None else f"{path}: depth file has"
+        raise ValueError(f"{what} {len(maps)} sentences, expected {len(lengths)}")
+    counts = np.fromiter(map(len, maps), np.int64, count=len(maps))
+    misfit = np.flatnonzero(counts != lengths)
+    if misfit.size:
+        i = int(misfit[0])
+        raise ValueError(f"{where(i)}: {counts[i]} depths for {lengths[i]} tokens")
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *maps])
+    bad = np.flatnonzero((flat < 1) | (flat > n_layers))
+    if bad.size:
+        i = int(np.searchsorted(np.cumsum(counts), bad[0], side="right"))
+        raise ValueError(f"{where(i)}: depth {flat[bad[0]]} outside [1, {n_layers}]")
 
 
 def check_batch_size(batch_size: int) -> None:
@@ -125,8 +135,9 @@ def train_classifier(
     Reproducible for a given seed: model init, dropout, shuffling and the
     step schedule all derive from it. Returns one record per step.
     """
+    lengths = [len(d.tokens) for d in corpus.documents]
     if depth_maps is not None:
-        check_depth_alignment(corpus, depth_maps)
+        check_depth_maps(depth_maps, lengths, config.n_layers)
     model_seed, data_seed = np.random.SeedSequence(seed).spawn(2)
     encoder = AdaptiveEncoder(config, HEAD_CLASSIFIER, seed=int(model_seed.generate_state(1)[0]))
     data_rng = np.random.default_rng(data_seed)
@@ -136,7 +147,6 @@ def train_classifier(
         layers, counts = encoder.forward_graph(ids, depths, train=True)
         return encoder.classifier_loss_graph(layers[-1], gold), counts
 
-    lengths = [len(d.tokens) for d in corpus.documents]
     return encoder, fit(encoder, batch_loss, lengths, settings, data_rng)
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from depthformer import bench, cli, mi, recon
 from depthformer.bench import make_bench_depths
@@ -707,6 +709,119 @@ class TestFailuresNameTheirFile:
         assert main(self.eval_args(workdir, data=bad)) == 2
         assert f"error: {bad}:4: not UTF-8 text (byte 0xff)" in capsys.readouterr().err
 
+    def test_meta_not_utf8_names_file_and_line(self, workdir, tmp_path, capsys):
+        # it printed the codec's message alone
+        ckpt = self.copy_checkpoint(workdir, tmp_path, lambda text: text)
+        lines = Path(f"{ckpt}.meta").read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        Path(f"{ckpt}.meta").write_bytes(b"\n".join(lines))
+        assert main(self.eval_args(workdir, ckpt)) == 2
+        assert f"error: {ckpt}.meta:3: not UTF-8 text (byte 0xff)\n" == capsys.readouterr().err
+
+    @staticmethod
+    def edit_vocab(ckpt, edit):
+        """Rewrite ``ckpt``'s vocabulary as ``edit`` of its words, with the
+        ids renumbered from 0; returns the vocabulary's path."""
+        vocab = Path(f"{ckpt}.vocab.tsv")
+        rows = [line.split("\t") for line in vocab.read_text(encoding="utf-8").split("\n")[:-1]]
+        rows = edit(rows)
+        vocab.write_text("".join(f"{word}\t{i}\t{freq}\n" for i, (word, _, freq) in enumerate(rows)), encoding="utf-8")
+        return vocab
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # a KeyError: '<UNK>' traceback
+            pytest.param(lambda rows: rows[:1] + rows[2:], ":2: expected '<UNK>', got '<MASK>'", id="no-unk"),
+            # read without a word: <UNK> became id 0, the embedding row of <PAD>
+            pytest.param(lambda rows: [rows[1], rows[0], *rows[2:]], ":1: expected '<PAD>', got '<UNK>'", id="swapped"),
+            pytest.param(lambda rows: rows[:2], ":3: expected '<MASK>', got end of file", id="short"),
+        ],
+    )
+    def test_vocabulary_must_start_with_the_special_tokens(self, workdir, tmp_path, capsys, monkeypatch, edit, message):
+        monkeypatch.setattr(bench, "evaluate_classifier", never_called)
+        ckpt = self.copy_checkpoint(workdir, tmp_path, lambda text: text)
+        vocab = self.edit_vocab(ckpt, edit)
+        assert main(self.eval_args(workdir, ckpt)) == 2
+        assert f"error: {vocab}{message}\n" == capsys.readouterr().err
+
+    def test_vocabulary_of_another_size_than_the_checkpoint(self, workdir, tmp_path, capsys, monkeypatch):
+        # it failed only in a batch that held the extra word, naming no file
+        monkeypatch.setattr(bench, "evaluate_classifier", never_called)
+        ckpt = self.copy_checkpoint(workdir, tmp_path, lambda text: text)
+        vocab = self.edit_vocab(ckpt, lambda rows: [*rows, ["extra", "", "1"]])
+        n = len(vocab.read_text(encoding="utf-8").split("\n")) - 2
+        assert main(self.eval_args(workdir, ckpt)) == 2
+        assert f"error: {vocab}: {n + 1} words, but {ckpt}.meta has vocab_size = {n}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels", ["neg,pos,zzz", "neg"])
+    def test_label_count_other_than_n_labels_names_meta(self, workdir, tmp_path, capsys, monkeypatch, labels):
+        # "neg,pos,zzz" evaluated and exited 0
+        monkeypatch.setattr(bench, "evaluate_classifier", never_called)
+        ckpt = self.copy_checkpoint(workdir, tmp_path, lambda text: text.replace("labels = neg,pos\n", f"labels = {labels}\n"))
+        out = tmp_path / "report.tsv"
+        assert main([*self.eval_args(workdir, ckpt), "--report", str(out)]) == 2
+        n = labels.count(",") + 1
+        assert f"error: {ckpt}.meta: labels: {n} labels, but n_labels = 2\n" == capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestLabelsSurviveTheMeta:
+    """``train`` writes the label list to the ``.meta`` joined by ","; ``eval``
+    reads it back through ``read_lines``, so every label ``train`` accepts
+    comes back the same, and one the list cannot hold is refused."""
+
+    @staticmethod
+    def train_and_eval(root: Path, labels: list[str]):
+        """``train`` on one document per label, then ``eval`` on the same
+        file; returns both exit codes and the labels ``eval`` used."""
+        from unittest import mock
+
+        tsv = root / "labels.tsv"
+        tsv.write_text("".join(f"{label}\tgood plot {i}\n" for i, label in enumerate(labels)), encoding="utf-8")
+        ckpt = root / "labels.ckpt"
+        trained = main(["train", "--task", "cls", "--train-tsv", str(tsv), "--out", str(ckpt),
+                        "--steps", "0", *TINY_MODEL])
+        if trained:
+            return trained, None, None
+        with mock.patch.object(bench, "evaluate_classifier", wraps=bench.evaluate_classifier) as spy:
+            evaluated = main(["eval", "--ckpt", str(ckpt), "--data-tsv", str(tsv), "--reps", "1"])
+        return trained, evaluated, spy.call_args.args[1].labels if spy.called else None
+
+    def test_label_with_a_line_separator(self, tmp_path):
+        # eval failed: "odd.ckpt.meta:12: expected 'key = value', got 'g,pos'"
+        assert self.train_and_eval(tmp_path, ["ne\u2028g", "pos"]) == (0, 0, ["ne\u2028g", "pos"])
+
+    def test_label_with_a_comma_names_tsv_and_line(self, tmp_path, capsys, monkeypatch):
+        # train wrote "labels = n,eg,pos"; eval then read three labels
+        monkeypatch.setattr(cli, "train_classifier", never_called)
+        tsv = tmp_path / "comma.tsv"
+        tsv.write_text("pos\tgood plot\nn,eg\tbad plot\npos\tfine plot\n", encoding="utf-8")
+        out = tmp_path / "comma.ckpt"
+        assert main(["train", "--task", "cls", "--train-tsv", str(tsv), "--out", str(out), *TINY_MODEL]) == 2
+        assert f"error: {tsv}:2: label 'n,eg' holds a ',', which separates the checkpoint's labels\n" == (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == [tsv]
+
+    # the breaks str.splitlines knows and "=", the .meta's separator, beside
+    # any character a TSV label field may hold
+    LABEL_TEXT = st.text(
+        st.sampled_from(["a", "B", " ", "=", "\x85", "\u2028", "\u2029", "\x1c", "\x0b", "é", "#"])
+        | st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r,"),
+        min_size=1,
+        max_size=6,
+    ).filter(str.strip)
+
+    @settings(max_examples=30, deadline=None)
+    @given(labels=st.lists(LABEL_TEXT, min_size=1, max_size=3))
+    @example(labels=["n\x85eg", " a = b ", "x\u2028y z"])
+    def test_every_accepted_label_comes_back_from_eval(self, labels):
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as root:
+            assert self.train_and_eval(Path(root), labels) == (0, 0, sorted({label.strip() for label in labels}))
+
 
 class TestDepthFilesCheckedOnRead:
     """``train``, ``eval`` and ``bench`` check a depth file against the
@@ -766,6 +881,24 @@ class TestDepthFilesCheckedOnRead:
         assert main([*args, "--depths", str(bad)]) == 2
         assert f"error: {bad}{message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("entry", ["train_classifier", "evaluate_classifier"])
+    def test_library_entry_points_name_the_sentence(self, workdir, monkeypatch, entry):
+        # a depth of 13 failed only when the batch that held it ran
+        from depthformer import train
+
+        encoder, meta = AdaptiveEncoder.load(workdir / "cls.ckpt")
+        corpus = load_tsv(workdir / "data" / "test.tsv")
+        maps = [np.ones(len(d.tokens), dtype=np.int64) for d in corpus.documents]
+        maps[3][1] = 13
+        monkeypatch.setattr(train, "fit", never_called)
+        monkeypatch.setattr(encoder, "predict", never_called)
+        with pytest.raises(ValueError, match=r"^sentence 3: depth 13 outside \[1, 2\]$"):
+            if entry == "train_classifier":
+                settings = train.FitSettings(steps=1, lr=1e-3, batch_size=1)
+                train.train_classifier(corpus, encoder.config, settings, depth_maps=maps)
+            else:
+                bench.evaluate_classifier(encoder, corpus, maps)
 
 
 class TestDepthsRecon:
@@ -1175,7 +1308,7 @@ class TestEvaluateClassifier:
     def test_counts_follow_depth_files(self, workdir):
         encoder, meta = AdaptiveEncoder.load(workdir / "cls.ckpt")
         from depthformer.cli import _load_eval_corpus
-        corpus = _load_eval_corpus(workdir / "cls.ckpt", workdir / "data" / "test.tsv", meta)
+        corpus = _load_eval_corpus(workdir / "cls.ckpt", workdir / "data" / "test.tsv", meta, encoder.config)
         maps = mi.read_depth_file(workdir / "mi" / "test.depths")
         acc, report = bench.evaluate_classifier(encoder, corpus, maps, batch_size=2)
         assert report.ffn_applications == sum(int(m.sum()) for m in maps)

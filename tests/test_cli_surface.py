@@ -87,3 +87,19 @@ def test_package_never_calls_np_unique():
         and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
     ]
     assert uses == []
+
+
+def test_package_reads_text_only_through_read_lines():
+    """``str.splitlines`` also splits at U+0085, U+2028, U+2029 and
+    \\x1c-\\x1e, which a label or a document's text may hold, and
+    ``Path.read_text`` names no line of a byte that is not UTF-8;
+    ``corpus.read_lines`` splits only where text mode does and names the
+    file and line of a bad byte."""
+    package = Path(depthformer.__file__).parent
+    uses = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("splitlines", "read_text")
+    ]
+    assert uses == []

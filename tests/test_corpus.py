@@ -305,6 +305,11 @@ class TestVocab:
         with pytest.raises(CorpusError, match=rf"vocab\.tsv:2: {message}"):
             Vocab.read(path)
 
+    def test_words_must_start_with_the_special_tokens(self):
+        # MLM masking and the MI table take ids below len(SPECIAL_TOKENS) to be them
+        with pytest.raises(ValueError, match="a vocabulary starts with <PAD>, <UNK>, <MASK>"):
+            Vocab(["<UNK>", "<PAD>", "<MASK>", "a"], np.zeros(4, dtype=np.int64))
+
     def test_roundtrip(self, tmp_path, synth_train):
         path = tmp_path / "vocab.tsv"
         synth_train.vocab.write(path)
