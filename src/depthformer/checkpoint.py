@@ -100,13 +100,18 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], Meta]:
 
     (version,) = take("<B", "version")
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (count,) = take("<I", "tensor count")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = take("<H", "name length")
         need(name_len, "name")
-        name = blob[offset : offset + name_len].decode("utf-8")
+        raw = blob[offset : offset + name_len]
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            byte = raw[exc.start]
+            raise ValueError(f"{path}: tensor name at offset {offset} is not UTF-8 (byte 0x{byte:02x})") from None
         offset += name_len
         code, ndim = take("<BB", f"{name} dtype and rank")
         shape = take(f"<{ndim}I", f"{name} shape")

@@ -14,10 +14,12 @@ Inference calls the kernel directly; the speed benchmarks measure that
 path. Training wraps each call in one graph node, with the layer's dropout
 masks and a tape that its hand-written backward, ``_layer_backward``,
 reads, so gradients flow through the copy routing. The tape keeps only
-what no single product of the forward remakes, with the masks bit-packed;
-the backward remakes Q, K, V, the context and the first norm's output with
-the forward's own operations, bit for bit. The dropout keep-masks are
-drawn, applied and packed here too.
+small statistics: the softmax's per-query maximum and key sums, the layer
+norms' normalized rows and standard deviations, and the bit-packed masks;
+nothing on it is attention-sized or FFN-sized. The backward remakes Q, K,
+V, the exponentiated scores, the context, the first norm's output and the
+FFN's ReLU output with the forward's own operations, bit for bit. The
+dropout keep-masks are drawn, applied and packed here too.
 
 The rest of the model is written once too. The embedding, the permutation
 into routed order and back, the classifier loss and the anytime MLM loss
@@ -322,15 +324,17 @@ def _layer_backward(
     ``g`` straight through, and active corner rows take only what flows back
     through the block.
 
-    The tape holds only what no single product of the forward remakes; the
-    rest is remade here with the forward's own operations on the forward's
-    own rows, so every bit matches: the first norm's output from its
-    normalized rows, Q, K and V by ``_qkv_heads``, the dropped probabilities
-    and the context from the exponentiated scores and their key sums, and
-    the boolean keep-masks from their packed bits. No array on the tape is
-    written, and neither is ``g``."""
+    The tape holds only the softmax's per-query maximum and key sums, the
+    layer norms' normalized rows and standard deviations and the packed
+    masks; the rest is remade here with the forward's own operations on the
+    forward's own rows, so every bit matches: the first norm's output from
+    its normalized rows and the FFN's ReLU output from that, Q, K and V by
+    ``_qkv_heads``, the exponentiated scores from K, Q and the stored
+    maximum, the dropped probabilities and the context from those and the
+    key sums, and the boolean keep-masks from their packed bits. No array on
+    the tape is written, and neither is ``g``."""
     wq, bq, wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = weights
-    scores, key_sums, hid, drop = tape["scores"], tape["key_sums"], tape["hid"], tape["drop"]
+    key_max, key_sums, drop = tape["key_max"], tape["key_sums"], tape["drop"]
     xhat1, std1, xhat2, std2 = tape["ln"]
     batch, time, d = h.shape
     b, m = block
@@ -344,17 +348,24 @@ def _layer_backward(
     g_out = g[:b, :m] if active is None else g[:b, :m] * active[..., None]
     g_ln2_g, g_ln2_b, g_hr = _layer_norm_backward(g_out, ln2_g, xhat2, std2)
     g_ff = g_hr if drop is None else apply_dropout(g_hr, drop[2], drop[3])
+    hr = xhat1 * ln1_g  # the first norm's output, as _layer_norm_np made it
+    hr += ln1_b
+    hid = hr @ w1  # the FFN's ReLU output, as the forward made it
+    hid += b1
+    np.maximum(hid, 0, out=hid)
     g_w2, g_b2 = _weight_grad(hid, g_ff), g_ff.sum(axis=(0, 1))
     g_hid = g_ff @ w2.T
     g_hid *= hid > 0
-    hr = xhat1 * ln1_g  # the first norm's output, as _layer_norm_np made it
-    hr += ln1_b
+    del hid
     g_w1, g_b1 = _weight_grad(hr, g_hid), g_hid.sum(axis=(0, 1))
     del hr
     g_hr += g_hid @ w1.T
     g_ln1_g, g_ln1_b, g_hq = _layer_norm_backward(g_hr, ln1_g, xhat1, std1)
     g_attn = g_hq if drop is None else apply_dropout(g_hq, drop[1], drop[3])
     qh, kh, vh = _qkv_heads(h, block, heads, weights)
+    scores = np.matmul(kh, qh)  # the exponentiated scores, as the forward made them
+    scores -= key_max
+    np.exp(scores, out=scores)
     kept = scores if drop is None else apply_dropout(scores, drop[0], drop[3])
     ctx = np.matmul(vh, kept)
     ctx /= key_sums
@@ -546,9 +557,10 @@ class AdaptiveEncoder:
     ) -> Tensor:
         """One layer as one graph node: ``_layer_infer`` runs the forward,
         with the layer's dropout keep-masks when training, and keeps on a
-        tape what ``_layer_backward``, the node's VJP, reads. The tape keeps
-        the masks bit-packed, one bit per entry; it lives in the VJP's
-        closure, which the backward drops once the VJP has run."""
+        tape what ``_layer_backward``, the node's VJP, reads: per-query and
+        per-row statistics, and the masks bit-packed, one bit per entry. It
+        lives in the VJP's closure, which the backward drops once the VJP
+        has run."""
         cfg = self.config
         drop = self._draw_dropout(train, *_layer_mask_shapes(*block, cfg.n_heads, h.shape[1], cfg.d_model))
         tape = {"drop": drop, "ln": []}
@@ -691,12 +703,13 @@ class AdaptiveEncoder:
         or holds the layer's boolean dropout keep-masks (attention
         probabilities key-major as (b, H, T, m), attention output, FFN
         output) and the ``1/(1 - p)`` scale, applied after each mask, and
-        whose "ln" entry is an empty list. Only what no
-        single product of this forward remakes is stored in it: the
-        exponentiated scores and their key sums, the FFN's ReLU output, and
-        each layer norm's normalized rows and standard deviations.
-        ``_layer_backward`` remakes Q, K, V, the context and the first
-        norm's output. Without a tape nothing extra is computed or kept.
+        whose "ln" entry is an empty list. Only statistics are stored in it:
+        the (b, H, 1, m) per-query maximum the softmax subtracts and the key
+        sums of the exponentiated scores, and each layer norm's normalized
+        rows and standard deviations. ``_layer_backward`` remakes Q, K, V,
+        the exponentiated scores, the context, the first norm's output and
+        the FFN's ReLU output. Without a tape nothing extra is computed or
+        kept.
         """
         batch, time, _ = h.shape
         b, m = block
@@ -707,7 +720,8 @@ class AdaptiveEncoder:
         # every elementwise step below writes into an array this layer made
         qh, kh, vh = _qkv_heads(h, block, self.config.n_heads, weights)
         scores = np.matmul(kh, qh)
-        scores -= np.maximum.reduce(scores, axis=-2, keepdims=True)
+        key_max = np.maximum.reduce(scores, axis=-2, keepdims=True)
+        scores -= key_max
         np.exp(scores, out=scores)
         ctx = np.matmul(vh, scores if drop is None else apply_dropout(scores, drop[0], drop[3]))
         key_sums = np.add.reduce(scores, axis=-2, keepdims=True)
@@ -730,7 +744,7 @@ class AdaptiveEncoder:
         out += hr
         _layer_norm_np(out, ln2_g, ln2_b, *saved)
         if tape is not None:
-            tape.update(scores=scores, key_sums=key_sums, hid=hid)
+            tape.update(key_max=key_max, key_sums=key_sums)
         if active is None and (b, m) == (batch, time):
             return out
         new = h.copy()

@@ -1,9 +1,12 @@
 """The layer node as it was when its tape stored every intermediate its
-backward reads: Q, K and V, the context, the first norm's output and the
-boolean dropout masks, beside the exponentiated scores, their key sums, the
-FFN's ReLU output and the normalized rows. The encoder's own node now
-remakes those products in its backward; the two must give the same states
-and gradients bit for bit.
+backward reads: Q, K and V, the exponentiated scores, the context, the first
+norm's output, the FFN's ReLU output and the boolean dropout masks, beside
+the scores' key sums and the normalized rows. The encoder's own node keeps
+only the key sums, the softmax's per-query maximum, the normalized rows and
+the bit-packed masks, and remakes the rest in its backward: Q, K and V, the
+exponentiated scores from that maximum, the context, the first norm's output
+and the ReLU output. The two must give the same states and gradients bit
+for bit.
 """
 
 import math

@@ -32,11 +32,25 @@ def test_unknown_version_rejected(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[0] = 99
     path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(ValueError) as err:
         load_checkpoint(path)
+    assert str(err.value) == f"{path}: unsupported checkpoint version 99"
 
 
 def test_meta_sidecar_is_plain_key_value_text(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, {}, {"d_model": "16"})
     assert meta_path(path).read_text() == "d_model = 16\n"
+
+
+def test_undecodable_name_names_the_checkpoint_and_offset(tmp_path):
+    # version (1 byte), tensor count (4) and name length (2): the name starts at byte 7
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"x": np.zeros(1, dtype=np.float32)}, {})
+    blob = bytearray(path.read_bytes())
+    assert blob[7:8] == b"x"
+    blob[7] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: tensor name at offset 7 is not UTF-8 (byte 0xff)"

@@ -559,7 +559,7 @@ class TestGatheredGraphLayer:
 
         def recording(h, i, block, active, tape=None):
             out = layer(h, i, block, active, tape)
-            rows.append((i, tape["hid"].size // tape["hid"].shape[-1]))
+            rows.append((i, tape["ln"][0].size // tape["ln"][0].shape[-1]))
             return out
 
         monkeypatch.setattr(encoder, "_layer_infer", recording)
@@ -595,14 +595,14 @@ class TestGatheredGraphLayer:
 
 class TestLeanTape:
     """What a training step keeps: each layer node's tape holds the
-    exponentiated scores and their key sums, the FFN's ReLU output, each
-    layer norm's normalized rows and standard deviations and the bit-packed
-    dropout masks, and no product the backward can remake; the backward
-    drops the node's VJP and with it the tape, so a finished step's graph
-    holds only states and gradients. The remade products give the storing
-    tape's gradients bit for bit."""
+    softmax's per-query maximum and key sums, each layer norm's normalized
+    rows and standard deviations and the bit-packed dropout masks, and no
+    product the backward can remake, so nothing attention-sized or FFN-sized;
+    the backward drops the node's VJP and with it the tape, so a finished
+    step's graph holds only states and gradients. The remade products give
+    the storing tape's gradients bit for bit."""
 
-    KEYS = {"scores", "key_sums", "hid", "ln", "drop"}
+    KEYS = {"key_max", "key_sums", "ln", "drop"}
 
     @staticmethod
     def recorded_tapes(enc, monkeypatch):
@@ -649,29 +649,57 @@ class TestLeanTape:
         assert all(node._vjp is None for node in nodes)
         # the layer nodes no longer hold their VJPs, so once this test lets
         # go of the tapes nothing holds their arrays
-        arrays = [weakref.ref(a) for t in tapes for a in (t["scores"], t["key_sums"], t["hid"], *t["ln"], *t["drop"][:3])]
+        arrays = [weakref.ref(a) for t in tapes for a in (t["key_max"], t["key_sums"], *t["ln"], *t["drop"][:3])]
         del tape, packed, bits, tapes[:]  # the loop above still names the last tape's arrays
         assert all(ref() is None for ref in arrays)
 
+    @staticmethod
+    def assert_tape_is_its_formula(tape, block, heads, time, d, ff):
+        """The tape of a layer on the (b, m) corner ``block``: the softmax's
+        maximum and key sums (b, H, 1, m), two normalized copies of the rows
+        (b, m, d) and two standard deviations (b, m, 1), all f32, and three
+        masks of one bit per entry, the first over (b, H, T, m); every array
+        owns its memory and none is attention-sized or FFN-sized. Returns the
+        tape's bytes."""
+        b, m = block
+        arrays = [tape["key_max"], tape["key_sums"], *tape["ln"], *tape["drop"][:3]]
+        assert all(a.base is None for a in arrays)
+        assert all(a.dtype == np.uint8 or a.size not in (b * heads * time * m, b * m * ff) for a in arrays)
+        floats = 2 * b * heads * m + 2 * b * m * d + 2 * b * m
+        bits = -(-b * heads * time * m // 8) + 2 * -(-b * m * d // 8)
+        assert sum(a.nbytes for a in arrays) == 4 * floats + bits
+        return 4 * floats + bits
+
     def test_tape_holds_exactly_its_formula_in_bytes(self, monkeypatch):
-        # a full-depth MLM step at batch 16 x 64 tokens: per layer, the
-        # exponentiated scores (B, H, T, T), their key sums (B, H, 1, T), the
-        # ReLU output (B, T, ff), two normalized copies of the rows (B, T, d)
-        # and two standard deviations (B, T, 1), all f32, and three masks of
-        # one bit per entry; every array owns its memory
+        # a full-depth MLM step at batch 16 x 64 tokens: every layer runs
+        # the whole (B, T) corner
         batch, time, heads, d, ff = 16, 64, 4, 32, 64
         cfg = small_config(n_layers=2, d_model=d, n_heads=heads, d_ff=ff, dropout=0.1, max_len=time, precision="f32")
         enc = AdaptiveEncoder(cfg, head="mlm", seed=4)
         tapes = self.recorded_tapes(enc, monkeypatch)
         enc.mlm_anytime_loss_graph(token_batch((batch, time), seed=5), np.array([3, 70]), np.array([4, 5]), train=True)
-        rows = batch * time
-        floats = batch * heads * time * time + batch * heads * time + rows * ff + 2 * rows * d + 2 * rows
-        bits = -(-batch * heads * time * time // 8) + 2 * -(-rows * d // 8)
         assert len(tapes) == 2
         for tape in tapes:
-            arrays = [tape["scores"], tape["key_sums"], tape["hid"], *tape["ln"], *tape["drop"][:3]]
-            assert all(a.base is None for a in arrays)
-            assert sum(a.nbytes for a in arrays) == 4 * floats + bits == 1_638_400
+            assert self.assert_tape_is_its_formula(tape, (batch, time), heads, time, d, ff) == 344_064
+
+    def test_routed_tape_holds_exactly_its_formula_at_each_corner(self, monkeypatch):
+        # an adaptive classifier step on uneven depths: each layer's tape
+        # is the same formula at that layer's (b_n, m_n) corner from _route
+        batch, time, heads, d, ff = 6, 12, 4, 32, 64
+        cfg = small_config(n_layers=4, d_model=d, n_heads=heads, d_ff=ff, dropout=0.1, max_len=time, precision="f32")
+        enc = AdaptiveEncoder(cfg, head="cls", seed=4)
+        tapes = self.recorded_tapes(enc, monkeypatch)
+        depths = np.random.default_rng(6).integers(1, 5, size=(batch, time))
+        depths[2, 5:] = 1  # one sentence's tokens stop early, another's never pass layer 2
+        depths[4] = np.minimum(depths[4], 2)
+        enc.forward_graph(token_batch((batch, time), seed=7), depths, train=True)
+        plan = _route(depths)[2]
+        blocks = [block for block, _ in plan]
+        assert len(tapes) == len(plan) == 4 and blocks[0] == (batch, time)
+        assert any(b < batch for b, _ in blocks) and any(m < time for _, m in blocks)
+        assert any(active is not None for _, active in plan)  # some corner is only partly active
+        for tape, block in zip(tapes, blocks, strict=True):
+            self.assert_tape_is_its_formula(tape, block, heads, time, d, ff)
 
     @staticmethod
     def fit_steps(enc, head, ids, depths, steps=5):
